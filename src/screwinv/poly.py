@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._kernel import monom_mul, terms_add, terms_mul, terms_scale, terms_sub
@@ -103,17 +104,31 @@ class TermOrder:
             raise ValueError("priority must be a permutation of the variable set")
         self.varset = varset
         self.priority = priority
-        self._perm = tuple(varset.index(name) for name in priority)
+        perm = tuple(varset.index(name) for name in priority)
+        # None when the priority is the variable-set order (every pullback
+        # system): exponent tuples then compare as their own keys.
+        self._perm = None if perm == tuple(range(len(perm))) else perm
 
     def key(self, exponents: Exponents) -> Exponents:
-        """Sort key: exponents permuted into priority order."""
-        return tuple(exponents[i] for i in self._perm)
+        """Sort key: exponents permuted into priority order.
+
+        When the priority equals the variable-set order the permutation is
+        the identity, so the key is the exponent tuple itself and no
+        per-call permutation is built; otherwise it is
+        ``tuple(exponents[i] for i in perm)``.
+        """
+        perm = self._perm
+        if perm is None:
+            return tuple(exponents)
+        return tuple(exponents[i] for i in perm)
 
     def greater(self, a: Exponents, b: Exponents) -> bool:
         return self.key(a) > self.key(b)
 
     def sorted_terms(self, terms: Mapping, reverse: bool = True):
         """Terms as (exponents, coefficient) pairs, decreasing by default."""
+        if self._perm is None:
+            return sorted(terms.items(), key=itemgetter(0), reverse=reverse)
         return sorted(terms.items(), key=lambda item: self.key(item[0]), reverse=reverse)
 
     def eliminates(self, block: Sequence[str]) -> bool:
@@ -318,7 +333,10 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         if order is None:
             order = self.varset.default_order()
-        exps = max(self.terms, key=order.key)
+        if order._perm is None:
+            exps = max(self.terms)
+        else:
+            exps = max(self.terms, key=order.key)
         return exps, self.terms[exps]
 
     def leading_monomial(self, order: TermOrder | None = None) -> Exponents:

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as product_of
+from operator import add, sub
 from typing import IO, Iterable, Sequence
 
 from .poly import Exponents, Polynomial, TermOrder, VariableSet
@@ -33,7 +35,7 @@ class GeneratorSet:
     dropped.
     """
 
-    __slots__ = ("gens", "order", "_lms")
+    __slots__ = ("gens", "order", "_lms", "_powers", "_try_order")
 
     def __init__(self, gens: Iterable[Polynomial], order: TermOrder):
         self.order = order
@@ -45,6 +47,8 @@ class GeneratorSet:
             self._insert(g, store, lms)
         self.gens = tuple(store)
         self._lms = tuple(lms)
+        self._powers: dict[tuple[int, int], Polynomial] = {}
+        self._try_order: tuple[int, ...] | None = None
 
     def _insert(self, g: Polynomial, store: list[Polynomial], lms: list[Exponents]) -> None:
         if g.varset != self.order.varset:
@@ -70,15 +74,40 @@ class GeneratorSet:
         return self._lms
 
     def with_added(self, *new_gens: Polynomial) -> "GeneratorSet":
-        return GeneratorSet(list(self.gens) + list(new_gens), self.order)
+        grown = GeneratorSet(list(self.gens) + list(new_gens), self.order)
+        # The old generators are monic with distinct leading monomials, so
+        # they are re-inserted unchanged at the same indices and their
+        # cached powers stay valid.
+        grown._powers.update(self._powers)
+        return grown
 
     def power_product(self, exps: Sequence[int]) -> Polynomial:
-        """The product of generator powers with the given exponent vector."""
-        result = Polynomial.constant(self.order.varset, 1)
-        for g, e in zip(self.gens, exps):
+        """The product of generator powers with the given exponent vector.
+
+        Each power ``g_i ** e`` is computed once per generator set and
+        cached under ``(i, e)``; whole products are not cached, since there
+        are far more of them than powers.  The factors are multiplied in
+        generator order.
+        """
+        result = None
+        powers = self._powers
+        for i, (g, e) in enumerate(zip(self.gens, exps)):
             if e:
-                result = result * g ** e
+                power = powers.get((i, e))
+                if power is None:
+                    power = powers[i, e] = g ** e
+                result = power if result is None else result * power
+        if result is None:
+            return Polynomial.constant(self.order.varset, 1)
         return result
+
+    def _subduction_order(self) -> tuple[int, ...]:
+        """Generator indices by decreasing leading monomial (cached)."""
+        if self._try_order is None:
+            key = self.order.key
+            lms = self._lms
+            self._try_order = tuple(sorted(range(len(lms)), key=lambda i: key(lms[i]), reverse=True))
+        return self._try_order
 
     def __len__(self) -> int:
         return len(self.gens)
@@ -174,14 +203,17 @@ def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
     if f.varset != order.varset:
         raise ValueError("polynomial over the wrong variable set")
     lms = basis.leading_monomials()
-    order_idx = sorted(range(len(lms)), key=lambda i: order.key(lms[i]), reverse=True)
+    order_idx = basis._subduction_order()
     cert_terms: dict = {}
     g = f
     prev_key = None
     while not g.is_zero():
         lt_exps, lt_coeff = g.leading_term(order)
         key = order.key(lt_exps)
-        assert prev_key is None or key < prev_key, "subduction must strictly descend"
+        if prev_key is not None and not key < prev_key:
+            raise RuntimeError(
+                f"subduction must strictly descend: leading key {key} after {prev_key}"
+            )
         prev_key = key
         exps = _factor_monomial(lt_exps, lms, order_idx)
         if exps is None:
@@ -206,39 +238,41 @@ def tete_a_tetes(basis: GeneratorSet, degree_bound: int) -> list[TeteATete]:
 
     Enumerates every generator power product whose leading-monomial product
     has total degree within the bound, buckets by that product monomial,
-    and pairs up vectors with disjoint support.  A relation is kept only if
-    it is not the componentwise sum of two other found relations.
+    and pairs up vectors with disjoint support.  The products are found by
+    an extension search: each product is extended only by generators of
+    index at least its last one while the degree fits, so every product is
+    visited exactly once.
+
+    A relation ``(a, b)`` is kept only if it is not the componentwise sum of
+    two other found relations, that is, unless some ``0 < x < a`` and
+    ``0 < y < b`` make both ``(x, y)`` and ``(a - x, b - y)`` found
+    relations.  The search runs over the proper sub-vectors ``x`` of ``a``
+    (at most ``2**D`` of them at degree bound ``D``, since every generator
+    has degree at least one) and, through an index, over the vectors ``y``
+    that ``x`` is paired with; it no longer scans every found relation.
+    The result is sorted by product monomial, then by relation.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be at least 1")
-    lms = [list(lm) for lm in basis.leading_monomials()]
+    lms = basis.leading_monomials()
     degs = [sum(lm) for lm in lms]
     nvars = len(basis.order.varset)
     ngens = len(lms)
     buckets: dict[tuple, list[tuple]] = {}
-    current = [0] * nvars
     vec = [0] * ngens
 
-    def rec(i: int, remaining: int) -> None:
-        if i == ngens:
-            if any(vec):
-                buckets.setdefault(tuple(current), []).append(tuple(vec))
-            return
-        d = degs[i]
-        emax = remaining // d
-        lm = lms[i]
-        for e in range(emax + 1):
-            if e:
-                vec[i] = e
-                for j, x in enumerate(lm):
-                    current[j] += x
-            rec(i + 1, remaining - e * d)
-        if emax:
-            for j, x in enumerate(lm):
-                current[j] -= emax * x
-            vec[i] = 0
+    def extend(last: int, mono: tuple, remaining: int) -> None:
+        for i in range(last, ngens):
+            d = degs[i]
+            if d > remaining:
+                continue
+            vec[i] += 1
+            product = tuple(map(add, mono, lms[i]))
+            buckets.setdefault(product, []).append(tuple(vec))
+            extend(i, product, remaining - d)
+            vec[i] -= 1
 
-    rec(0, degree_bound)
+    extend(0, basis.order.varset.unit(), degree_bound)
 
     found = set()
     for vecs in buckets.values():
@@ -253,35 +287,35 @@ def tete_a_tetes(basis: GeneratorSet, degree_bound: int) -> list[TeteATete]:
                     a, b = b, a
                 found.add((a, b))
 
-    def diff(u: tuple, v: tuple):
-        out = []
-        for x, y in zip(u, v):
-            if x < y:
-                return None
-            out.append(x - y)
-        return tuple(out)
+    partners: dict[tuple, list[tuple]] = {}
+    for a, b in found:
+        partners.setdefault(a, []).append(b)
+        partners.setdefault(b, []).append(a)
+
+    def proper_parts(v: tuple):
+        """Every sub-vector x with 0 < x < v componentwise."""
+        support = [i for i, e in enumerate(v) if e]
+        x = list(v)
+        for choice in product_of(*(range(v[i] + 1) for i in support)):
+            for i, e in zip(support, choice):
+                x[i] = e
+            part = tuple(x)
+            if part != v and any(choice):
+                yield part
 
     def orient(a: tuple, b: tuple):
         return (a, b) if a <= b else (b, a)
 
-    minimal = []
-    for a, b in found:
-        decomposable = False
-        for a1, b1 in found:
-            if (a1, b1) == (a, b):
-                continue
-            for a2, b2 in ((diff(a, a1), diff(b, b1)), (diff(a, b1), diff(b, a1))):
-                if a2 is None or b2 is None:
-                    continue
-                if not (any(a2) or any(b2)):
-                    continue
-                if orient(a2, b2) in found and orient(a2, b2) != (a, b):
-                    decomposable = True
-                    break
-            if decomposable:
-                break
-        if not decomposable:
-            minimal.append((a, b))
+    def decomposable(a: tuple, b: tuple) -> bool:
+        # (a - x, b - y) can only be found when 0 < y < b: found vectors
+        # are nonzero and nonnegative
+        return any(
+            orient(tuple(map(sub, a, x)), tuple(map(sub, b, y))) in found
+            for x in proper_parts(a)
+            for y in partners.get(x, ())
+        )
+
+    minimal = [rel for rel in found if not decomposable(*rel)]
 
     def product_key(rel):
         a, _ = rel

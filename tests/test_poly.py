@@ -124,6 +124,59 @@ class TestArithmetic:
             f ** -1
 
 
+class TestTermOrderKey:
+    """`TermOrder.key` skips the permutation when the priority is the
+    variable order; every observable result must be as if it did not."""
+
+    PRIORITIES = (
+        ("a", "b", "c", "d"),
+        ("b", "a", "c", "d"),
+        ("d", "c", "b", "a"),
+        ("c", "a", "d", "b"),
+    )
+
+    @staticmethod
+    def explicit_key(order, exps):
+        perm = [order.varset.index(name) for name in order.priority]
+        return tuple(exps[i] for i in perm)
+
+    @pytest.mark.parametrize("priority", PRIORITIES)
+    def test_key_is_the_explicit_permutation(self, abcd, priority):
+        order = TermOrder(abcd, priority)
+        rng = random.Random(31)
+        for _ in range(300):
+            exps = tuple(rng.randint(0, 4) for _ in range(4))
+            key = order.key(exps)
+            assert type(key) is tuple
+            assert key == self.explicit_key(order, exps)
+        assert order.key([1, 2, 3, 4]) == self.explicit_key(order, (1, 2, 3, 4))
+
+    @pytest.mark.parametrize("priority", PRIORITIES)
+    def test_leading_and_sorted_terms_follow_the_key(self, abcd, priority):
+        order = TermOrder(abcd, priority)
+        rng = random.Random(32)
+        checked = 0
+        while checked < 200:
+            f = random_poly(rng, abcd, max_terms=8, max_deg=4)
+            if f.is_zero():
+                continue
+            by_key = sorted(f.terms.items(), key=lambda item: self.explicit_key(order, item[0]))
+            assert f.leading_term(order) == by_key[-1]
+            assert order.sorted_terms(f.terms) == by_key[::-1]
+            assert order.sorted_terms(f.terms, reverse=False) == by_key
+            checked += 1
+
+    def test_equality_and_hash(self, abcd):
+        identity = TermOrder(abcd, abcd.names)
+        assert identity == TermOrder(abcd) == abcd.default_order()
+        assert hash(identity) == hash(abcd.default_order()) == hash((abcd, abcd.names))
+        swapped = TermOrder(abcd, ("b", "a", "c", "d"))
+        assert swapped == TermOrder(abcd, ["b", "a", "c", "d"])
+        assert hash(swapped) == hash((abcd, ("b", "a", "c", "d")))
+        assert swapped != identity
+        assert len({identity, swapped, abcd.default_order()}) == 2
+
+
 class TestLeadingTerm:
     def test_klein_under_screw_order(self):
         vs = screw_varset(1)

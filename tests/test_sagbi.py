@@ -2,12 +2,14 @@
 
 import io
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import random_poly
+from screwinv.group import ActionKind, pullback
 from screwinv.parsing import format_poly, parse
-from screwinv.poly import Polynomial, VariableSet
+from screwinv.poly import Polynomial, TermOrder, VariableSet
 from screwinv.sagbi import (
     GeneratorSet,
     eliminate,
@@ -37,6 +39,133 @@ TWO_SCREW_CUBIC = (
     "w11*w22*v22 + w11*w23*v23 - w12*w21*v22 - w13*w21*v23"
     " - w21^2*v11 - w21*w22*v12 - w21*w23*v13"
 )
+
+
+def _reference_tete_a_tetes(basis, degree_bound):
+    """The recursive enumeration and all-pairs minimality filter that
+    `tete_a_tetes` replaced, kept as the reference its output must equal."""
+    lms = [list(lm) for lm in basis.leading_monomials()]
+    degs = [sum(lm) for lm in lms]
+    nvars = len(basis.order.varset)
+    ngens = len(lms)
+    buckets = {}
+    current = [0] * nvars
+    vec = [0] * ngens
+
+    def rec(i, remaining):
+        if i == ngens:
+            if any(vec):
+                buckets.setdefault(tuple(current), []).append(tuple(vec))
+            return
+        d = degs[i]
+        emax = remaining // d
+        lm = lms[i]
+        for e in range(emax + 1):
+            if e:
+                vec[i] = e
+                for j, x in enumerate(lm):
+                    current[j] += x
+            rec(i + 1, remaining - e * d)
+        if emax:
+            for j, x in enumerate(lm):
+                current[j] -= emax * x
+            vec[i] = 0
+
+    rec(0, degree_bound)
+
+    found = set()
+    for vecs in buckets.values():
+        for i in range(len(vecs)):
+            for j in range(i + 1, len(vecs)):
+                a, b = vecs[i], vecs[j]
+                if any(x and y for x, y in zip(a, b)):
+                    continue
+                if b < a:
+                    a, b = b, a
+                found.add((a, b))
+
+    def diff(u, v):
+        out = []
+        for x, y in zip(u, v):
+            if x < y:
+                return None
+            out.append(x - y)
+        return tuple(out)
+
+    def orient(a, b):
+        return (a, b) if a <= b else (b, a)
+
+    minimal = []
+    for a, b in found:
+        decomposable = False
+        for a1, b1 in found:
+            if (a1, b1) == (a, b):
+                continue
+            for a2, b2 in ((diff(a, a1), diff(b, b1)), (diff(a, b1), diff(b, a1))):
+                if a2 is None or b2 is None:
+                    continue
+                if not (any(a2) or any(b2)):
+                    continue
+                if orient(a2, b2) in found and orient(a2, b2) != (a, b):
+                    decomposable = True
+                    break
+            if decomposable:
+                break
+        if not decomposable:
+            minimal.append((a, b))
+
+    def product_key(rel):
+        mono = [0] * nvars
+        for i, e in enumerate(rel[0]):
+            if e:
+                for j, x in enumerate(lms[i]):
+                    mono[j] += e * x
+        return (basis.order.key(tuple(mono)), rel)
+
+    minimal.sort(key=product_key)
+    return [(a, b) for a, b in minimal]
+
+
+def _random_generator_set(rng):
+    """Five to eight monomials and binomials of degree at most 2 over 3-5
+    variables, under a random lex priority."""
+    names = ["x", "y", "z", "u", "w"][: rng.randint(3, 5)]
+    vs = VariableSet(names)
+    priority = list(names)
+    rng.shuffle(priority)
+    order = TermOrder(vs, priority)
+
+    def monomial():
+        exps = [0] * len(vs)
+        for _ in range(rng.randint(1, 2)):
+            exps[rng.randrange(len(vs))] += 1
+        return Polynomial.monomial(vs, exps)
+
+    gens = []
+    for _ in range(rng.randint(5, 8)):
+        g = monomial()
+        if rng.random() < 0.5:
+            g = g + monomial().scale(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+        gens.append(g)
+    return GeneratorSet(gens, order)
+
+
+def _explicit_product(gens, exps):
+    result = Polynomial.constant(gens[0].varset, 1)
+    for g, e in zip(gens, exps):
+        for _ in range(e):
+            result = result * g
+    return result
+
+
+def _vectors_up_to(n, degree):
+    """Every exponent vector of length n with entry sum at most `degree`."""
+    if n == 0:
+        yield ()
+        return
+    for e in range(degree + 1):
+        for rest in _vectors_up_to(n - 1, degree - e):
+            yield (e,) + rest
 
 
 class TestGeneratorSet:
@@ -73,7 +202,66 @@ class TestGeneratorSet:
         assert [str(p) for p in g] == ["x"]
 
 
+class TestPowerCache:
+    def _small_set(self):
+        vs = VariableSet(["x", "y", "z"])
+        gens = [parse("x + y", vs), parse("x*y - 2*z", vs), parse("y^2 + 1/3*z", vs)]
+        return GeneratorSet(gens, vs.default_order())
+
+    def test_power_product_matches_explicit_product(self):
+        basis = self._small_set()
+        vectors = list(_vectors_up_to(len(basis), 4))
+        assert len(vectors) == 35
+        for _ in range(2):  # second round is served from the cache
+            for exps in vectors:
+                assert basis.power_product(exps) == _explicit_product(basis.gens, exps)
+
+    def test_with_added_keeps_old_and_new_powers_right(self):
+        basis = self._small_set()
+        vs = basis.order.varset
+        for exps in _vectors_up_to(len(basis), 3):
+            basis.power_product(exps)
+        # x + z^2 collides with x + y and joins reduced, as z^2 - y
+        grown = basis.with_added(parse("x + z^2", vs), parse("z^3", vs))
+        assert grown.gens[: len(basis)] == basis.gens
+        assert len(grown) == len(basis) + 2
+        for exps in _vectors_up_to(len(grown), 3):
+            assert grown.power_product(exps) == _explicit_product(grown.gens, exps)
+        for exps in _vectors_up_to(len(basis), 3):
+            assert basis.power_product(exps) == _explicit_product(basis.gens, exps)
+
+    def test_power_product_and_subduct_leave_generators_unchanged(self):
+        basis = self._small_set()
+        before = [dict(g.terms) for g in basis.gens]
+        gens = basis.gens
+        basis.power_product((2, 1, 3))
+        f = basis.power_product((1, 2, 0)) - basis.power_product((0, 0, 2)) + parse("z", basis.order.varset)
+        subduct(f, basis)
+        assert basis.gens is gens
+        assert [dict(g.terms) for g in basis.gens] == before
+
+    def test_empty_product_is_one(self):
+        basis = self._small_set()
+        assert basis.power_product((0, 0, 0)) == Polynomial.constant(basis.order.varset, 1)
+
+
 class TestSubduction:
+    def test_non_descending_step_raises(self, monkeypatch):
+        vs = VariableSet(["x", "y"])
+        basis = GeneratorSet([parse("x", vs)], vs.default_order())
+        real = GeneratorSet.power_product
+        calls = []
+
+        def first_product_cancels_nothing(self, exps):
+            # the first step leaves the leading term in place; later steps
+            # are real, so without the check subduction would finish
+            calls.append(exps)
+            return Polynomial.zero(vs) if len(calls) == 1 else real(self, exps)
+
+        monkeypatch.setattr(GeneratorSet, "power_product", first_product_cancels_nothing)
+        with pytest.raises(RuntimeError, match=r"strictly descend: leading key \(2, 0\) after \(2, 0\)"):
+            subduct(parse("x^2 + y", vs), basis)
+
     def test_generator_subducts_to_itself(self):
         vs = screw_varset(1)
         basis = GeneratorSet([killing_dot(vs, 1, 1), klein_form(vs, 1)], vs.default_order())
@@ -174,6 +362,43 @@ class TestTeteATetes:
         basis = GeneratorSet([parse("x", vs)], vs.default_order())
         with pytest.raises(ValueError):
             tete_a_tetes(basis, 0)
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_matches_reference_on_random_sets(self, seed):
+        rng = random.Random(1000 + seed)
+        basis = _random_generator_set(rng)
+        bound = 3 + seed % 4
+        pairs = [(p.a, p.b) for p in tete_a_tetes(basis, bound)]
+        assert pairs == _reference_tete_a_tetes(basis, bound)
+
+    def test_random_sets_have_relations(self):
+        # the reference comparison above is not vacuous
+        with_relations = 0
+        for seed in range(36):
+            basis = _random_generator_set(random.Random(1000 + seed))
+            with_relations += bool(tete_a_tetes(basis, 3 + seed % 4))
+        assert with_relations >= 24
+
+    @pytest.mark.parametrize("bound", [3, 4, 5, 6])
+    @pytest.mark.parametrize(
+        "text",
+        ["x y z x*y y*z x*z x^2 y^2 z^2", "x y x*y+z x^2*y y^2"],
+    )
+    def test_matches_reference_on_dense_sets(self, text, bound):
+        # many relations share a side here, so a minimality check that
+        # looks at only some partners of a sub-vector keeps too many
+        vs = VariableSet(["x", "y", "z"])
+        basis = GeneratorSet([parse(t, vs) for t in text.split()], vs.default_order())
+        pairs = [(p.a, p.b) for p in tete_a_tetes(basis, bound)]
+        assert pairs == _reference_tete_a_tetes(basis, bound)
+
+    @pytest.mark.parametrize("bound", [4, 5, 6])
+    def test_matches_reference_on_two_screw_translation_basis(self, bound):
+        seed = pullback(ActionKind.TRANSLATION_SUB, 2).seed_generators()
+        basis = sagbi_construct(seed, degree_bound=bound).basis
+        pairs = [(p.a, p.b) for p in tete_a_tetes(basis, bound)]
+        assert pairs
+        assert pairs == _reference_tete_a_tetes(basis, bound)
 
 
 class TestConstruction:
