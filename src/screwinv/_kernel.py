@@ -1,21 +1,15 @@
-"""Pure-Python term-map kernels.
+"""Term-map kernels.
 
 A *term map* is a dict sending exponent tuples (one small non-negative int
 per variable) to nonzero coefficients.  Coefficients are treated as opaque
 field elements: anything supporting `+`, `*` and truthiness (`Fraction`,
 `int`).  These four functions are the inner loops of every polynomial
-operation in the library; `screwinv._kernel` swaps in the compiled variant
-when it is available.
+operation in the library.
 
 All functions return fresh dicts and never store a zero coefficient.
 """
 
 from __future__ import annotations
-
-
-def monom_mul(e1, e2):
-    """Product of two monomials = componentwise sum of exponent tuples."""
-    return tuple(x + y for x, y in zip(e1, e2))
 
 
 def terms_add(a, b):

@@ -16,7 +16,6 @@ import json
 import sys
 from fractions import Fraction
 
-from ._kernel import backend
 from .group import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -258,7 +257,7 @@ def cmd_verify(args) -> tuple[int, list[str], dict]:
     width = max(len(item.name) for item in items)
     lines = [f"{'PASS' if i.passed else 'FAIL'}  {i.name:<{width}}  {i.detail}" for i in items]
     ok = all(i.passed for i in items)
-    lines.append(f"{'all items passed' if ok else 'FAILURES PRESENT'} ({backend()} kernel)")
+    lines.append(f"{'all items passed' if ok else 'FAILURES PRESENT'} (pure kernel)")
     payload = {
         "items": [
             {"name": i.name, "passed": i.passed, "detail": i.detail} for i in items

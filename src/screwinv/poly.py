@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._kernel import monom_mul, terms_add, terms_mul, terms_scale, terms_sub
+from ._kernel import terms_add, terms_mul, terms_scale, terms_sub
 
 Exponents = tuple  # exponent tuple, one small int per variable
 
@@ -447,11 +447,3 @@ class Polynomial:
         return format_poly(self)
 
     __str__ = __repr__
-
-
-def monomial_degree(exps: Exponents) -> int:
-    return sum(exps)
-
-
-def monomial_product(e1: Exponents, e2: Exponents) -> Exponents:
-    return monom_mul(e1, e2)

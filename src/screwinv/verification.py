@@ -18,13 +18,11 @@ from . import group as _group
 from . import screw as _screw
 from .group import (
     ActionKind,
-    EuclideanElement,
-    RationalQuaternion,
+    _sample_group,
     adjoint_matrix,
     apply_adjoint,
     check_invariant_sampled,
     check_invariant_symbolic,
-    rotation_from_quaternion,
     transform_twist,
     translation_invariant_basis,
 )
@@ -61,12 +59,7 @@ def _item(name: str, passed: bool, detail: str) -> VerifyItem:
 def _random_rotations(count: int, seed: int):
     rng = random.Random(seed)
     for _ in range(count):
-        while True:
-            comps = [rng.randint(-100, 100) for _ in range(4)]
-            if any(comps):
-                break
-        t = tuple(Fraction(rng.randint(-1000, 1000)) for _ in range(3))
-        yield EuclideanElement(rotation_from_quaternion(RationalQuaternion(*comps)), t)
+        yield _sample_group(rng, ActionKind.FULL_ADJOINT)[2]
 
 
 def check_single_screw_sagbi() -> VerifyItem:

@@ -209,6 +209,7 @@ class TestVerify:
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == 10
         assert all(l.startswith("PASS") for l in lines)
+        assert out.splitlines()[-1] == "all items passed (pure kernel)"
 
     def test_json_verify_shape(self, capsys):
         code, out, _ = run(capsys, "--json", "verify", "--suite", "paper")

@@ -1,4 +1,4 @@
-"""Backend parity: the compiled kernel must match the pure one bit for bit."""
+"""Term-map kernels against a naive reference on seeded random corpora."""
 
 import random
 from fractions import Fraction
@@ -6,14 +6,6 @@ from fractions import Fraction
 import pytest
 
 from screwinv import _kernel
-from screwinv._kernel import _py
-
-try:
-    from screwinv._kernel import _speedups
-except ImportError:
-    _speedups = None
-
-needs_compiled = pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
 
 
 def random_terms(rng: random.Random, nvars: int, nterms: int) -> dict:
@@ -24,43 +16,60 @@ def random_terms(rng: random.Random, nvars: int, nterms: int) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def test_backend_reports_a_known_name():
-    assert _kernel.backend() in ("pure", "compiled")
+# Naive references: accumulate every contribution, then drop the zeros.
+
+def _collect(pairs) -> dict:
+    acc = {}
+    for e, c in pairs:
+        acc[e] = acc.get(e, 0) + c
+    return {e: c for e, c in acc.items() if c}
 
 
-@needs_compiled
+def reference_add(a, b):
+    return _collect([*a.items(), *b.items()])
+
+
+def reference_sub(a, b):
+    return _collect([*a.items(), *((e, -c) for e, c in b.items())])
+
+
+def reference_mul(a, b):
+    return _collect(
+        (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+        for ea, ca in a.items()
+        for eb, cb in b.items()
+    )
+
+
+def reference_scale(a, c):
+    return {e: c * v for e, v in a.items()}
+
+
 @pytest.mark.parametrize("nvars", [1, 4, 9])
-def test_parity_on_random_corpora(nvars):
+def test_matches_reference_on_random_corpora(nvars):
     rng = random.Random(1000 + nvars)
     for _ in range(100):
         a = random_terms(rng, nvars, rng.randint(0, 8))
         b = random_terms(rng, nvars, rng.randint(0, 8))
-        assert _py.terms_add(a, b) == _speedups.terms_add(a, b)
-        assert _py.terms_sub(a, b) == _speedups.terms_sub(a, b)
-        assert _py.terms_mul(a, b) == _speedups.terms_mul(a, b)
+        assert _kernel.terms_add(a, b) == reference_add(a, b)
+        assert _kernel.terms_sub(a, b) == reference_sub(a, b)
+        assert _kernel.terms_mul(a, b) == reference_mul(a, b)
         c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        assert _py.terms_scale(a, c) == _speedups.terms_scale(a, c)
+        assert _kernel.terms_scale(a, c) == reference_scale(a, c)
 
 
-@needs_compiled
-def test_parity_cancellation():
+def test_cancellation():
     a = {(1, 0): Fraction(1), (0, 1): Fraction(2)}
     b = {(1, 0): Fraction(-1), (0, 1): Fraction(3)}
-    assert _py.terms_add(a, b) == _speedups.terms_add(a, b) == {(0, 1): Fraction(5)}
-    assert _py.terms_sub(a, a) == _speedups.terms_sub(a, a) == {}
+    assert _kernel.terms_add(a, b) == {(0, 1): Fraction(5)}
+    assert _kernel.terms_sub(a, a) == {}
     # products that cancel midway must be dropped from the result
     f = {(1,): Fraction(1), (0,): Fraction(1)}   # x + 1
     g = {(1,): Fraction(1), (0,): Fraction(-1)}  # x - 1
-    assert _py.terms_mul(f, g) == _speedups.terms_mul(f, g) == {
+    assert _kernel.terms_mul(f, g) == {
         (2,): Fraction(1),
         (0,): Fraction(-1),
     }
-
-
-@needs_compiled
-def test_monom_mul_parity():
-    assert _py.monom_mul((1, 2, 0), (0, 3, 4)) == _speedups.monom_mul((1, 2, 0), (0, 3, 4))
-    assert _speedups.monom_mul((1, 2, 0), (0, 3, 4)) == (1, 5, 4)
 
 
 def test_inputs_never_mutated():
