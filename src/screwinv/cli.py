@@ -27,7 +27,15 @@ from .group import (
 )
 from .parsing import ParseError, format_poly, parse
 from .poly import TermOrder, VariableSet
-from .sagbi import eliminate, read_basis_file, sagbi_construct, subduct, write_basis_file
+from .sagbi import (
+    DEFAULT_DEGREE_BOUND,
+    DEFAULT_MAX_ITERATIONS,
+    eliminate,
+    read_basis_file,
+    sagbi_construct,
+    subduct,
+    write_basis_file,
+)
 from .screw import (
     dh_invariants,
     parse_multiscrew,
@@ -42,13 +50,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCOMPLETE = 2
 EXIT_INVARIANCE = 3
-
-_GROUPS = {
-    "se3": ActionKind.FULL_ADJOINT,
-    "so3": ActionKind.ROTATION_SUB,
-    "t3": ActionKind.TRANSLATION_SUB,
-}
-
 
 class _CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE):
@@ -147,7 +148,7 @@ def cmd_sagbi(args) -> tuple[int, list[str], dict]:
 
 
 def cmd_invariance(args) -> tuple[int, list[str], dict]:
-    kind = _GROUPS[args.group]
+    kind = ActionKind(args.group)
     vs = screw_varset(args.screws)
     f = parse(args.poly, vs)
     if args.mode == "symbolic":
@@ -295,14 +296,14 @@ def build_parser() -> _Parser:
 
     p = sub("sagbi", help="degree-bounded SAGBI construction from a file")
     p.add_argument("generators")
-    p.add_argument("--degree-bound", type=int, default=4)
-    p.add_argument("--max-iter", type=int, default=16)
+    p.add_argument("--degree-bound", type=int, default=DEFAULT_DEGREE_BOUND)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS)
     p.add_argument("--eliminate", help="drop generators touching these leading variables")
     p.set_defaults(func=cmd_sagbi)
 
     p = sub("invariance", help="check invariance of a polynomial")
     p.add_argument("--poly", required=True)
-    p.add_argument("--group", choices=sorted(_GROUPS), required=True)
+    p.add_argument("--group", choices=sorted(k.value for k in ActionKind), required=True)
     p.add_argument("--screws", type=int, required=True)
     p.add_argument("--mode", choices=["symbolic", "sample"], default="symbolic")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)

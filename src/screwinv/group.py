@@ -19,11 +19,17 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
 from .poly import Polynomial, TermOrder, VariableSet
-from .sagbi import GeneratorSet, SagbiResult, sagbi_construct
-from .screw import MultiScrew, Twist, Vec3, cross, screw_varset, vec3
+from .sagbi import (
+    DEFAULT_DEGREE_BOUND,
+    DEFAULT_MAX_ITERATIONS,
+    GeneratorSet,
+    SagbiResult,
+    eliminate,
+    sagbi_construct,
+)
+from .screw import MultiScrew, Twist, Vec3, cross, det3, screw_varset, vec3
 
 Mat3 = tuple  # 3 rows of 3 Fractions
 
@@ -50,14 +56,6 @@ def mat_vec(a: Mat3, v: Vec3) -> Vec3:
 
 def transpose(a: Mat3) -> Mat3:
     return tuple(tuple(a[j][i] for j in range(3)) for i in range(3))
-
-
-def det3_num(a: Mat3) -> Fraction:
-    return (
-        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-    )
 
 
 def skew(v: Vec3) -> Mat3:
@@ -108,7 +106,7 @@ class Rotation:
         entries = _mat3(entries)
         if mat_mul(transpose(entries), entries) != IDENTITY3:
             raise ValueError("matrix is not exactly orthogonal")
-        if det3_num(entries) != 1:
+        if det3(entries) != 1:
             raise ValueError("matrix has determinant != 1")
         self.entries = entries
 
@@ -249,16 +247,21 @@ class PullbackSystem:
 
 
 def pullback(kind: ActionKind, m: int) -> PullbackSystem:
-    """Build the pullback system of the chosen action on m screws."""
+    """Build the pullback system of the chosen action on m screws.
+
+    Every kind uses the one adjoint formula: omega_i maps to R omega_i and
+    v_i to t x (R omega_i) + R v_i.  R is the quaternion matrix with its
+    |q|^2 denominator cleared, or the identity for the translation
+    sub-action; t is (t1, t2, t3), or zero for the rotation sub-action.
+    """
     if m < 1:
         raise ValueError("need at least one screw")
     space = screw_varset(m)
-    if kind is ActionKind.TRANSLATION_SUB:
-        group_vars = ("t1", "t2", "t3")
-    elif kind is ActionKind.ROTATION_SUB:
-        group_vars = ("q0", "q1", "q2", "q3")
-    else:
-        group_vars = ("q0", "q1", "q2", "q3", "t1", "t2", "t3")
+    group_vars = ()
+    if kind is not ActionKind.TRANSLATION_SUB:
+        group_vars += ("q0", "q1", "q2", "q3")
+    if kind is not ActionKind.ROTATION_SUB:
+        group_vars += ("t1", "t2", "t3")
     names = group_vars + space.names
     vs = VariableSet(names)
     order = TermOrder(vs, names)
@@ -266,43 +269,15 @@ def pullback(kind: ActionKind, m: int) -> PullbackSystem:
     def v(name: str) -> Polynomial:
         return Polynomial.variable(vs, name)
 
-    def skew_apply(u: Sequence[Polynomial]) -> list[Polynomial]:
-        t1, t2, t3 = v("t1"), v("t2"), v("t3")
-        return [t2 * u[2] - t3 * u[1], t3 * u[0] - t1 * u[2], t1 * u[1] - t2 * u[0]]
-
-    if kind is ActionKind.TRANSLATION_SUB:
-        omega_images = {i: [v(f"w{i}{n}") for n in (1, 2, 3)] for i in range(1, m + 1)}
-        vee_images = {}
-        for i in range(1, m + 1):
-            tw = skew_apply(omega_images[i])
-            vee_images[i] = [tw[n] + v(f"v{i}{n + 1}") for n in range(3)]
-        projective = False
-    else:
-        q0, q1, q2, q3 = v("q0"), v("q1"), v("q2"), v("q3")
-        qmat = _quaternion_matrix_raw(q0, q1, q2, q3)
-        omega_images = {}
-        vee_images = {}
-        for i in range(1, m + 1):
-            omega_images[i] = [
-                sum((qmat[n][k] * v(f"w{i}{k + 1}") for k in range(3)), Polynomial.zero(vs))
-                for n in range(3)
-            ]
-            rv = [
-                sum((qmat[n][k] * v(f"v{i}{k + 1}") for k in range(3)), Polynomial.zero(vs))
-                for n in range(3)
-            ]
-            if kind is ActionKind.FULL_ADJOINT:
-                tw = skew_apply(omega_images[i])
-                vee_images[i] = [tw[n] + rv[n] for n in range(3)]
-            else:
-                vee_images[i] = rv
-        projective = True
-
-    images = []
+    r = _quaternion_matrix_raw(v("q0"), v("q1"), v("q2"), v("q3")) if "q0" in vs else IDENTITY3
+    t = (v("t1"), v("t2"), v("t3")) if "t1" in vs else (0, 0, 0)
+    omega_images = []
+    vee_images = []
     for i in range(1, m + 1):
-        images.extend(omega_images[i])
-    for i in range(1, m + 1):
-        images.extend(vee_images[i])
+        rw = mat_vec(r, [v(f"w{i}{n}") for n in (1, 2, 3)])
+        rv = mat_vec(r, [v(f"v{i}{n}") for n in (1, 2, 3)])
+        omega_images.extend(rw)
+        vee_images.extend(a + b for a, b in zip(cross(t, rw), rv))
     return PullbackSystem(
         kind=kind,
         m=m,
@@ -310,8 +285,8 @@ def pullback(kind: ActionKind, m: int) -> PullbackSystem:
         order=order,
         group_vars=group_vars,
         space_vars=space.names,
-        images=tuple(images),
-        projective=projective,
+        images=tuple(omega_images + vee_images),
+        projective=kind is not ActionKind.TRANSLATION_SUB,
     )
 
 
@@ -433,8 +408,8 @@ def check_invariant_sampled(
 
 def translation_invariant_basis(
     m: int,
-    degree_bound: int = 4,
-    max_iterations: int = 16,
+    degree_bound: int = DEFAULT_DEGREE_BOUND,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> SagbiResult:
     """Translation-invariant basis on m screws via pullback plus elimination.
 
@@ -442,8 +417,6 @@ def translation_invariant_basis(
     and keeps the generators free of group variables, re-indexed over the
     screw coordinates.  The completeness flag is inherited from the run.
     """
-    from .sagbi import eliminate
-
     system = pullback(ActionKind.TRANSLATION_SUB, m)
     result = sagbi_construct(
         system.seed_generators(), degree_bound=degree_bound, max_iterations=max_iterations

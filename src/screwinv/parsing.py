@@ -74,11 +74,6 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, text, pos = self.next()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}", pos)
-
     def parse_nat(self) -> int:
         kind, text, pos = self.next()
         if kind != "nat":

@@ -94,8 +94,6 @@ class TermOrder:
 
     __slots__ = ("varset", "priority", "_perm")
 
-    kind = "lex"
-
     def __init__(self, varset: VariableSet, priority: Sequence[str] | None = None):
         if priority is None:
             priority = varset.names
@@ -121,9 +119,6 @@ class TermOrder:
         if perm is None:
             return tuple(exponents)
         return tuple(exponents[i] for i in perm)
-
-    def greater(self, a: Exponents, b: Exponents) -> bool:
-        return self.key(a) > self.key(b)
 
     def sorted_terms(self, terms: Mapping, reverse: bool = True):
         """Terms as (exponents, coefficient) pairs, decreasing by default."""
@@ -169,8 +164,12 @@ class Polynomial:
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
-                if len(exps) != n or any(e < 0 or not isinstance(e, int) for e in exps):
+                if len(exps) != n or any(
+                    e < 0 or not isinstance(e, int) or isinstance(e, bool) for e in exps
+                ):
                     raise ValueError(f"bad exponent tuple {exps!r} for {varset!r}")
+                if isinstance(coeff, bool):
+                    raise ValueError(f"bad coefficient {coeff!r}: a bool is not a rational")
                 coeff = _coerce(coeff)
                 if coeff:
                     clean[exps] = clean.get(exps, Fraction(0)) + coeff
@@ -222,12 +221,6 @@ class Polynomial:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def total_degree(self) -> int:
-        """Maximum total degree of a term; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
 
     def coefficient(self, exps: Exponents) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
@@ -294,7 +287,7 @@ class Polynomial:
         return NotImplemented
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ValueError("polynomial power requires a non-negative integer")
         result = Polynomial.constant(self.varset, 1)
         base = self

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as product_of
-from operator import add, sub
+from operator import add, le
 from typing import IO, Iterable, Sequence
 
 from .poly import Exponents, Polynomial, TermOrder, VariableSet
@@ -39,8 +39,6 @@ class GeneratorSet:
 
     def __init__(self, gens: Iterable[Polynomial], order: TermOrder):
         self.order = order
-        self.gens: tuple[Polynomial, ...] = ()
-        self._lms: tuple[Exponents, ...] = ()
         store: list[Polynomial] = []
         lms: list[Exponents] = []
         for g in gens:
@@ -172,8 +170,6 @@ def _factor_monomial(target: Exponents, lms: Sequence[Exponents], order_idx: Seq
                     emax = q
                 if q == 0:
                     break
-        if emax is None:
-            emax = 0  # unreachable for non-constant generators
         for e in range(emax, -1, -1):
             if e:
                 rest = [r - e * l for r, l in zip(remaining, lm)]
@@ -237,55 +233,58 @@ def tete_a_tetes(basis: GeneratorSet, degree_bound: int) -> list[TeteATete]:
     """All minimal tete-a-tetes with product degree at most `degree_bound`.
 
     Enumerates every generator power product whose leading-monomial product
-    has total degree within the bound, buckets by that product monomial,
-    and pairs up vectors with disjoint support.  The products are found by
+    has total degree within the bound, buckets its index path by that
+    product monomial, and pairs up the exponent vectors with disjoint
+    support within each bucket of two or more.  The products are found by
     an extension search: each product is extended only by generators of
     index at least its last one while the degree fits, so every product is
     visited exactly once.
 
-    A relation ``(a, b)`` is kept only if it is not the componentwise sum of
-    two other found relations, that is, unless some ``0 < x < a`` and
-    ``0 < y < b`` make both ``(x, y)`` and ``(a - x, b - y)`` found
-    relations.  The search runs over the proper sub-vectors ``x`` of ``a``
-    (at most ``2**D`` of them at degree bound ``D``, since every generator
-    has degree at least one) and, through an index, over the vectors ``y``
-    that ``x`` is paired with; it no longer scans every found relation.
+    A relation ``(a, b)`` is kept unless another found relation fits
+    inside it: some found ``(x, y)`` with ``0 < x < a`` and ``y <= b``.
+    The leftover ``(a - x, b - y)`` is then nonzero (no generator is
+    constant), disjoint and in one bucket, hence itself found, so ``(a, b)``
+    is the componentwise sum of two found relations.  The search runs over
+    the proper sub-vectors ``x`` of ``a`` (at most ``2**D`` of them at
+    degree bound ``D``, since every generator has degree at least one) and,
+    through an index, over the vectors ``y`` that ``x`` is paired with.
     The result is sorted by product monomial, then by relation.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be at least 1")
     lms = basis.leading_monomials()
     degs = [sum(lm) for lm in lms]
-    nvars = len(basis.order.varset)
     ngens = len(lms)
     buckets: dict[tuple, list[tuple]] = {}
-    vec = [0] * ngens
 
-    def extend(last: int, mono: tuple, remaining: int) -> None:
+    def extend(last: int, path: tuple, mono: tuple, remaining: int) -> None:
         for i in range(last, ngens):
             d = degs[i]
             if d > remaining:
                 continue
-            vec[i] += 1
+            longer = path + (i,)
             product = tuple(map(add, mono, lms[i]))
-            buckets.setdefault(product, []).append(tuple(vec))
-            extend(i, product, remaining - d)
-            vec[i] -= 1
+            buckets.setdefault(product, []).append(longer)
+            extend(i, longer, product, remaining - d)
 
-    extend(0, basis.order.varset.unit(), degree_bound)
+    extend(0, (), basis.order.varset.unit(), degree_bound)
 
-    found = set()
-    for vecs in buckets.values():
-        if len(vecs) < 2:
+    def dense(path: tuple) -> tuple:
+        vec = [0] * ngens
+        for i in path:
+            vec[i] += 1
+        return tuple(vec)
+
+    found: dict[tuple, tuple] = {}  # relation -> its product monomial
+    for product, paths in buckets.items():
+        if len(paths) < 2:
             continue
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                a, b = vecs[i], vecs[j]
+        vecs = [dense(path) for path in paths]
+        for i, a in enumerate(vecs):
+            for b in vecs[i + 1:]:
                 if any(x and y for x, y in zip(a, b)):
                     continue  # common factor; the reduced pair has its own bucket
-                if b < a:
-                    a, b = b, a
-                found.add((a, b))
+                found[min(a, b), max(a, b)] = product
 
     partners: dict[tuple, list[tuple]] = {}
     for a, b in found:
@@ -303,30 +302,12 @@ def tete_a_tetes(basis: GeneratorSet, degree_bound: int) -> list[TeteATete]:
             if part != v and any(choice):
                 yield part
 
-    def orient(a: tuple, b: tuple):
-        return (a, b) if a <= b else (b, a)
-
     def decomposable(a: tuple, b: tuple) -> bool:
-        # (a - x, b - y) can only be found when 0 < y < b: found vectors
-        # are nonzero and nonnegative
-        return any(
-            orient(tuple(map(sub, a, x)), tuple(map(sub, b, y))) in found
-            for x in proper_parts(a)
-            for y in partners.get(x, ())
-        )
+        return any(all(map(le, y, b)) for x in proper_parts(a) for y in partners.get(x, ()))
 
+    key = basis.order.key
     minimal = [rel for rel in found if not decomposable(*rel)]
-
-    def product_key(rel):
-        a, _ = rel
-        mono = [0] * nvars
-        for i, e in enumerate(a):
-            if e:
-                for j, x in enumerate(lms[i]):
-                    mono[j] += e * x
-        return (basis.order.key(tuple(mono)), rel)
-
-    minimal.sort(key=product_key)
+    minimal.sort(key=lambda rel: (key(found[rel]), rel))
     return [TeteATete(a, b) for a, b in minimal]
 
 
@@ -368,32 +349,23 @@ def sagbi_construct(
     if degree_bound < 1 or max_iterations < 1:
         raise ValueError("bounds must be at least 1")
     basis = seed
-    complete = False
-    iterations = 0
-    for _ in range(max_iterations):
-        iterations += 1
+    for iterations in range(1, max_iterations + 1):
         remainders = []
         for pair in tete_a_tetes(basis, degree_bound):
             diff = basis.power_product(pair.a) - basis.power_product(pair.b)
             r = subduct(diff, basis).remainder
             if not r.is_zero():
                 remainders.append(r.monic(basis.order))
-        if not remainders:
-            complete = True
-            break
         remainders.sort(key=lambda p: basis.order.key(p.leading_monomial(basis.order)))
-        added_any = False
         current = basis
         for r in remainders:
             rr = subduct(r, current).remainder
             if not rr.is_zero():
                 current = current.with_added(rr.monic(basis.order))
-                added_any = True
+        if current is basis:
+            return SagbiResult(basis, True, degree_bound, iterations)
         basis = current
-        if not added_any:
-            complete = True
-            break
-    return SagbiResult(basis, complete, degree_bound, iterations)
+    return SagbiResult(basis, False, degree_bound, max_iterations)
 
 
 def eliminate(result: SagbiResult, block: Sequence[str]) -> SagbiResult:

@@ -551,7 +551,10 @@ def dh_invariants(pair: MultiScrew) -> DhPairReport:
     rho = w11 * w22
     cos_alpha = ExactRadical(w12, rho)
     d_sin_alpha = ExactRadical(kc, rho)
-    assert cos_alpha.squared() <= 1  # Cauchy-Schwarz on exact values
+    if cos_alpha.squared() > 1:
+        raise RuntimeError(
+            f"Cauchy-Schwarz violated: (w1.w2)^2 = {w12 * w12} exceeds (w1.w1)(w2.w2) = {rho}"
+        )
     parallel = w12 * w12 == rho
     displacement = None if parallel else ExactRadical(kc, rho - w12 * w12)
     cos_f = max(-1.0, min(1.0, float(cos_alpha)))

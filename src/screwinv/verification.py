@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from . import group as _group
 from . import screw as _screw
 from .group import (
     ActionKind,
@@ -52,10 +51,6 @@ class VerifyItem:
     detail: str
 
 
-def _item(name: str, passed: bool, detail: str) -> VerifyItem:
-    return VerifyItem(name, passed, detail)
-
-
 def _random_rotations(count: int, seed: int):
     rng = random.Random(seed)
     for _ in range(count):
@@ -77,7 +72,7 @@ def check_single_screw_sagbi() -> VerifyItem:
         and len(res.basis) == 4
         and res.basis.gens[3] == klein
     )
-    return _item(
+    return VerifyItem(
         "single-screw translation basis",
         ok,
         f"complete={res.complete}, {len(res.basis)} generators, "
@@ -108,7 +103,7 @@ def check_two_screw_sagbi() -> VerifyItem:
     variant = parse(_screw.TWO_SCREW_CUBIC_REJECTED_VARIANT, vs)
     variant_fails = not check_invariant_symbolic(variant, ActionKind.TRANSLATION_SUB, 2)
     ok = res.complete and len(res.basis) == 10 and match and cubic_ok and invariant and variant_fails
-    return _item(
+    return VerifyItem(
         "two-screw translation basis",
         ok,
         f"complete={res.complete}, {len(res.basis)} generators; cubic = "
@@ -137,7 +132,7 @@ def check_se3_catalog_invariance() -> VerifyItem:
     )
     if not flags_ok:
         failures.append("conjectural flags wrong")
-    return _item(
+    return VerifyItem(
         "full-adjoint invariance of generator catalogs",
         not failures,
         "all 22 identities hold; three-screw list flagged conjectural"
@@ -158,7 +153,7 @@ def check_translation_triple_invariance() -> VerifyItem:
         _screw.z_poly(1, 2, 1), ActionKind.TRANSLATION_SUB, 3
     )
     ok = len(catalog) == 21 and not failures and z121_fails
-    return _item(
+    return VerifyItem(
         "translation invariance of the three-screw list",
         ok,
         f"{len(catalog)} elements, failures={failures or 'none'}, "
@@ -178,7 +173,7 @@ def check_bracket_sum_identity() -> VerifyItem:
         + _screw.column_bracket(vs, [omega(1), omega(2), vee(3)])
     )
     diff = zsum - bsum
-    return _item(
+    return VerifyItem(
         "bracket-sum identity",
         diff.is_zero(),
         "difference expands to the zero polynomial" if diff.is_zero() else format_poly(diff),
@@ -215,7 +210,7 @@ def check_gram_syzygy() -> VerifyItem:
             sampled_zero = False
             break
     ok = symbolic_zero and sampled_zero
-    return _item(
+    return VerifyItem(
         "rank-three Gram syzygy",
         ok,
         f"symbolic expansion zero: {symbolic_zero}; 20 random evaluations zero: {sampled_zero}",
@@ -244,7 +239,7 @@ def check_dh_formulas() -> VerifyItem:
             stable = False
             break
     ok = values_ok and stable
-    return _item(
+    return VerifyItem(
         "Denavit-Hartenberg pair invariants",
         ok,
         f"cos_alpha={report.cos_alpha!r}, d_sin_alpha={report.d_sin_alpha!r}, "
@@ -270,7 +265,7 @@ def check_pitch_classification() -> VerifyItem:
             if joint_type(transform_twist(g, t)) != jt:
                 ok = False
                 break
-    return _item(
+    return VerifyItem(
         "pitch and joint classification",
         ok,
         "classified " + ", ".join(details) + "; invariant under 100 sampled adjoints",
@@ -288,7 +283,7 @@ def check_membership_oracle() -> VerifyItem:
     non_member = is_member(lone, res)
     sampled = check_invariant_sampled(lone, ActionKind.FULL_ADJOINT, 2)
     ok = bool(member) and not bool(non_member) and not sampled.ok
-    return _item(
+    return VerifyItem(
         "subduction membership oracle",
         ok,
         f"mixed sum member={bool(member)}; lone w1.v2 member={bool(non_member)}, "
@@ -316,19 +311,19 @@ def check_property_suites() -> VerifyItem:
     for _ in range(1000):
         f, g, h = (_random_poly(rng, vs) for _ in range(3))
         if (f + g) + h != f + (g + h):
-            return _item("property suites", False, "associativity of + failed")
+            return VerifyItem("property suites", False, "associativity of + failed")
         if (f * g) * h != f * (g * h):
-            return _item("property suites", False, "associativity of * failed")
+            return VerifyItem("property suites", False, "associativity of * failed")
         if f * (g + h) != f * g + f * h:
-            return _item("property suites", False, "distributivity failed")
+            return VerifyItem("property suites", False, "distributivity failed")
         if f * g != g * f or f + g != g + f:
-            return _item("property suites", False, "commutativity failed")
+            return VerifyItem("property suites", False, "commutativity failed")
         n += 1
     # coefficients always reduced with positive denominator
     for poly in (_random_poly(rng, vs) for _ in range(200)):
         for coeff in poly.terms.values():
             if coeff.denominator <= 0 or math.gcd(coeff.numerator, coeff.denominator) != 1:
-                return _item("property suites", False, "unreduced rational stored")
+                return VerifyItem("property suites", False, "unreduced rational stored")
     # order multiplicativity: a < b implies a*c < b*c
     for _ in range(1000):
         ea = tuple(rng.randint(0, 4) for _ in range(4))
@@ -340,19 +335,19 @@ def check_property_suites() -> VerifyItem:
         prod_lo = tuple(x + y for x, y in zip(lo, ec))
         prod_hi = tuple(x + y for x, y in zip(hi, ec))
         if not order.key(prod_lo) < order.key(prod_hi):
-            return _item("property suites", False, "order multiplicativity failed")
+            return VerifyItem("property suites", False, "order multiplicativity failed")
     # parse/format round trip
     for _ in range(1000):
         f = _random_poly(rng, vs)
         if parse(format_poly(f, order), vs) != f:
-            return _item("property suites", False, f"round trip failed on {format_poly(f)}")
+            return VerifyItem("property suites", False, f"round trip failed on {format_poly(f)}")
     # adjoint representation property and constructor orthogonality
     rot_rng = random.Random(SUITE_SEED + 1)
     elements = list(_random_rotations(1000, SUITE_SEED + 2))
     for g in elements:
         r = g.rotation.entries  # constructor already asserted exact orthogonality
-        if _group.det3_num(r) != 1:
-            return _item("property suites", False, "determinant drifted")
+        if _screw.det3(r) != 1:
+            return VerifyItem("property suites", False, "determinant drifted")
     def matmul6(a, b):
         return tuple(
             tuple(sum(a[i][k] * b[k][j] for k in range(6)) for j in range(6)) for i in range(6)
@@ -362,8 +357,8 @@ def check_property_suites() -> VerifyItem:
         g1 = elements[rot_rng.randrange(len(elements))]
         g2 = elements[rot_rng.randrange(len(elements))]
         if adjoint_matrix(g1.compose(g2)) != matmul6(adjoint_matrix(g1), adjoint_matrix(g2)):
-            return _item("property suites", False, "adjoint homomorphism failed")
-    return _item(
+            return VerifyItem("property suites", False, "adjoint homomorphism failed")
+    return VerifyItem(
         "property suites",
         True,
         "ring axioms, rational reduction, order multiplicativity, round trip, "

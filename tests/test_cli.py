@@ -1,8 +1,11 @@
 """CLI behaviour: exit codes, output shapes, --json, mutation sanity."""
 
 import json
+from pathlib import Path
 
 from screwinv import cli
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -210,6 +213,7 @@ class TestVerify:
         assert len(lines) == 10
         assert all(l.startswith("PASS") for l in lines)
         assert out.splitlines()[-1] == "all items passed (pure kernel)"
+        assert out == (GOLDEN / "verify_paper.txt").read_text()
 
     def test_json_verify_shape(self, capsys):
         code, out, _ = run(capsys, "--json", "verify", "--suite", "paper")

@@ -1,0 +1,103 @@
+"""Byte-identical outputs, pinned against recorded text under tests/golden/.
+
+Each CLI case stores its exit code on the first line and its stdout after
+it; the pullback cases store the canonical text of every image, one per
+line, for all three action kinds (the rotation-bearing pullbacks are not
+reachable from the CLI).  After a deliberate output change, re-record with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from screwinv import cli
+from screwinv.group import ActionKind, pullback
+from screwinv.parsing import format_poly
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CHAIN_SEED = "order: lex x y\nx + y\nx*y\nx*y^2\n"
+
+
+def _cli_cases() -> dict:
+    """Golden name -> argv; `{pullback_m}` and `{chain}` name seed files."""
+    cases = {}
+    for which in ("se3", "t3", "so3", "pullback"):
+        for m in (1, 2, 3):
+            argv = ["catalog", "--which", which, "--screws", str(m)]
+            cases[f"catalog_{which}_{m}"] = argv
+            cases[f"catalog_{which}_{m}_json"] = ["--json", *argv]
+    for m in (1, 2, 3):
+        argv = ["sagbi", f"{{pullback_{m}}}", "--degree-bound", "4"]
+        cases[f"sagbi_pullback_{m}"] = argv
+        cases[f"sagbi_pullback_{m}_eliminated"] = [*argv, "--eliminate", "t1,t2,t3"]
+    cases["sagbi_chain_max_iter_1"] = ["sagbi", "{chain}", "--max-iter", "1"]
+    return cases
+
+
+CLI_CASES = _cli_cases()
+KINDS = sorted(kind.value for kind in ActionKind)
+
+
+def run_cli(argv) -> str:
+    """Exit code line plus stdout of one in-process CLI run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return f"exit: {code}\n{out.getvalue()}"
+
+
+def _seed_text(seed: str) -> str:
+    if seed == "chain":
+        return CHAIN_SEED
+    m = seed.rsplit("_", 1)[1]
+    return run_cli(["catalog", "--which", "pullback", "--screws", m]).split("\n", 1)[1]
+
+
+def run_cli_case(name: str, workdir: Path) -> str:
+    argv = []
+    for arg in CLI_CASES[name]:
+        if arg.startswith("{"):
+            seed = arg[1:-1]
+            path = workdir / f"{seed}.txt"
+            path.write_text(_seed_text(seed))
+            arg = str(path)
+        argv.append(arg)
+    return run_cli(argv)
+
+
+def pullback_text(kind: str, m: int) -> str:
+    return "".join(format_poly(img) + "\n" for img in pullback(ActionKind(kind), m).images)
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_output_matches_golden(name, tmp_path):
+    assert run_cli_case(name, tmp_path) == (GOLDEN / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind", KINDS)
+def test_pullback_images_match_golden(kind, m):
+    assert pullback_text(kind, m) == (GOLDEN / f"pullback_{kind}_{m}.txt").read_text()
+
+
+def _record() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in CLI_CASES:
+            (GOLDEN / f"{name}.txt").write_text(run_cli_case(name, Path(tmp)))
+    for kind in KINDS:
+        for m in (1, 2, 3):
+            (GOLDEN / f"pullback_{kind}_{m}.txt").write_text(pullback_text(kind, m))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["verify", "--suite", "paper"])
+    (GOLDEN / "verify_paper.txt").write_text(out.getvalue())
+
+
+if __name__ == "__main__":
+    _record()

@@ -14,7 +14,6 @@ from screwinv.group import (
     apply_adjoint,
     check_invariant_sampled,
     check_invariant_symbolic,
-    det3_num,
     format_group_sample,
     mat_mul,
     parse_group_element,
@@ -29,6 +28,7 @@ from screwinv.poly import Polynomial
 from screwinv.screw import (
     MultiScrew,
     Twist,
+    det3,
     killing_dot,
     klein_form,
     mixed_form,
@@ -83,7 +83,7 @@ class TestRotation:
                     break
             r = rotation_from_quaternion(RationalQuaternion(*comps))
             assert mat_mul(transpose(r.entries), r.entries) == I3
-            assert det3_num(r.entries) == 1
+            assert det3(r.entries) == 1
 
 
 class TestEuclideanElement:

@@ -16,13 +16,42 @@ def random_terms(rng: random.Random, nvars: int, nterms: int) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def sign_terms(rng: random.Random, nvars: int, nterms: int) -> dict:
+    """Coefficients +-1 on squarefree monomials, so products collide and cancel."""
+    out = {}
+    for _ in range(nterms):
+        out[tuple(rng.randint(0, 1) for _ in range(nvars))] = Fraction(rng.choice((-1, 1)))
+    return out
+
+
+def corpus_cases(nvars: int, corpus):
+    """100 seeded operand triples (a, b, scalar) drawn from one corpus."""
+    rng = random.Random(1000 + nvars)
+    for _ in range(100):
+        a = corpus(rng, nvars, rng.randint(0, 8))
+        b = corpus(rng, nvars, rng.randint(0, 8))
+        yield a, b, Fraction(rng.randint(1, 9), rng.randint(1, 9))
+
+
 # Naive references: accumulate every contribution, then drop the zeros.
 
-def _collect(pairs) -> dict:
+def _accumulate(pairs) -> dict:
     acc = {}
     for e, c in pairs:
         acc[e] = acc.get(e, 0) + c
-    return {e: c for e, c in acc.items() if c}
+    return acc
+
+
+def _collect(pairs) -> dict:
+    return {e: c for e, c in _accumulate(pairs).items() if c}
+
+
+def _products(a, b):
+    return (
+        (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+        for ea, ca in a.items()
+        for eb, cb in b.items()
+    )
 
 
 def reference_add(a, b):
@@ -34,28 +63,40 @@ def reference_sub(a, b):
 
 
 def reference_mul(a, b):
-    return _collect(
-        (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
-        for ea, ca in a.items()
-        for eb, cb in b.items()
-    )
+    return _collect(_products(a, b))
 
 
 def reference_scale(a, c):
     return {e: c * v for e, v in a.items()}
 
 
-@pytest.mark.parametrize("nvars", [1, 4, 9])
-def test_matches_reference_on_random_corpora(nvars):
-    rng = random.Random(1000 + nvars)
-    for _ in range(100):
-        a = random_terms(rng, nvars, rng.randint(0, 8))
-        b = random_terms(rng, nvars, rng.randint(0, 8))
+CORPORA = [
+    pytest.param(1, random_terms, id="1"),
+    pytest.param(4, random_terms, id="4"),
+    pytest.param(9, random_terms, id="9"),
+    pytest.param(2, sign_terms, id="signs-2"),
+    pytest.param(3, sign_terms, id="signs-3"),
+]
+
+
+@pytest.mark.parametrize("nvars, corpus", CORPORA)
+def test_matches_reference_on_random_corpora(nvars, corpus):
+    for a, b, c in corpus_cases(nvars, corpus):
         assert _kernel.terms_add(a, b) == reference_add(a, b)
         assert _kernel.terms_sub(a, b) == reference_sub(a, b)
         assert _kernel.terms_mul(a, b) == reference_mul(a, b)
-        c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         assert _kernel.terms_scale(a, c) == reference_scale(a, c)
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_sign_corpora_cancel_in_products(nvars):
+    # the reference drops a zero sum, so the corpus reaches the kernel's
+    # delete-on-zero branch rather than only the non-cancelling path
+    zero_sums = sum(
+        list(_accumulate(_products(a, b)).values()).count(0)
+        for a, b, _ in corpus_cases(nvars, sign_terms)
+    )
+    assert zero_sums > 0
 
 
 def test_cancellation():

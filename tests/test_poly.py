@@ -123,6 +123,19 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             f ** -1
 
+    def test_pow_rejects_bool(self, abcd):
+        f = Polynomial.variable(abcd, "a")
+        with pytest.raises(ValueError):
+            f ** True
+
+    def test_bool_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            Polynomial(VariableSet(["x", "y"]), {(True, 0): 1})
+
+    def test_bool_coefficient_rejected(self):
+        with pytest.raises(ValueError):
+            Polynomial(VariableSet(["x", "y"]), {(1, 0): True})
+
 
 class TestTermOrderKey:
     """`TermOrder.key` skips the permutation when the priority is the

@@ -304,6 +304,12 @@ class TestDhInvariants:
         with pytest.raises(ValueError):
             dh_invariants(MultiScrew((PRISMATIC, REVOLUTE)))
 
+    def test_cauchy_schwarz_violation_raises(self, monkeypatch):
+        # a real check, which `python -O` keeps, naming both dot products
+        monkeypatch.setattr(ExactRadical, "squared", lambda self: Fraction(2))
+        with pytest.raises(RuntimeError, match=r"\(w1\.w2\)\^2 = 16/25 .*\(w1\.w1\)\(w2\.w2\) = 1"):
+            dh_invariants(self.example_pair())
+
     def test_report_is_adjoint_invariant(self):
         pair = self.example_pair()
         report = dh_invariants(pair)
