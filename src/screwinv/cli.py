@@ -38,6 +38,7 @@ from .sagbi import (
 )
 from .screw import (
     dh_invariants,
+    format_multiscrew,
     parse_multiscrew,
     screw_varset,
     se3_generator_catalog,
@@ -91,7 +92,12 @@ def cmd_poly(args) -> tuple[int, list[str], dict]:
             name, _, value = piece.partition("=")
             if not _:
                 raise _CliError(f"bad assignment {piece!r}, expected name=value")
-            point[name.strip()] = Fraction(value.strip())
+            try:
+                point[name.strip()] = Fraction(value.strip())
+            except (ValueError, ZeroDivisionError):
+                raise _CliError(
+                    f"bad assignment {piece!r}, {value.strip()!r} is not a rational number"
+                ) from None
         value = f.evaluate(point)
         return EXIT_OK, [str(value)], {"value": str(value)}
     text = format_poly(f, order)
@@ -167,8 +173,6 @@ def cmd_invariance(args) -> tuple[int, list[str], dict]:
         f"  element: {format_group_sample(ce.quaternion, ce.translation)}",
         "  screw:",
     ]
-    from .screw import format_multiscrew
-
     lines.extend("    " + line for line in format_multiscrew(ce.screw).splitlines())
     lines.append(f"  f(s) = {ce.before}, f(g.s) = {ce.after}")
     payload["counterexample"] = {

@@ -29,7 +29,7 @@ from .sagbi import (
     eliminate,
     sagbi_construct,
 )
-from .screw import MultiScrew, Twist, Vec3, cross, det3, screw_varset, vec3
+from .screw import MultiScrew, Twist, Vec3, cross, det, dot, screw_varset, symbolic_vector, vec3
 
 Mat3 = tuple  # 3 rows of 3 Fractions
 
@@ -106,7 +106,7 @@ class Rotation:
         entries = _mat3(entries)
         if mat_mul(transpose(entries), entries) != IDENTITY3:
             raise ValueError("matrix is not exactly orthogonal")
-        if det3(entries) != 1:
+        if det(entries) != 1:
             raise ValueError("matrix has determinant != 1")
         self.entries = entries
 
@@ -266,16 +266,16 @@ def pullback(kind: ActionKind, m: int) -> PullbackSystem:
     vs = VariableSet(names)
     order = TermOrder(vs, names)
 
-    def v(name: str) -> Polynomial:
-        return Polynomial.variable(vs, name)
-
-    r = _quaternion_matrix_raw(v("q0"), v("q1"), v("q2"), v("q3")) if "q0" in vs else IDENTITY3
-    t = (v("t1"), v("t2"), v("t3")) if "t1" in vs else (0, 0, 0)
+    if "q0" in vs:
+        r = _quaternion_matrix_raw(Polynomial.variable(vs, "q0"), *symbolic_vector(vs, "q"))
+    else:
+        r = IDENTITY3
+    t = symbolic_vector(vs, "t") if "t1" in vs else (0, 0, 0)
     omega_images = []
     vee_images = []
     for i in range(1, m + 1):
-        rw = mat_vec(r, [v(f"w{i}{n}") for n in (1, 2, 3)])
-        rv = mat_vec(r, [v(f"v{i}{n}") for n in (1, 2, 3)])
+        rw = mat_vec(r, symbolic_vector(vs, f"w{i}"))
+        rv = mat_vec(r, symbolic_vector(vs, f"v{i}"))
         omega_images.extend(rw)
         vee_images.extend(a + b for a, b in zip(cross(t, rw), rv))
     return PullbackSystem(
@@ -308,12 +308,8 @@ def check_invariant_symbolic(f: Polynomial, kind: ActionKind, m: int) -> bool:
     if kind is ActionKind.TRANSLATION_SUB:
         return f.substitute(images) == f.rename(system.varset)
     vs = system.varset
-    norm2 = (
-        Polynomial.variable(vs, "q0") ** 2
-        + Polynomial.variable(vs, "q1") ** 2
-        + Polynomial.variable(vs, "q2") ** 2
-        + Polynomial.variable(vs, "q3") ** 2
-    )
+    q0, q = Polynomial.variable(vs, "q0"), symbolic_vector(vs, "q")
+    norm2 = q0 * q0 + dot(q, q)
     for degree, component in f.degree_components().items():
         lhs = component.substitute(images)
         rhs = norm2 ** degree * component.rename(vs)

@@ -165,7 +165,7 @@ class Polynomial:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
                 if len(exps) != n or any(
-                    e < 0 or not isinstance(e, int) or isinstance(e, bool) for e in exps
+                    not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exps
                 ):
                     raise ValueError(f"bad exponent tuple {exps!r} for {varset!r}")
                 if isinstance(coeff, bool):

@@ -22,6 +22,7 @@ from itertools import product as product_of
 from operator import add, le
 from typing import IO, Iterable, Sequence
 
+from .parsing import format_poly, parse
 from .poly import Exponents, Polynomial, TermOrder, VariableSet
 
 
@@ -451,8 +452,6 @@ def write_basis_file(
         stream.write(f"degree_bound: {degree_bound}\n")
     if iterations is not None:
         stream.write(f"iterations: {iterations}\n")
-    from .parsing import format_poly
-
     for i, g in enumerate(basis.gens):
         line = format_poly(g, basis.order)
         if names is not None and i < len(names):
@@ -462,8 +461,6 @@ def write_basis_file(
 
 def read_basis_file(stream: IO[str]) -> tuple[GeneratorSet, dict]:
     """Parse a basis file; returns the generator set and header metadata."""
-    from .parsing import parse
-
     order = None
     meta: dict = {}
     gens: list[Polynomial] = []
@@ -487,11 +484,12 @@ def read_basis_file(stream: IO[str]) -> tuple[GeneratorSet, dict]:
                 raise ValueError(f"line {lineno}: complete must be true or false")
             meta["complete"] = value == "true"
             continue
-        if line.startswith("degree_bound:"):
-            meta["degree_bound"] = int(line.split(":", 1)[1].strip())
-            continue
-        if line.startswith("iterations:"):
-            meta["iterations"] = int(line.split(":", 1)[1].strip())
+        if line.startswith(("degree_bound:", "iterations:")):
+            key, _, value = line.partition(":")
+            try:
+                meta[key] = int(value.strip())
+            except ValueError:
+                raise ValueError(f"line {lineno}: {key} must be an integer") from None
             continue
         try:
             gens.append(parse(line, order.varset))

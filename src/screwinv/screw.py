@@ -18,9 +18,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .poly import Polynomial, VariableSet
+from .sagbi import GeneratorSet, subduct
 
 Vec3 = tuple
 
@@ -174,54 +176,55 @@ def vector_varset(m: int) -> VariableSet:
     return VariableSet([f"x{i}{n}" for i in range(1, m + 1) for n in (1, 2, 3)])
 
 
-def _v(vs: VariableSet, name: str) -> Polynomial:
-    return Polynomial.variable(vs, name)
+def symbolic_vector(vs: VariableSet, stem: str) -> Vec3:
+    """The variables stem1, stem2, stem3 of `vs` as a 3-vector of polynomials."""
+    return tuple(Polynomial.variable(vs, f"{stem}{n}") for n in (1, 2, 3))
 
 
-def _dot_poly(vs: VariableSet, u_names: Sequence[str], v_names: Sequence[str]) -> Polynomial:
-    total = Polynomial.zero(vs)
-    for a, b in zip(u_names, v_names):
-        total = total + _v(vs, a) * _v(vs, b)
+def det(matrix):
+    """Determinant by cofactor expansion along the first row.
+
+    Any size; the entries may be Fractions or Polynomials over one variable
+    set, and a polynomial determinant comes out fully expanded.
+    """
+    if len(matrix) == 1:
+        return matrix[0][0]
+    total = 0
+    for j, entry in enumerate(matrix[0]):
+        term = entry * det([row[:j] + row[j + 1:] for row in matrix[1:]])
+        total = total + term if j % 2 == 0 else total - term
     return total
-
-
-def _omega(i: int) -> list[str]:
-    return [f"w{i}{n}" for n in (1, 2, 3)]
-
-
-def _vee(i: int) -> list[str]:
-    return [f"v{i}{n}" for n in (1, 2, 3)]
-
-
-def det3(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Determinant of a 3x3 matrix of polynomials, fully expanded."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def column_bracket(vs: VariableSet, columns: Sequence[Sequence[str]]) -> Polynomial:
-    """Bracket [u1, u2, u3]: determinant with the named vectors as columns."""
-    rows = [[_v(vs, columns[j][n]) for j in range(3)] for n in range(3)]
-    return det3(rows)
 
 
 def killing_dot(vs: VariableSet, i: int, j: int) -> Polynomial:
     """omega_i . omega_j"""
-    return _dot_poly(vs, _omega(i), _omega(j))
+    return dot(symbolic_vector(vs, f"w{i}"), symbolic_vector(vs, f"w{j}"))
 
 
 def klein_form(vs: VariableSet, i: int) -> Polynomial:
     """omega_i . v_i"""
-    return _dot_poly(vs, _omega(i), _vee(i))
+    return dot(symbolic_vector(vs, f"w{i}"), symbolic_vector(vs, f"v{i}"))
 
 
 def mixed_form(vs: VariableSet, i: int, j: int) -> Polynomial:
     """omega_i . v_j + omega_j . v_i"""
-    return _dot_poly(vs, _omega(i), _vee(j)) + _dot_poly(vs, _omega(j), _vee(i))
+    w_i, w_j = symbolic_vector(vs, f"w{i}"), symbolic_vector(vs, f"w{j}")
+    return dot(w_i, symbolic_vector(vs, f"v{j}")) + dot(w_j, symbolic_vector(vs, f"v{i}"))
 
 
 # ----------------------------------------------------------------------
 # rotation vector invariants and Gram minors
+
+def _so3_dots_and_brackets(m: int) -> tuple[list, list]:
+    """Named dots x_i . x_j (i <= j) and brackets [x_i, x_j, x_k] (i < j < k)."""
+    vs = vector_varset(m)
+    x = {i: symbolic_vector(vs, f"x{i}") for i in range(1, m + 1)}
+    dots = [(f"minor_{i}_{j}", dot(x[i], x[j])) for i, j in combinations_with_replacement(x, 2)]
+    brackets = [
+        (f"bracket_{i}{j}{k}", det([x[i], x[j], x[k]])) for i, j, k in combinations(x, 3)
+    ]
+    return dots, brackets
+
 
 def so3_vector_invariants(m: int) -> list[Polynomial]:
     """Generators of the rotation vector invariants on m 3-vectors.
@@ -229,30 +232,8 @@ def so3_vector_invariants(m: int) -> list[Polynomial]:
     All pairwise dot products x_i . x_j (i <= j) plus, from m >= 3 on, the
     bracket determinants [x_i, x_j, x_k].
     """
-    vs = vector_varset(m)
-    out = []
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            out.append(_dot_poly(vs, [f"x{i}{n}" for n in (1, 2, 3)], [f"x{j}{n}" for n in (1, 2, 3)]))
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            for k in range(j + 1, m + 1):
-                out.append(column_bracket(vs, [[f"x{t}{n}" for n in (1, 2, 3)] for t in (i, j, k)]))
-    return out
-
-
-def _det(matrix: list[list[Polynomial]]) -> Polynomial:
-    """Cofactor expansion along the first row (k is small here)."""
-    k = len(matrix)
-    if k == 1:
-        return matrix[0][0]
-    vs = matrix[0][0].varset
-    total = Polynomial.zero(vs)
-    for j in range(k):
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = matrix[0][j] * _det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    dots, brackets = _so3_dots_and_brackets(m)
+    return [p for _, p in dots + brackets]
 
 
 def gram_minor(i_list: Sequence[int], j_list: Sequence[int], m: int | None = None) -> Polynomial:
@@ -271,14 +252,8 @@ def gram_minor(i_list: Sequence[int], j_list: Sequence[int], m: int | None = Non
         if not 1 <= idx <= m:
             raise ValueError(f"index {idx} outside 1..{m}")
     vs = vector_varset(m)
-    matrix = [
-        [
-            _dot_poly(vs, [f"x{i}{n}" for n in (1, 2, 3)], [f"x{j}{n}" for n in (1, 2, 3)])
-            for j in j_list
-        ]
-        for i in i_list
-    ]
-    return _det(matrix)
+    x = {i: symbolic_vector(vs, f"x{i}") for i in range(1, m + 1)}
+    return det([[dot(x[i], x[j]) for j in j_list] for i in i_list])
 
 
 # ----------------------------------------------------------------------
@@ -316,30 +291,23 @@ def so3_sagbi_catalog(m: int) -> Catalog:
     All 1x1 and 2x2 Gram minors plus the 3-vector brackets, under lex
     x11 > x12 > ... > xm3.
     """
-    entries = []
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            entries.append((f"minor_{i}_{j}", gram_minor([i], [j], m)))
-    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-    for a, rows in enumerate(pairs):
-        for cols in pairs[a:]:
-            entries.append(
-                (
-                    f"minor_{rows[0]}{rows[1]}_{cols[0]}{cols[1]}",
-                    gram_minor(rows, cols, m),
-                )
-            )
-    vs = vector_varset(m)
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            for k in range(j + 1, m + 1):
-                entries.append(
-                    (
-                        f"bracket_{i}{j}{k}",
-                        column_bracket(vs, [[f"x{t}{n}" for n in (1, 2, 3)] for t in (i, j, k)]),
-                    )
-                )
-    return Catalog(tuple(entries))
+    dots, brackets = _so3_dots_and_brackets(m)
+    pairs = list(combinations(range(1, m + 1), 2))
+    minors = [
+        (f"minor_{rows[0]}{rows[1]}_{cols[0]}{cols[1]}", gram_minor(rows, cols, m))
+        for a, rows in enumerate(pairs)
+        for cols in pairs[a:]
+    ]
+    return Catalog(tuple(dots + minors + brackets))
+
+
+def _klein_and_mixed(vs: VariableSet, m: int) -> list:
+    """Named Klein forms of each screw, then mixed forms of each screw pair."""
+    entries = [(f"klein_{i}", klein_form(vs, i)) for i in range(1, m + 1)]
+    entries += [
+        (f"mixed_{i}{j}", mixed_form(vs, i, j)) for i, j in combinations(range(1, m + 1), 2)
+    ]
+    return entries
 
 
 def se3_generator_catalog(m: int) -> Catalog:
@@ -351,31 +319,23 @@ def se3_generator_catalog(m: int) -> Catalog:
     if m not in (1, 2, 3):
         raise ValueError("supported screw counts are 1, 2 and 3")
     vs = screw_varset(m)
-    entries = []
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            entries.append((f"dot_{i}{j}", killing_dot(vs, i, j)))
-    for i in range(1, m + 1):
-        entries.append((f"klein_{i}", klein_form(vs, i)))
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            entries.append((f"mixed_{i}{j}", mixed_form(vs, i, j)))
-    if m == 3:
-        entries.append(("bracket_www", column_bracket(vs, [_omega(1), _omega(2), _omega(3)])))
-        bracket_sum = (
-            column_bracket(vs, [_vee(1), _omega(2), _omega(3)])
-            + column_bracket(vs, [_omega(1), _vee(2), _omega(3)])
-            + column_bracket(vs, [_omega(1), _omega(2), _vee(3)])
-        )
-        entries.append(("bracket_sum", bracket_sum))
-    if m == 3:
-        return Catalog(
-            tuple(entries),
-            conjectural=True,
-            complete=None,
-            notes=("generation of the three-screw invariant ring by this list is conjectural",),
-        )
-    return Catalog(tuple(entries))
+    entries = [
+        (f"dot_{i}{j}", killing_dot(vs, i, j))
+        for i, j in combinations_with_replacement(range(1, m + 1), 2)
+    ]
+    entries += _klein_and_mixed(vs, m)
+    if m < 3:
+        return Catalog(tuple(entries))
+    w1, w2, w3 = (symbolic_vector(vs, f"w{i}") for i in (1, 2, 3))
+    v1, v2, v3 = (symbolic_vector(vs, f"v{i}") for i in (1, 2, 3))
+    entries.append(("bracket_www", det([w1, w2, w3])))
+    entries.append(("bracket_sum", det([v1, w2, w3]) + det([w1, v2, w3]) + det([w1, w2, v3])))
+    return Catalog(
+        tuple(entries),
+        conjectural=True,
+        complete=None,
+        notes=("generation of the three-screw invariant ring by this list is conjectural",),
+    )
 
 
 def z_poly(i: int, j: int, k: int) -> Polynomial:
@@ -388,12 +348,9 @@ def z_poly(i: int, j: int, k: int) -> Polynomial:
     if not all(1 <= idx <= 3 for idx in (i, j, k)):
         raise ValueError("z indices must lie in 1..3")
     vs = screw_varset(3)
-    rows = [
-        [_v(vs, f"w{s}{i}") for s in (1, 2, 3)],
-        [_v(vs, f"w{s}{j}") for s in (1, 2, 3)],
-        [_v(vs, f"v{s}{k}") for s in (1, 2, 3)],
-    ]
-    return det3(rows)
+    w = [symbolic_vector(vs, f"w{s}") for s in (1, 2, 3)]
+    v = [symbolic_vector(vs, f"v{s}") for s in (1, 2, 3)]
+    return det([[u[i - 1] for u in w], [u[j - 1] for u in w], [u[k - 1] for u in v]])
 
 
 TWO_SCREW_CUBIC_REJECTED_VARIANT = (
@@ -405,7 +362,8 @@ TWO_SCREW_CUBIC_REJECTED_VARIANT = (
 def two_screw_tete_a_tete_input() -> Polynomial:
     """w11*(omega_2 . v_2) - w21*(omega_1 . v_2 + omega_2 . v_1)."""
     vs = screw_varset(2)
-    return _v(vs, "w11") * klein_form(vs, 2) - _v(vs, "w21") * mixed_form(vs, 1, 2)
+    w11, w21 = Polynomial.variable(vs, "w11"), Polynomial.variable(vs, "w21")
+    return w11 * klein_form(vs, 2) - w21 * mixed_form(vs, 1, 2)
 
 
 def translation_sagbi_catalog(m: int) -> Catalog:
@@ -422,17 +380,11 @@ def translation_sagbi_catalog(m: int) -> Catalog:
     if m not in (1, 2, 3):
         raise ValueError("supported screw counts are 1, 2 and 3")
     vs = screw_varset(m)
-    entries = [(f"w{i}{n}", _v(vs, f"w{i}{n}")) for i in range(1, m + 1) for n in (1, 2, 3)]
-    for i in range(1, m + 1):
-        entries.append((f"klein_{i}", klein_form(vs, i)))
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            entries.append((f"mixed_{i}{j}", mixed_form(vs, i, j)))
+    entries = [(name, Polynomial.variable(vs, name)) for name in vs.names[: 3 * m]]  # w11..wm3
+    entries += _klein_and_mixed(vs, m)
     if m == 1:
         return Catalog(tuple(entries))
     if m == 2:
-        from .sagbi import GeneratorSet, subduct
-
         basis = GeneratorSet([p for _, p in entries], vs.default_order())
         remainder = subduct(two_screw_tete_a_tete_input(), basis).remainder
         cubic = remainder.monic(vs.default_order())

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from screwinv import cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -33,6 +35,12 @@ class TestPoly:
     def test_unknown_variable_exits_1(self, capsys):
         code, _, err = run(capsys, "poly", "bogus", "--screws", "1")
         assert code == 1 and "bogus" in err
+
+    def test_division_by_zero_in_eval_exits_1(self, capsys):
+        code, out, err = run(capsys, "poly", "x", "--vars", "x", "--eval", "x=1/0")
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad assignment 'x=1/0'")
+        assert "Traceback" not in err
 
     def test_missing_context_exits_1(self, capsys):
         code, _, err = run(capsys, "poly", "w11")
@@ -82,6 +90,15 @@ class TestSagbi:
         bad.write_text("order: lex x\nx + $\n")
         code, _, err = run(capsys, "sagbi", str(bad))
         assert code == 1 and "line 2" in err
+
+    @pytest.mark.parametrize("key", ["degree_bound", "iterations"])
+    def test_non_integer_header_exits_1_with_line(self, capsys, tmp_path, key):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"order: lex x\n{key}: abc\nx\n")
+        code, out, err = run(capsys, "sagbi", str(bad))
+        assert code == 1 and out == ""
+        assert err == f"error: line 2: {key} must be an integer\n"
+        assert "Traceback" not in err
 
 
 class TestSubduct:
@@ -162,6 +179,22 @@ class TestCatalog:
         assert "# completeness: unknown" in out
         lines = [l for l in out.splitlines() if l and not l.startswith("#")]
         assert len(lines) == 21
+
+    @pytest.mark.parametrize(
+        "which, screws, message",
+        [
+            ("se3", "0", "supported screw counts are 1, 2 and 3"),
+            ("t3", "0", "supported screw counts are 1, 2 and 3"),
+            ("se3", "4", "supported screw counts are 1, 2 and 3"),
+            ("t3", "4", "supported screw counts are 1, 2 and 3"),
+            ("so3", "0", "need at least one vector"),
+            ("pullback", "0", "need at least one screw"),
+        ],
+    )
+    def test_bad_screw_count_exits_1(self, capsys, which, screws, message):
+        code, out, err = run(capsys, "catalog", "--which", which, "--screws", screws)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_se3_three_screws_flags_conjecture(self, capsys):
         code, out, _ = run(capsys, "--json", "catalog", "--screws", "3", "--which", "se3")

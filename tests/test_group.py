@@ -28,7 +28,7 @@ from screwinv.poly import Polynomial
 from screwinv.screw import (
     MultiScrew,
     Twist,
-    det3,
+    det,
     killing_dot,
     klein_form,
     mixed_form,
@@ -83,7 +83,7 @@ class TestRotation:
                     break
             r = rotation_from_quaternion(RationalQuaternion(*comps))
             assert mat_mul(transpose(r.entries), r.entries) == I3
-            assert det3(r.entries) == 1
+            assert det(r.entries) == 1
 
 
 class TestEuclideanElement:

@@ -132,6 +132,11 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             Polynomial(VariableSet(["x", "y"]), {(True, 0): 1})
 
+    @pytest.mark.parametrize("exps", [(1.5, 0), ("a", 0), (None, 0), (-1, 0), (1,)])
+    def test_bad_exponent_tuple_rejected(self, exps):
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            Polynomial(VariableSet(["x", "y"]), {exps: 1})
+
     def test_bool_coefficient_rejected(self):
         with pytest.raises(ValueError):
             Polynomial(VariableSet(["x", "y"]), {(1, 0): True})

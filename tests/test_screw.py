@@ -24,8 +24,8 @@ from screwinv.screw import (
     MultiScrew,
     Pitch,
     Twist,
-    column_bracket,
     cross,
+    det,
     dh_invariants,
     format_multiscrew,
     gram_minor,
@@ -37,6 +37,7 @@ from screwinv.screw import (
     se3_generator_catalog,
     so3_sagbi_catalog,
     so3_vector_invariants,
+    symbolic_vector,
     translation_sagbi_catalog,
     two_screw_tete_a_tete_input,
     vector_varset,
@@ -108,6 +109,12 @@ class TestSo3Catalogs:
         # six dots, six distinct 2x2 minors (transposes coincide), one bracket
         assert len(so3_sagbi_catalog(3)) == 6 + 6 + 1
 
+    def test_no_vectors_rejected(self):
+        with pytest.raises(ValueError, match="need at least one vector"):
+            so3_vector_invariants(0)
+        with pytest.raises(ValueError, match="need at least one vector"):
+            so3_sagbi_catalog(0)
+
     def test_catalog_rotation_invariance_via_doubling(self):
         # SO(3) on 2k vectors is the rotation sub-action on k screws:
         # rename x_{2i-1} -> w_i and x_{2i} -> v_i and sample-check
@@ -175,7 +182,7 @@ class TestGramMinors:
         assert not f.is_zero()
         # equals the squared bracket determinant
         vs = vector_varset(3)
-        bracket = column_bracket(vs, [[f"x{t}{n}" for n in (1, 2, 3)] for t in (1, 2, 3)])
+        bracket = det([symbolic_vector(vs, f"x{t}") for t in (1, 2, 3)])
         assert f == bracket * bracket
 
     def test_index_validation(self):
@@ -257,13 +264,9 @@ class TestZPolynomials:
     def test_bracket_sum_identity(self):
         vs = screw_varset(3)
         zsum = z_poly(1, 2, 3) + z_poly(2, 3, 1) + z_poly(3, 1, 2)
-        omegas = [[f"w{i}{n}" for n in (1, 2, 3)] for i in (1, 2, 3)]
-        vees = [[f"v{i}{n}" for n in (1, 2, 3)] for i in (1, 2, 3)]
-        bsum = (
-            column_bracket(vs, [vees[0], omegas[1], omegas[2]])
-            + column_bracket(vs, [omegas[0], vees[1], omegas[2]])
-            + column_bracket(vs, [omegas[0], omegas[1], vees[2]])
-        )
+        w1, w2, w3 = (symbolic_vector(vs, f"w{i}") for i in (1, 2, 3))
+        v1, v2, v3 = (symbolic_vector(vs, f"v{i}") for i in (1, 2, 3))
+        bsum = det([v1, w2, w3]) + det([w1, v2, w3]) + det([w1, w2, v3])
         assert zsum == bsum
 
     def test_z121_alone_not_invariant_but_difference_is(self):
