@@ -14,7 +14,6 @@ import argparse
 import io
 import json
 import sys
-from fractions import Fraction
 
 from .group import (
     DEFAULT_SAMPLES,
@@ -25,7 +24,7 @@ from .group import (
     format_group_sample,
     pullback,
 )
-from .parsing import ParseError, format_poly, parse
+from .parsing import ParseError, format_poly, parse, parse_rational
 from .poly import TermOrder, VariableSet
 from .sagbi import (
     DEFAULT_DEGREE_BOUND,
@@ -51,6 +50,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCOMPLETE = 2
 EXIT_INVARIANCE = 3
+
+# The so3 catalog grows about as M^4 in its vector count M; 9 covers the 2m
+# vectors (omega_i, v_i) of up to four screws.
+MAX_SO3_VECTORS = 9
+
 
 class _CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE):
@@ -93,11 +97,9 @@ def cmd_poly(args) -> tuple[int, list[str], dict]:
             if not _:
                 raise _CliError(f"bad assignment {piece!r}, expected name=value")
             try:
-                point[name.strip()] = Fraction(value.strip())
-            except (ValueError, ZeroDivisionError):
-                raise _CliError(
-                    f"bad assignment {piece!r}, {value.strip()!r} is not a rational number"
-                ) from None
+                point[name.strip()] = parse_rational(value.strip())
+            except ValueError as exc:
+                raise _CliError(f"bad assignment {piece!r}, {exc}") from None
         value = f.evaluate(point)
         return EXIT_OK, [str(value)], {"value": str(value)}
     text = format_poly(f, order)
@@ -191,6 +193,8 @@ def cmd_catalog(args) -> tuple[int, list[str], dict]:
     elif args.which == "t3":
         catalog = translation_sagbi_catalog(m)
     elif args.which == "so3":
+        if m > MAX_SO3_VECTORS:
+            raise _CliError(f"so3 catalogs support 1 to {MAX_SO3_VECTORS} vectors")
         catalog = so3_sagbi_catalog(m)
     else:  # pullback: translation pullback images as a ready SAGBI seed file
         system = pullback(ActionKind.TRANSLATION_SUB, m)

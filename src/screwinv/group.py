@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from .parsing import parse_rational
 from .poly import Polynomial, TermOrder, VariableSet
 from .sagbi import (
     DEFAULT_DEGREE_BOUND,
@@ -436,11 +437,8 @@ def parse_group_element(text: str) -> EuclideanElement:
     qpart, tpart = parts[0].strip(), parts[1].strip()
     if not qpart.startswith("q:") or not tpart.startswith("t:"):
         raise ValueError("expected `q: a b c d; t: x y z`")
-    try:
-        qvals = [Fraction(x) for x in qpart[2:].split()]
-        tvals = [Fraction(x) for x in tpart[2:].split()]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(str(exc)) from exc
+    qvals = [parse_rational(x) for x in qpart[2:].split()]
+    tvals = [parse_rational(x) for x in tpart[2:].split()]
     if len(qvals) != 4 or len(tvals) != 3:
         raise ValueError("expected four quaternion and three translation components")
     return EuclideanElement(rotation_from_quaternion(RationalQuaternion(*qvals)), tuple(tvals))

@@ -144,6 +144,16 @@ def parse(text: str, varset: VariableSet) -> Polynomial:
     return _Parser(text, varset).parse_expr()
 
 
+def parse_rational(text: str) -> Fraction:
+    """Read `text` as an exact rational, in any form `Fraction` accepts
+    (``3``, ``-1/2``, ``0.25``); otherwise raise
+    ``ValueError("'<text>' is not a rational number")``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{text!r} is not a rational number") from None
+
+
 def _format_coeff(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 

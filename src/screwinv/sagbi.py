@@ -17,7 +17,6 @@ result carries a `complete` flag instead of promising a basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as product_of
 from operator import add, le
 from typing import IO, Iterable, Sequence
@@ -36,7 +35,7 @@ class GeneratorSet:
     dropped.
     """
 
-    __slots__ = ("gens", "order", "_lms", "_powers", "_try_order")
+    __slots__ = ("gens", "order", "_lms", "_powers")
 
     def __init__(self, gens: Iterable[Polynomial], order: TermOrder):
         self.order = order
@@ -47,7 +46,6 @@ class GeneratorSet:
         self.gens = tuple(store)
         self._lms = tuple(lms)
         self._powers: dict[tuple[int, int], Polynomial] = {}
-        self._try_order: tuple[int, ...] | None = None
 
     def _insert(self, g: Polynomial, store: list[Polynomial], lms: list[Exponents]) -> None:
         if g.varset != self.order.varset:
@@ -100,14 +98,6 @@ class GeneratorSet:
             return Polynomial.constant(self.order.varset, 1)
         return result
 
-    def _subduction_order(self) -> tuple[int, ...]:
-        """Generator indices by decreasing leading monomial (cached)."""
-        if self._try_order is None:
-            key = self.order.key
-            lms = self._lms
-            self._try_order = tuple(sorted(range(len(lms)), key=lambda i: key(lms[i]), reverse=True))
-        return self._try_order
-
     def __len__(self) -> int:
         return len(self.gens)
 
@@ -145,46 +135,37 @@ class SubductionResult:
     certificate: Certificate
 
 
-def _factor_monomial(target: Exponents, lms: Sequence[Exponents], order_idx: Sequence[int]):
+def _factor_monomial(target: Exponents, lms: Sequence[Exponents], key):
     """Write `target` as a product of generator leading monomials.
 
     Returns an exponent vector over the generators, or None when no exact
-    factorization exists.  Complete bounded depth-first search; generators
-    are tried largest-leading-monomial first, so the answer is
+    factorization exists.  Complete depth-first search over the generators
+    whose leading monomial divides `target` (no other can take part),
+    largest leading monomial under `key` first, so the answer is
     deterministic.
     """
-    n = len(lms)
-    result = [0] * n
+    divisors = [i for i, lm in enumerate(lms) if all(map(le, lm, target))]
+    divisors.sort(key=lambda i: key(lms[i]), reverse=True)
+    n = len(divisors)
+    result = [0] * len(lms)
 
     def rec(pos: int, remaining: list[int]) -> bool:
         if not any(remaining):
             return True
         if pos == n:
             return False
-        i = order_idx[pos]
+        i = divisors[pos]
         lm = lms[i]
-        emax = None
-        for r, l in zip(remaining, lm):
-            if l:
-                q = r // l
-                if emax is None or q < emax:
-                    emax = q
-                if q == 0:
-                    break
+        emax = min(r // l for r, l in zip(remaining, lm) if l)
         for e in range(emax, -1, -1):
-            if e:
-                rest = [r - e * l for r, l in zip(remaining, lm)]
-            else:
-                rest = remaining
             result[i] = e
+            rest = [r - e * l for r, l in zip(remaining, lm)] if e else remaining
             if rec(pos + 1, rest):
                 return True
         result[i] = 0
         return False
 
-    if rec(0, list(target)):
-        return tuple(result)
-    return None
+    return tuple(result) if rec(0, list(target)) else None
 
 
 def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
@@ -200,7 +181,6 @@ def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
     if f.varset != order.varset:
         raise ValueError("polynomial over the wrong variable set")
     lms = basis.leading_monomials()
-    order_idx = basis._subduction_order()
     cert_terms: dict = {}
     g = f
     prev_key = None
@@ -212,12 +192,10 @@ def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
                 f"subduction must strictly descend: leading key {key} after {prev_key}"
             )
         prev_key = key
-        exps = _factor_monomial(lt_exps, lms, order_idx)
+        exps = _factor_monomial(lt_exps, lms, order.key)
         if exps is None:
             break
-        cert_terms[exps] = cert_terms.get(exps, Fraction(0)) + lt_coeff
-        if not cert_terms[exps]:
-            del cert_terms[exps]
+        cert_terms[exps] = lt_coeff
         g = g - basis.power_product(exps).scale(lt_coeff)
     return SubductionResult(g, Certificate(cert_terms, basis))
 
@@ -356,7 +334,7 @@ def sagbi_construct(
             diff = basis.power_product(pair.a) - basis.power_product(pair.b)
             r = subduct(diff, basis).remainder
             if not r.is_zero():
-                remainders.append(r.monic(basis.order))
+                remainders.append(r)
         remainders.sort(key=lambda p: basis.order.key(p.leading_monomial(basis.order)))
         current = basis
         for r in remainders:

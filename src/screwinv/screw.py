@@ -21,8 +21,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
+from .parsing import parse, parse_rational
 from .poly import Polynomial, VariableSet
-from .sagbi import GeneratorSet, subduct
 
 Vec3 = tuple
 
@@ -353,6 +353,12 @@ def z_poly(i: int, j: int, k: int) -> Polynomial:
     return det([[u[i - 1] for u in w], [u[j - 1] for u in w], [u[k - 1] for u in v]])
 
 
+# The subduction remainder of `two_screw_tete_a_tete_input()` against the
+# other nine two-screw translation catalog elements; `verify` recomputes it.
+TWO_SCREW_CUBIC = (
+    "w11*w22*v22 + w11*w23*v23 - w12*w21*v22 - w13*w21*v23"
+    " - w21^2*v11 - w21*w22*v12 - w21*w23*v13"
+)
 TWO_SCREW_CUBIC_REJECTED_VARIANT = (
     "w11*w22*v22 + w11*w23*v23 - w12*w21*v22 - w21^2*v23"
     " - w21^2*v11 - w21*w22*v12 - w21*w23*v13"
@@ -369,11 +375,12 @@ def two_screw_tete_a_tete_input() -> Polynomial:
 def translation_sagbi_catalog(m: int) -> Catalog:
     """Basis of the translation sub-action invariants on m screws.
 
-    m = 1 and m = 2 are certified complete.  The two-screw cubic is
-    recomputed here by subducting its tete-a-tete against the other nine
-    elements; an alternative transcription of that cubic with w21*v23 in
-    place of w13*v23 fails the translation-invariance check and is
-    rejected (see the catalog note).  The three-screw list carries
+    m = 1 and m = 2 are certified complete.  The two-screw cubic is the
+    shipped text `TWO_SCREW_CUBIC`, the remainder of its tete-a-tete
+    subducted against the other nine elements (`verify` recomputes that
+    remainder and compares); an alternative transcription of that cubic
+    with w21*v23 in place of w13*v23 fails the translation-invariance check
+    and is rejected (see the catalog note).  The three-screw list carries
     ``complete=None``: the bounded construction is not certified to have
     terminated.
     """
@@ -385,10 +392,7 @@ def translation_sagbi_catalog(m: int) -> Catalog:
     if m == 1:
         return Catalog(tuple(entries))
     if m == 2:
-        basis = GeneratorSet([p for _, p in entries], vs.default_order())
-        remainder = subduct(two_screw_tete_a_tete_input(), basis).remainder
-        cubic = remainder.monic(vs.default_order())
-        entries.append(("cubic_12", cubic))
+        entries.append(("cubic_12", parse(TWO_SCREW_CUBIC, vs)))
         note = (
             "cubic_12 is the subduction remainder of"
             " w11*(w21*v21 + w22*v22 + w23*v23) - w21*(w11*v21 + ... + w23*v13)"
@@ -545,9 +549,9 @@ def parse_multiscrew(text: str) -> MultiScrew:
         if len(fields) != 6:
             raise ValueError(f"line {lineno}: expected six rationals, got {len(fields)}")
         try:
-            vals = [Fraction(f) for f in fields]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
+            vals = [parse_rational(f) for f in fields]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         twists.append(Twist(vals[:3], vals[3:]))
     if not twists:
         raise ValueError("no screws found in input")

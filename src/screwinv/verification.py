@@ -83,8 +83,9 @@ def check_single_screw_sagbi() -> VerifyItem:
 def check_two_screw_sagbi() -> VerifyItem:
     """Construction on the two-screw translation pullback: the 10-element basis.
 
-    The cubic must equal the recomputed tete-a-tete subduction remainder
-    and be translation-invariant; the rejected transcription (w21^2*v23
+    The shipped cubic text (`TWO_SCREW_CUBIC`, the catalog's cubic_12) must
+    equal the recomputed tete-a-tete subduction remainder and be
+    translation-invariant; the rejected transcription (w21^2*v23
     instead of w13*w21*v23) is reported, never silently substituted.
     """
     res = translation_invariant_basis(2, degree_bound=4, max_iterations=16)

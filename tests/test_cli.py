@@ -42,6 +42,11 @@ class TestPoly:
         assert err.startswith("error: bad assignment 'x=1/0'")
         assert "Traceback" not in err
 
+    def test_non_rational_in_eval_exits_1(self, capsys):
+        code, out, err = run(capsys, "poly", "x", "--vars", "x", "--eval", "x=abc")
+        assert code == 1 and out == ""
+        assert err == "error: bad assignment 'x=abc', 'abc' is not a rational number\n"
+
     def test_missing_context_exits_1(self, capsys):
         code, _, err = run(capsys, "poly", "w11")
         assert code == 1
@@ -196,6 +201,15 @@ class TestCatalog:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
 
+    def test_so3_vector_count_capped(self, capsys):
+        cap = cli.MAX_SO3_VECTORS
+        code, out, _ = run(capsys, "catalog", "--which", "so3", "--screws", str(cap))
+        assert code == 0 and out
+        code, out, err = run(capsys, "catalog", "--which", "so3", "--screws", str(cap + 1))
+        assert code == 1 and out == ""
+        assert err == "error: so3 catalogs support 1 to 9 vectors\n"
+        assert "Traceback" not in err
+
     def test_se3_three_screws_flags_conjecture(self, capsys):
         code, out, _ = run(capsys, "--json", "catalog", "--screws", "3", "--which", "se3")
         obj = json.loads(out)
@@ -218,6 +232,14 @@ class TestDh:
         pair.write_text("0 0 1 0 0 0\n")
         code, _, err = run(capsys, "dh", "--pair", str(pair))
         assert code == 1
+
+    @pytest.mark.parametrize("field", ["1/0", "abc"])
+    def test_bad_field_exits_1_with_line(self, capsys, tmp_path, field):
+        pair = tmp_path / "pair.txt"
+        pair.write_text(f"0 0 1 0 0 0\n0 3/5 4/5 0 -8/5 {field}\n")
+        code, out, err = run(capsys, "dh", "--pair", str(pair))
+        assert code == 1 and out == ""
+        assert err == f"error: line 2: {field!r} is not a rational number\n"
 
 
 class TestVerify:

@@ -22,9 +22,39 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CHAIN_SEED = "order: lex x y\nx + y\nx*y\nx*y^2\n"
 
+# Inputs subducted against the recorded two-screw translation basis: three
+# members whose certificates take several steps (klein_1*klein_2 + w13^2*w22,
+# mixed_12^2 - 3/2*w12*w23*klein_2, w23*cubic_12 + klein_1^2 - 7, expanded)
+# and a non-member whose first step succeeds (w11*klein_1 + w21*v12).
+SUBDUCT_INPUTS = {
+    "klein_product": (
+        "w11*w21*v11*v21 + w11*w22*v11*v22 + w11*w23*v11*v23 +"
+        " w12*w21*v12*v21 + w12*w22*v12*v22 + w12*w23*v12*v23 + w13^2*w22 +"
+        " w13*w21*v13*v21 + w13*w22*v13*v22 + w13*w23*v13*v23"
+    ),
+    "mixed_square": (
+        "w11^2*v21^2 + 2*w11*w12*v21*v22 + 2*w11*w13*v21*v23 +"
+        " 2*w11*w21*v11*v21 + 2*w11*w22*v12*v21 + 2*w11*w23*v13*v21 +"
+        " w12^2*v22^2 + 2*w12*w13*v22*v23 - 3/2*w12*w21*w23*v21 +"
+        " 2*w12*w21*v11*v22 - 3/2*w12*w22*w23*v22 + 2*w12*w22*v12*v22 -"
+        " 3/2*w12*w23^2*v23 + 2*w12*w23*v13*v22 + w13^2*v23^2 +"
+        " 2*w13*w21*v11*v23 + 2*w13*w22*v12*v23 + 2*w13*w23*v13*v23 +"
+        " w21^2*v11^2 + 2*w21*w22*v11*v12 + 2*w21*w23*v11*v13 + w22^2*v12^2"
+        " + 2*w22*w23*v12*v13 + w23^2*v13^2"
+    ),
+    "cubic_multiple": (
+        "w11^2*v11^2 + 2*w11*w12*v11*v12 + 2*w11*w13*v11*v13 +"
+        " w11*w22*w23*v22 + w11*w23^2*v23 + w12^2*v12^2 + 2*w12*w13*v12*v13"
+        " - w12*w21*w23*v22 + w13^2*v13^2 - w13*w21*w23*v23 - w21^2*w23*v11"
+        " - w21*w22*w23*v12 - w21*w23^2*v13 - 7"
+    ),
+    "nonmember": "w11^2*v11 + w11*w12*v12 + w11*w13*v13 + w21*v12",
+}
+
 
 def _cli_cases() -> dict:
-    """Golden name -> argv; `{pullback_m}` and `{chain}` name seed files."""
+    """Golden name -> argv; `{pullback_m}`, `{chain}` and `{eliminated_2}` name
+    seed files."""
     cases = {}
     for which in ("se3", "t3", "so3", "pullback"):
         for m in (1, 2, 3):
@@ -36,6 +66,10 @@ def _cli_cases() -> dict:
         cases[f"sagbi_pullback_{m}"] = argv
         cases[f"sagbi_pullback_{m}_eliminated"] = [*argv, "--eliminate", "t1,t2,t3"]
     cases["sagbi_chain_max_iter_1"] = ["sagbi", "{chain}", "--max-iter", "1"]
+    for label, poly in SUBDUCT_INPUTS.items():
+        argv = ["subduct", "--basis", "{eliminated_2}", "--poly", poly]
+        cases[f"subduct_2_{label}"] = argv
+        cases[f"subduct_2_{label}_json"] = ["--json", *argv]
     return cases
 
 
@@ -54,6 +88,9 @@ def run_cli(argv) -> str:
 def _seed_text(seed: str) -> str:
     if seed == "chain":
         return CHAIN_SEED
+    if seed == "eliminated_2":
+        # the recorded two-screw translation basis, without its exit line
+        return (GOLDEN / "sagbi_pullback_2_eliminated.txt").read_text().split("\n", 1)[1]
     m = seed.rsplit("_", 1)[1]
     return run_cli(["catalog", "--which", "pullback", "--screws", m]).split("\n", 1)[1]
 

@@ -356,3 +356,9 @@ class TestSerialization:
             parse_group_element("q: 1 0 0; t: 0 0 0")
         with pytest.raises(ValueError):
             parse_group_element("nonsense")
+
+    @pytest.mark.parametrize("field", ["1/0", "abc"])
+    def test_bad_component_names_the_field(self, field):
+        with pytest.raises(ValueError) as info:
+            parse_group_element(f"q: 1 0 0 {field}; t: 0 0 0")
+        assert str(info.value) == f"{field!r} is not a rational number"

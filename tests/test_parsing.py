@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_poly
-from screwinv.parsing import ParseError, UnknownVariableError, format_poly, parse
+from screwinv.parsing import ParseError, UnknownVariableError, format_poly, parse, parse_rational
 from screwinv.poly import Polynomial, TermOrder, VariableSet
 from screwinv.screw import screw_varset
 
@@ -62,6 +62,15 @@ def test_unknown_variable(vs1):
 def test_zero_denominator(vs1):
     with pytest.raises(ParseError):
         parse("1/0", vs1)
+
+
+def test_parse_rational():
+    assert parse_rational("-3/4") == Fraction(-3, 4)
+    assert parse_rational("0.25") == Fraction(1, 4)
+    for bad in ("1/0", "abc", ""):
+        with pytest.raises(ValueError) as info:
+            parse_rational(bad)
+        assert str(info.value) == f"{bad!r} is not a rational number"
 
 
 def test_trailing_garbage(vs1):

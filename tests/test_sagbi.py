@@ -12,6 +12,7 @@ from screwinv.parsing import format_poly, parse
 from screwinv.poly import Polynomial, TermOrder, VariableSet
 from screwinv.sagbi import (
     GeneratorSet,
+    _factor_monomial,
     eliminate,
     is_member,
     read_basis_file,
@@ -168,6 +169,56 @@ def _vectors_up_to(n, degree):
             yield (e,) + rest
 
 
+def _reference_factor_monomial(target, lms, order_idx):
+    """The search `_factor_monomial` replaced: every generator, in the given
+    index order, at every depth.  Kept as the reference its answer must
+    equal."""
+    n = len(lms)
+    result = [0] * n
+
+    def rec(pos: int, remaining: list[int]) -> bool:
+        if not any(remaining):
+            return True
+        if pos == n:
+            return False
+        i = order_idx[pos]
+        lm = lms[i]
+        emax = None
+        for r, l in zip(remaining, lm):
+            if l:
+                q = r // l
+                if emax is None or q < emax:
+                    emax = q
+                if q == 0:
+                    break
+        for e in range(emax, -1, -1):
+            if e:
+                rest = [r - e * l for r, l in zip(remaining, lm)]
+            else:
+                rest = remaining
+            result[i] = e
+            if rec(pos + 1, rest):
+                return True
+        result[i] = 0
+        return False
+
+    if rec(0, list(target)):
+        return tuple(result)
+    return None
+
+
+def _assert_factorizations_match(targets, lms, order):
+    """The search and its reference agree on every target, None included;
+    returns how many targets factor."""
+    idx = sorted(range(len(lms)), key=lambda i: order.key(lms[i]), reverse=True)
+    factored = 0
+    for target in targets:
+        got = _factor_monomial(target, lms, order.key)
+        assert got == _reference_factor_monomial(target, lms, idx), (target, lms)
+        factored += got is not None
+    return factored
+
+
 class TestGeneratorSet:
     def test_monic_normalization(self):
         vs = VariableSet(["x", "y"])
@@ -306,8 +357,7 @@ class TestSubduction:
                 from screwinv.sagbi import _factor_monomial
 
                 lms = basis.leading_monomials()
-                idx = sorted(range(len(lms)), key=lambda i: order.key(lms[i]), reverse=True)
-                assert _factor_monomial(lm, lms, idx) is None
+                assert _factor_monomial(lm, lms, order.key) is None
 
     def test_two_screw_cubic_remainder(self):
         vs = screw_varset(2)
@@ -318,6 +368,58 @@ class TestSubduction:
         assert res.remainder == parse(TWO_SCREW_CUBIC, vs)
         # and the catalog's cubic is exactly this remainder, made monic
         assert dict(catalog.entries)["cubic_12"] == res.remainder.monic(vs.default_order())
+
+
+class TestFactorMonomial:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_on_random_sets(self, seed):
+        rng = random.Random(seed)
+        factored = cases = 0
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            vs = VariableSet([f"x{i}" for i in range(n)])
+            order = TermOrder(vs, rng.sample(vs.names, n))
+            # entries 0..2 give 3**n - 1 distinct non-constant monomials
+            count = rng.randint(1, min(7, 3**n - 1))
+            lms = set()
+            while len(lms) < count:
+                lm = tuple(rng.randint(0, 2) for _ in range(n))
+                if any(lm):
+                    lms.add(lm)
+            lms = sorted(lms)
+            rng.shuffle(lms)
+            targets = [tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(10)]
+            for _ in range(10):
+                target = [0] * n
+                for lm in lms:
+                    e = rng.randint(0, 2)
+                    target = [t + e * l for t, l in zip(target, lm)]
+                targets.append(tuple(target))
+            factored += _assert_factorizations_match(targets, lms, order)
+            cases += len(targets)
+        # both answers occur often: the comparison is not all None
+        assert 0.3 * cases < factored < cases
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_reference_on_translation_bases(self, m):
+        seed = pullback(ActionKind.TRANSLATION_SUB, m).seed_generators()
+        res = sagbi_construct(seed, degree_bound=4)
+        assert res.complete
+        lms = res.basis.leading_monomials()
+        products = set()
+        for vec in _vectors_up_to(len(lms), 2):
+            mono = [0] * len(res.basis.order.varset)
+            for lm, e in zip(lms, vec):
+                mono = [x + e * l for x, l in zip(mono, lm)]
+            products.add(tuple(mono))
+        # each product, and each product raised by one in a seeded coordinate
+        rng = random.Random(m)
+        targets = set(products)
+        for mono in sorted(products):
+            j = rng.randrange(len(mono))
+            targets.add(mono[:j] + (mono[j] + 1,) + mono[j + 1:])
+        factored = _assert_factorizations_match(sorted(targets), lms, res.basis.order)
+        assert len(products) <= factored < len(targets)
 
 
 class TestTeteATetes:

@@ -17,7 +17,9 @@ from screwinv.group import (
 )
 from screwinv.parsing import parse
 from screwinv.poly import Polynomial
+from screwinv import screw as screw_module
 from screwinv.screw import (
+    TWO_SCREW_CUBIC,
     Catalog,
     ExactRadical,
     JointType,
@@ -43,6 +45,7 @@ from screwinv.screw import (
     vector_varset,
     z_poly,
 )
+from screwinv.verification import check_two_screw_sagbi
 
 REVOLUTE = Twist((0, 0, 1), (0, 0, 0))
 PRISMATIC = Twist((0, 0, 0), (1, 0, 0))
@@ -362,6 +365,18 @@ class TestCubicConstruction:
     def test_cubic_is_translation_invariant(self):
         catalog = dict(translation_sagbi_catalog(2).entries)
         assert check_invariant_symbolic(catalog["cubic_12"], ActionKind.TRANSLATION_SUB, 2)
+
+    def test_catalog_cubic_is_the_shipped_text(self):
+        vs = screw_varset(2)
+        catalog = dict(translation_sagbi_catalog(2).entries)
+        assert catalog["cubic_12"] == parse(TWO_SCREW_CUBIC, vs)
+
+    def test_verify_rejects_a_wrong_shipped_cubic(self, monkeypatch):
+        # still invariant and with the same leading monomial, but not the
+        # subduction remainder: verify recomputes the remainder, so it fails
+        assert check_two_screw_sagbi().passed
+        monkeypatch.setattr(screw_module, "TWO_SCREW_CUBIC", TWO_SCREW_CUBIC + " + w23^3")
+        assert not check_two_screw_sagbi().passed
 
     def test_rejected_transcription_is_not_invariant(self):
         from screwinv.screw import TWO_SCREW_CUBIC_REJECTED_VARIANT
