@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .parsing import parse_rational
-from .poly import Polynomial, TermOrder, VariableSet
+from .poly import Polynomial, TermOrder, VariableSet, _coerce
 from .sagbi import (
     DEFAULT_DEGREE_BOUND,
     DEFAULT_MAX_ITERATIONS,
@@ -45,18 +45,18 @@ def _mat3(rows) -> Mat3:
     return rows
 
 
-def mat_mul(a: Mat3, b: Mat3) -> Mat3:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3)
-    )
+def mat_mul(a, b):
+    """Matrix product of any compatible sizes; rows of `a` times columns of `b`."""
+    columns = transpose(b)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in columns) for row in a)
 
 
-def mat_vec(a: Mat3, v: Vec3) -> Vec3:
-    return tuple(sum(a[i][k] * v[k] for k in range(3)) for i in range(3))
+def mat_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def transpose(a: Mat3) -> Mat3:
-    return tuple(tuple(a[j][i] for j in range(3)) for i in range(3))
+def transpose(a):
+    return tuple(zip(*a))
 
 
 def skew(v: Vec3) -> Mat3:
@@ -83,7 +83,7 @@ class RationalQuaternion:
 
     def __post_init__(self):
         for name in ("q0", "q1", "q2", "q3"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, _coerce(getattr(self, name)))
         if not (self.q0 or self.q1 or self.q2 or self.q3):
             raise ValueError("the zero quaternion defines no rotation")
 

@@ -146,8 +146,11 @@ class TermOrder:
 
 
 def _coerce(value) -> Fraction:
+    """The one exact-number rule: an int or a Fraction, never a bool."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise ValueError(f"bad coefficient {value!r}: a bool is not a rational")
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
@@ -168,8 +171,6 @@ class Polynomial:
                     not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exps
                 ):
                     raise ValueError(f"bad exponent tuple {exps!r} for {varset!r}")
-                if isinstance(coeff, bool):
-                    raise ValueError(f"bad coefficient {coeff!r}: a bool is not a rational")
                 coeff = _coerce(coeff)
                 if coeff:
                     clean[exps] = clean.get(exps, Fraction(0)) + coeff

@@ -22,14 +22,14 @@ from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .parsing import parse, parse_rational
-from .poly import Polynomial, VariableSet
+from .poly import Polynomial, VariableSet, _coerce
 
 Vec3 = tuple
 
 
 def vec3(values) -> Vec3:
-    """Coerce to a 3-tuple of Fractions."""
-    vals = tuple(Fraction(v) for v in values)
+    """Coerce to a 3-tuple of Fractions; each component an int or a Fraction."""
+    vals = tuple(_coerce(v) for v in values)
     if len(vals) != 3:
         raise ValueError("expected exactly three components")
     return vals
@@ -105,7 +105,7 @@ class Pitch:
 
     @classmethod
     def finite(cls, value) -> "Pitch":
-        return cls("finite", Fraction(value))
+        return cls("finite", _coerce(value))
 
     @classmethod
     def infinite(cls) -> "Pitch":
@@ -427,15 +427,18 @@ class ExactRadical:
     __slots__ = ("num", "radicand")
 
     def __init__(self, num, radicand):
-        num = Fraction(num)
-        radicand = Fraction(radicand)
+        num = _coerce(num)
+        radicand = _coerce(radicand)
         if radicand <= 0:
             raise ValueError("radicand must be positive")
         self.num = num
         self.radicand = radicand
 
     def __float__(self) -> float:
-        return float(self.num) / math.sqrt(float(self.radicand))
+        """One rounding of the exact square, so a huge num or radicand with a
+        moderate quotient still converts; OverflowError when the value is huge."""
+        root = math.sqrt(self.squared())
+        return -root if self.num < 0 else root
 
     def as_fraction(self) -> Fraction | None:
         """Exact rational value when the radicand is a perfect square."""
@@ -493,7 +496,8 @@ def dh_invariants(pair: MultiScrew) -> DhPairReport:
     (w1.v2 + w2.v1) / sqrt(same); both are ratios of two-screw adjoint
     invariants, so the report is a fixed point of the adjoint action.
     Requires nonzero angular parts; when the axes are parallel
-    (sin(alpha) = 0) the displacement is reported undefined.
+    (sin(alpha) = 0) the displacement is reported undefined, and a
+    displacement too large for a float raises ValueError.
     """
     if len(pair) != 2:
         raise ValueError("DH pair invariants need exactly two screws")
@@ -512,10 +516,17 @@ def dh_invariants(pair: MultiScrew) -> DhPairReport:
             f"Cauchy-Schwarz violated: (w1.w2)^2 = {w12 * w12} exceeds (w1.w1)(w2.w2) = {rho}"
         )
     parallel = w12 * w12 == rho
-    displacement = None if parallel else ExactRadical(kc, rho - w12 * w12)
-    cos_f = max(-1.0, min(1.0, float(cos_alpha)))
-    alpha_float = math.acos(cos_f)
-    d_float = None if parallel else float(displacement)
+    displacement = d_float = None
+    if not parallel:
+        displacement = ExactRadical(kc, rho - w12 * w12)
+        try:
+            d_float = float(displacement)
+        except OverflowError:
+            raise ValueError(
+                f"displacement {displacement.num} / sqrt({displacement.radicand})"
+                " is too large for a float"
+            ) from None
+    alpha_float = math.acos(max(-1.0, min(1.0, float(cos_alpha))))
     return DhPairReport(
         dots=(w11, w12, w22),
         klein_cross=kc,

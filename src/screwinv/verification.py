@@ -22,6 +22,7 @@ from .group import (
     apply_adjoint,
     check_invariant_sampled,
     check_invariant_symbolic,
+    mat_mul,
     transform_twist,
     translation_invariant_basis,
 )
@@ -31,7 +32,9 @@ from .sagbi import GeneratorSet, is_member, sagbi_construct, subduct
 from .screw import (
     MultiScrew,
     Twist,
+    det,
     dh_invariants,
+    dot,
     gram_minor,
     joint_type,
     mixed_form,
@@ -117,21 +120,17 @@ def check_two_screw_sagbi() -> VerifyItem:
 def check_se3_catalog_invariance() -> VerifyItem:
     """Every full-adjoint catalog element is exactly invariant (2 + 6 + 14)."""
     counts = {1: 2, 2: 6, 3: 14}
+    catalogs = {m: se3_generator_catalog(m) for m in counts}
     failures = []
     for m, expected in counts.items():
-        catalog = se3_generator_catalog(m)
+        catalog = catalogs[m]
         if len(catalog) != expected:
             failures.append(f"m={m}: {len(catalog)} != {expected} elements")
             continue
         for name, p in catalog:
             if not check_invariant_symbolic(p, ActionKind.FULL_ADJOINT, m):
                 failures.append(f"m={m}: {name}")
-    flags_ok = (
-        not se3_generator_catalog(1).conjectural
-        and not se3_generator_catalog(2).conjectural
-        and se3_generator_catalog(3).conjectural
-    )
-    if not flags_ok:
+    if [catalogs[m].conjectural for m in counts] != [False, False, True]:
         failures.append("conjectural flags wrong")
     return VerifyItem(
         "full-adjoint invariance of generator catalogs",
@@ -184,22 +183,7 @@ def check_gram_syzygy() -> VerifyItem:
             [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(3)]
             for _ in range(4)
         ]
-        gram = [
-            [sum(vectors[i][n] * vectors[j][n] for n in range(3)) for j in range(4)]
-            for i in range(4)
-        ]
-        # numeric 4x4 determinant by cofactor expansion: the independent oracle
-        def det(mat):
-            if len(mat) == 1:
-                return mat[0][0]
-            total = Fraction(0)
-            for j in range(len(mat)):
-                sub = [row[:j] + row[j + 1 :] for row in mat[1:]]
-                term = mat[0][j] * det(sub)
-                total += term if j % 2 == 0 else -term
-            return total
-
-        if det(gram) != 0:
+        if det([[dot(a, b) for b in vectors] for a in vectors]) != 0:
             sampled_zero = False
             break
     ok = symbolic_zero and sampled_zero
@@ -247,6 +231,7 @@ def check_pitch_classification() -> VerifyItem:
         (Twist((0, 0, 0), (1, 0, 0)), "P"),
         (Twist((0, 0, 1), (0, 0, 3)), "H"),
     ]
+    elements = list(_random_rotations(100, SUITE_SEED + 11))
     ok = True
     details = []
     for t, expected in cases:
@@ -254,7 +239,7 @@ def check_pitch_classification() -> VerifyItem:
         details.append(f"{expected}:{jt.value}")
         if jt.value != expected:
             ok = False
-        for g in _random_rotations(100, SUITE_SEED + 11):
+        for g in elements:
             if joint_type(transform_twist(g, t)) != jt:
                 ok = False
                 break
@@ -338,16 +323,10 @@ def check_property_suites() -> VerifyItem:
     # since Rotation raises unless R^T R = I and det R = 1 exactly
     rot_rng = random.Random(SUITE_SEED + 1)
     elements = list(_random_rotations(1000, SUITE_SEED + 2))
-
-    def matmul6(a, b):
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(6)) for j in range(6)) for i in range(6)
-        )
-
     for _ in range(1000):
         g1 = elements[rot_rng.randrange(len(elements))]
         g2 = elements[rot_rng.randrange(len(elements))]
-        if adjoint_matrix(g1.compose(g2)) != matmul6(adjoint_matrix(g1), adjoint_matrix(g2)):
+        if adjoint_matrix(g1.compose(g2)) != mat_mul(adjoint_matrix(g1), adjoint_matrix(g2)):
             return VerifyItem("property suites", False, "adjoint homomorphism failed")
     return VerifyItem(
         "property suites",

@@ -241,6 +241,24 @@ class TestDh:
         assert code == 1 and out == ""
         assert err == f"error: line 2: {field!r} is not a rational number\n"
 
+    def test_huge_coordinates_with_small_quotients(self, capsys, tmp_path):
+        # w1.w1 = w2.w2 = 1e400: each float view is a quotient of numbers
+        # beyond float range, but cos alpha = 0 and d = 0
+        pair = tmp_path / "pair.txt"
+        pair.write_text("1e200 0 0 0 0 0\n0 1e200 0 0 0 1\n")
+        code, out, err = run(capsys, "dh", "--pair", str(pair))
+        assert code == 0 and err == ""
+        assert "alpha: 1.5707963267949 rad" in out
+        assert out.endswith(" = 0\n")
+
+    def test_huge_displacement_exits_1(self, capsys, tmp_path):
+        pair = tmp_path / "pair.txt"
+        pair.write_text("0 0 1 0 0 0\n0 3/5 4/5 0 -8/5 1e400\n")
+        code, out, err = run(capsys, "dh", "--pair", str(pair))
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: displacement ") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_unknown_suite_exits_1(self, capsys):
@@ -261,6 +279,19 @@ class TestVerify:
         item = check_bracket_sum_identity()
         assert not item.passed
 
+    def test_gram_item_uses_library_det(self, monkeypatch):
+        # a determinant that is wrong on numbers must fail the sampled half
+        import screwinv.verification as verification
+        from fractions import Fraction
+
+        library_det = verification.det
+
+        def broken(matrix):
+            return 1 if isinstance(matrix[0][0], Fraction) else library_det(matrix)
+
+        monkeypatch.setattr(verification, "det", broken)
+        assert not verification.check_gram_syzygy().passed
+
     def test_full_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "paper")
         assert code == 0
@@ -277,6 +308,7 @@ class TestVerify:
         assert obj["command"] == "verify" and obj["pass"] is True
         assert len(obj["items"]) == 10
         assert all(item["passed"] for item in obj["items"])
+        assert out == (GOLDEN / "verify_paper_json.txt").read_text()
 
     def test_json_flag_accepted_after_subcommand(self, capsys):
         code, out, _ = run(capsys, "catalog", "--screws", "1", "--which", "se3", "--json")

@@ -22,6 +22,13 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CHAIN_SEED = "order: lex x y\nx + y\nx*y\nx*y^2\n"
 
+# Screw pair files for `dh`: the README example pair (cos alpha = 4/5, d = 2)
+# and a pair with antiparallel axes, whose displacement is undefined.
+DH_PAIRS = {
+    "dh_example": "0 0 1 0 0 0\n0 3/5 4/5 0 -8/5 6/5\n",
+    "dh_parallel": "0 0 1 0 0 0\n0 0 -2 2 1 5\n",
+}
+
 # Inputs subducted against the recorded two-screw translation basis: three
 # members whose certificates take several steps (klein_1*klein_2 + w13^2*w22,
 # mixed_12^2 - 3/2*w12*w23*klein_2, w23*cubic_12 + klein_1^2 - 7, expanded)
@@ -53,8 +60,8 @@ SUBDUCT_INPUTS = {
 
 
 def _cli_cases() -> dict:
-    """Golden name -> argv; `{pullback_m}`, `{chain}` and `{eliminated_2}` name
-    seed files."""
+    """Golden name -> argv; `{pullback_m}`, `{chain}`, `{eliminated_2}` and
+    `{dh_*}` name seed files."""
     cases = {}
     for which in ("se3", "t3", "so3", "pullback"):
         for m in (1, 2, 3):
@@ -70,6 +77,10 @@ def _cli_cases() -> dict:
         argv = ["subduct", "--basis", "{eliminated_2}", "--poly", poly]
         cases[f"subduct_2_{label}"] = argv
         cases[f"subduct_2_{label}_json"] = ["--json", *argv]
+    for label in DH_PAIRS:
+        argv = ["dh", "--pair", f"{{{label}}}"]
+        cases[label] = argv
+        cases[f"{label}_json"] = ["--json", *argv]
     return cases
 
 
@@ -88,6 +99,8 @@ def run_cli(argv) -> str:
 def _seed_text(seed: str) -> str:
     if seed == "chain":
         return CHAIN_SEED
+    if seed in DH_PAIRS:
+        return DH_PAIRS[seed]
     if seed == "eliminated_2":
         # the recorded two-screw translation basis, without its exit line
         return (GOLDEN / "sagbi_pullback_2_eliminated.txt").read_text().split("\n", 1)[1]
@@ -130,10 +143,11 @@ def _record() -> None:
     for kind in KINDS:
         for m in (1, 2, 3):
             (GOLDEN / f"pullback_{kind}_{m}.txt").write_text(pullback_text(kind, m))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli.main(["verify", "--suite", "paper"])
-    (GOLDEN / "verify_paper.txt").write_text(out.getvalue())
+    for name, argv in (("verify_paper", []), ("verify_paper_json", ["--json"])):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main([*argv, "verify", "--suite", "paper"])
+        (GOLDEN / f"{name}.txt").write_text(out.getvalue())
 
 
 if __name__ == "__main__":

@@ -53,6 +53,10 @@ def random_element(rng: random.Random) -> EuclideanElement:
     return EuclideanElement(rotation_from_quaternion(q), t)
 
 
+# a float, a string and a bool: none is an exact rational to a constructor
+INEXACT = [(0.1, TypeError), ("1/3", TypeError), (True, ValueError)]
+
+
 class TestRotation:
     def test_identity_quaternion(self):
         r = rotation_from_quaternion(RationalQuaternion(1, 0, 0, 0))
@@ -74,6 +78,25 @@ class TestRotation:
         with pytest.raises(ValueError):
             Rotation(((1, 0, 0), (0, 1, 0), (0, 0, -1)))
 
+    # values that equal 1, so only the number rule can reject the identity
+    @pytest.mark.parametrize(
+        "value, error", [(1.0, TypeError), ("1", TypeError), (True, ValueError)]
+    )
+    def test_constructor_rejects_inexact_entries(self, value, error):
+        with pytest.raises(error):
+            Rotation(((value, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+    def test_matrix_helpers_take_any_size(self):
+        a = ((1, 2, 3), (4, 5, 6))
+        assert transpose(a) == ((1, 4), (2, 5), (3, 6))
+        assert mat_mul(a, ((1, 0), (0, 1), (1, 1))) == ((4, 5), (10, 11))
+        assert mat_mul(transpose(a), a) == ((17, 22, 27), (22, 29, 36), (27, 36, 45))
+
+    @pytest.mark.parametrize("value, error", INEXACT)
+    def test_quaternion_rejects_inexact_components(self, value, error):
+        with pytest.raises(error):
+            RationalQuaternion(value, 0, 0, 0)
+
     def test_random_quaternions_give_exact_rotations(self):
         rng = random.Random(13)
         for _ in range(1000):
@@ -93,6 +116,11 @@ class TestEuclideanElement:
         g = random_element(rng)
         assert (e @ g).rotation == g.rotation and (e @ g).translation == g.translation
         assert (g @ e).translation == g.translation
+
+    @pytest.mark.parametrize("value, error", INEXACT)
+    def test_translation_rejects_inexact_components(self, value, error):
+        with pytest.raises(error):
+            EuclideanElement(Rotation.identity(), (value, 0, 0))
 
     def test_composition_associative(self):
         rng = random.Random(19)

@@ -1,5 +1,6 @@
 """Twists, pitch, catalogs, Gram syzygies, z determinants, DH pairs."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -62,6 +63,10 @@ def random_element(rng: random.Random) -> EuclideanElement:
     return EuclideanElement(rotation_from_quaternion(q), t)
 
 
+# a float, a string and a bool: none is an exact rational to a constructor
+INEXACT = [(0.1, TypeError), ("1/3", TypeError), (True, ValueError)]
+
+
 class TestPitch:
     def test_canonical_classifications(self):
         assert pitch(REVOLUTE) == Pitch.finite(0)
@@ -77,6 +82,16 @@ class TestPitch:
     def test_zero_twist_has_no_joint_type(self):
         with pytest.raises(ValueError):
             joint_type(Twist((0, 0, 0), (0, 0, 0)))
+
+    @pytest.mark.parametrize("value, error", INEXACT)
+    def test_finite_pitch_rejects_inexact_value(self, value, error):
+        with pytest.raises(error):
+            Pitch.finite(value)
+
+    @pytest.mark.parametrize("value, error", INEXACT)
+    def test_twist_rejects_inexact_components(self, value, error):
+        with pytest.raises(error):
+            Twist((value, 0, 0), (0, 0, 0))
 
     def test_pitch_is_ratio_of_forms(self):
         t = Twist((1, 2, 2), (3, 0, Fraction(3, 2)))
@@ -351,6 +366,28 @@ class TestDhInvariants:
         assert float(s) == pytest.approx(2 ** 0.5)
         with pytest.raises(ValueError):
             ExactRadical(1, 0)
+
+    @pytest.mark.parametrize("value, error", INEXACT)
+    def test_exact_radical_rejects_inexact_parts(self, value, error):
+        with pytest.raises(error):
+            ExactRadical(value, 1)
+        with pytest.raises(error):
+            ExactRadical(1, value)
+
+    def test_float_view_of_huge_parts(self):
+        # num and radicand overflow a float on their own; the value does not
+        big = 10 ** 400
+        assert float(ExactRadical(-3 * big, 25 * big * big)) == -0.6
+        with pytest.raises(OverflowError):
+            float(ExactRadical(big, 1))
+
+    def test_float_view_matches_quotient(self):
+        rng = random.Random(47)
+        for _ in range(200):
+            num = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+            radicand = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+            quotient = float(num) / math.sqrt(float(radicand))
+            assert float(ExactRadical(num, radicand)) == pytest.approx(quotient, rel=1e-15)
 
 
 class TestCubicConstruction:
