@@ -3,22 +3,20 @@
 A *term map* is a dict sending exponent tuples (one small non-negative int
 per variable) to nonzero coefficients.  Coefficients are treated as opaque
 field elements: anything supporting `+`, `*` and truthiness (`Fraction`,
-`int`).  These four functions are the inner loops of every polynomial
+`int`).  These functions are the inner loops of every polynomial
 operation in the library.
 
-All functions return fresh dicts and never store a zero coefficient.
+All functions but `terms_add_into` return fresh dicts, and none stores a
+zero coefficient.
 """
 
 from __future__ import annotations
 
+from operator import add
 
-def terms_add(a, b):
-    """Sum of two term maps."""
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
+
+def terms_add_into(out, b):
+    """Add term map `b` into `out` in place."""
     for e, c in b.items():
         s = out.get(e)
         if s is None:
@@ -29,6 +27,14 @@ def terms_add(a, b):
                 out[e] = s
             else:
                 del out[e]
+
+
+def terms_add(a, b):
+    """Sum of two term maps."""
+    if not a:
+        return dict(b)
+    out = dict(a)
+    terms_add_into(out, b)
     return out
 
 
@@ -60,7 +66,7 @@ def terms_mul(a, b):
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(add, ea, eb))
             prev = out.get(e)
             if prev is None:
                 out[e] = ca * cb

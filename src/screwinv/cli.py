@@ -55,6 +55,13 @@ EXIT_INVARIANCE = 3
 # vectors (omega_i, v_i) of up to four screws.
 MAX_SO3_VECTORS = 9
 
+# SAGBI cost grows steeply with the degree bound: three screws take ~23 s at
+# bound 7 and ~4.5x more per further degree, and even the three-generator
+# seed x + y, x*y, x*y^2 takes 0.4 s at 16 but ~90 s at 32.  16 is twice the
+# paper's largest bound and keeps the recursive tete-a-tete enumeration far
+# below the interpreter's recursion limit.
+MAX_DEGREE_BOUND = 16
+
 
 class _CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE):
@@ -131,6 +138,8 @@ def cmd_subduct(args) -> tuple[int, list[str], dict]:
 
 
 def cmd_sagbi(args) -> tuple[int, list[str], dict]:
+    if args.degree_bound > MAX_DEGREE_BOUND:
+        raise _CliError(f"--degree-bound supports at most {MAX_DEGREE_BOUND}")
     with open(args.generators) as handle:
         seed, _ = read_basis_file(handle)
     result = sagbi_construct(seed, degree_bound=args.degree_bound, max_iterations=args.max_iter)

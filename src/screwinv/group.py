@@ -7,10 +7,18 @@ A displacement acts on a twist by the 6x6 block matrix [[R, 0], [TR, R]],
 with T the skew matrix of the translation.
 
 Invariance of a polynomial under the full action or either sub-action can
-be checked two independent ways: symbolically (substituting the action
-with symbolic group parameters and comparing polynomials exactly, clearing
-quaternion norm denominators degree by degree) or by exact evaluation at
-pseudo-random rational group elements and screws.
+be checked two independent ways: symbolically (substituting the action of
+one-parameter families of group elements with symbolic parameters and
+comparing polynomials exactly) or by exact evaluation at pseudo-random
+rational group elements and screws.
+
+The symbolic check rests on three generation facts.  SE(3) is generated by
+SO(3) and the translations, since (R, t) = (I, t)(R, 0).  SO(3) is
+generated by the rotations about e3 and about e1 (ZXZ Euler angles).  And
+an exact polynomial identity in (q0, q_k), the quaternion restricted to
+the axis e_k, holds for every rotation about that axis.  So a polynomial
+invariant under the translations and under both axis families is
+invariant under the whole group, and each family is one small substitution.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from .sagbi import (
     eliminate,
     sagbi_construct,
 )
-from .screw import MultiScrew, Twist, Vec3, cross, det, dot, screw_varset, symbolic_vector, vec3
+from .screw import MultiScrew, Twist, Vec3, cross, det, screw_varset, symbolic_vector, vec3
 
 Mat3 = tuple  # 3 rows of 3 Fractions
 
@@ -291,32 +299,58 @@ def pullback(kind: ActionKind, m: int) -> PullbackSystem:
     )
 
 
+# The rotation axes whose one-parameter subgroups generate SO(3): e3 and e1.
+ROTATION_AXES = ("q3", "q1")
+
+
+def _rotation_invariant(f: Polynomial, m: int) -> bool:
+    """Exact invariance of `f` under every rotation about e3 and about e1.
+
+    The quaternion images carry a cleared |q|^2 denominator each.  With the
+    other two of q1, q2, q3 set to zero, each homogeneous component of
+    degree d is compared against (q0^2 + q_k^2)^d times itself; since the
+    action is linear this per-degree test is exactly equivalent to
+    invariance under every rotation about e_k.
+    """
+    system = pullback(ActionKind.ROTATION_SUB, m)
+    vs = system.varset
+    identity = {name: Polynomial.variable(vs, name) for name in vs.names}
+    zero, q0 = Polynomial.zero(vs), identity["q0"]
+    components = f.degree_components()
+    for axis in ROTATION_AXES:
+        off_axis = {name: zero for name in ("q1", "q2", "q3") if name != axis}
+        on_axis = {**identity, **off_axis}
+        images = {name: img.substitute(on_axis) for name, img in system.image_map().items()}
+        norm2 = q0 * q0 + identity[axis] * identity[axis]
+        for degree, component in components.items():
+            if component.substitute(images) != norm2 ** degree * component.rename(vs):
+                return False
+    return True
+
+
+def _translation_invariant(f: Polynomial, m: int) -> bool:
+    """Exact invariance of `f` under every translation, one substitution."""
+    system = pullback(ActionKind.TRANSLATION_SUB, m)
+    return f.substitute(system.image_map()) == f.rename(system.varset)
+
+
 def check_invariant_symbolic(f: Polynomial, kind: ActionKind, m: int) -> bool:
     """Exact symbolic invariance test of `f` under the chosen action.
 
-    Substitutes the action with symbolic group parameters and compares
-    polynomials.  For rotation-bearing kinds the substituted images carry a
-    cleared |q|^2 denominator each, so each homogeneous component of degree
-    d in the screw coordinates is compared against |q|^(2d) times itself;
-    since the action is linear this per-degree test is exactly equivalent
-    to invariance.
+    `t3` substitutes the translation pullback once.  `so3` checks the
+    rotations about e3 and about e1, which generate SO(3).  `se3` checks
+    both, since every (R, t) = (I, t)(R, 0).  Each check is an exact
+    polynomial identity in symbolic group parameters; see the module
+    docstring for why the subgroups suffice.
     """
     space = screw_varset(m)
     if f.varset != space:
         raise ValueError(f"polynomial must live over the {m}-screw variable set")
-    system = pullback(kind, m)
-    images = system.image_map()
     if kind is ActionKind.TRANSLATION_SUB:
-        return f.substitute(images) == f.rename(system.varset)
-    vs = system.varset
-    q0, q = Polynomial.variable(vs, "q0"), symbolic_vector(vs, "q")
-    norm2 = q0 * q0 + dot(q, q)
-    for degree, component in f.degree_components().items():
-        lhs = component.substitute(images)
-        rhs = norm2 ** degree * component.rename(vs)
-        if lhs != rhs:
-            return False
-    return True
+        return _translation_invariant(f, m)
+    if kind is ActionKind.ROTATION_SUB:
+        return _rotation_invariant(f, m)
+    return _rotation_invariant(f, m) and _translation_invariant(f, m)
 
 
 @dataclass(frozen=True)

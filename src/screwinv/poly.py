@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._kernel import terms_add, terms_mul, terms_scale, terms_sub
+from ._kernel import terms_add, terms_add_into, terms_mul, terms_scale, terms_sub
 
 Exponents = tuple  # exponent tuple, one small int per variable
 
@@ -381,7 +381,7 @@ class Polynomial:
                 while len(plist) <= e:
                     plist.append(terms_mul(plist[-1], plist[1]))
                 acc = terms_mul(acc, plist[e])
-            result = terms_add(result, acc)
+            terms_add_into(result, acc)
         return Polynomial._raw(target, result)
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:

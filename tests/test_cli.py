@@ -90,6 +90,21 @@ class TestSagbi:
         assert "complete: false" in out
         assert any(line.startswith("x*y^3") for line in out.splitlines())
 
+    def test_huge_degree_bound_exits_1(self, capsys, tmp_path):
+        # an unchecked bound this size overflowed the recursive enumeration
+        seed_file = tmp_path / "chain.txt"
+        seed_file.write_text("order: lex x y\nx + y\nx*y\nx*y^2\n")
+        code, out, err = run(capsys, "sagbi", str(seed_file), "--degree-bound", "100000")
+        assert code == 1 and out == ""
+        assert err == f"error: --degree-bound supports at most {cli.MAX_DEGREE_BOUND}\n"
+
+    def test_degree_bound_at_cap_runs(self, capsys, tmp_path):
+        seed_file = tmp_path / "chain.txt"
+        seed_file.write_text("order: lex x y\nx + y\nx*y\nx*y^2\n")
+        bound = str(cli.MAX_DEGREE_BOUND)
+        code, out, _ = run(capsys, "sagbi", str(seed_file), "--degree-bound", bound)
+        assert code == 0 and f"degree_bound: {bound}" in out.splitlines()
+
     def test_bad_file_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("order: lex x\nx + $\n")

@@ -29,12 +29,15 @@ from screwinv.screw import (
     MultiScrew,
     Twist,
     det,
+    dot,
     killing_dot,
     klein_form,
     mixed_form,
     screw_varset,
     se3_generator_catalog,
+    symbolic_vector,
     translation_sagbi_catalog,
+    z_poly,
 )
 from screwinv.verification import SUITE_SEED, _random_rotations
 
@@ -291,6 +294,87 @@ class TestSymbolicInvariance:
         vs = screw_varset(2)
         with pytest.raises(ValueError):
             check_invariant_symbolic(klein_form(vs, 2), ActionKind.FULL_ADJOINT, 1)
+
+    THREE_SCREW = dict(se3_generator_catalog(3).entries)
+
+    @pytest.mark.parametrize("product", [("mixed_12", "mixed_12"), ("bracket_sum", "dot_11")])
+    def test_large_three_screw_products(self, product):
+        # one check of each took 3-12 s when the whole group was substituted
+        f = self.THREE_SCREW[product[0]] * self.THREE_SCREW[product[1]]
+        w11 = Polynomial.variable(screw_varset(3), "w11")
+        assert check_invariant_symbolic(f, ActionKind.FULL_ADJOINT, 3)
+        assert not check_invariant_symbolic(f + w11, ActionKind.FULL_ADJOINT, 3)
+
+
+def _reference_check_invariant_symbolic(f, kind, m):
+    """The whole-group substitution oracle: every rotation and translation at once.
+
+    Substitutes the action with symbolic group parameters and compares
+    polynomials.  For rotation-bearing kinds the substituted images carry a
+    cleared |q|^2 denominator each, so each homogeneous component of degree
+    d in the screw coordinates is compared against |q|^(2d) times itself;
+    since the action is linear this per-degree test is exactly equivalent
+    to invariance.
+    """
+    space = screw_varset(m)
+    if f.varset != space:
+        raise ValueError(f"polynomial must live over the {m}-screw variable set")
+    system = pullback(kind, m)
+    images = system.image_map()
+    if kind is ActionKind.TRANSLATION_SUB:
+        return f.substitute(images) == f.rename(system.varset)
+    vs = system.varset
+    q0, q = Polynomial.variable(vs, "q0"), symbolic_vector(vs, "q")
+    norm2 = q0 * q0 + dot(q, q)
+    for degree, component in f.degree_components().items():
+        lhs = component.substitute(images)
+        rhs = norm2 ** degree * component.rename(vs)
+        if lhs != rhs:
+            return False
+    return True
+
+
+def _parity_corpus():
+    """(label, polynomial, screws, expected (se3, so3, t3) answers or None)."""
+    vs1 = screw_varset(1)
+    w1, v1 = symbolic_vector(vs1, "w1"), symbolic_vector(vs1, "v1")
+    corpus = [
+        # invariant under rotations about one axis only, and under translations
+        ("w11^2+w12^2", parse("w11^2 + w12^2", vs1), 1, (False, False, True)),
+        ("w12^2+w13^2", parse("w12^2 + w13^2", vs1), 1, (False, False, True)),
+        ("w1.w1*w13", dot(w1, w1) * w1[2], 1, (False, False, True)),
+        ("v1.v1", dot(v1, v1), 1, (False, True, False)),
+        ("w11", parse("w11", vs1), 1, (False, False, True)),
+        ("constant m=1", Polynomial.constant(vs1, Fraction(-7, 3)), 1, (True, True, True)),
+        ("constant m=3", Polynomial.constant(screw_varset(3), 5), 3, (True, True, True)),
+        ("zero m=2", Polynomial.zero(screw_varset(2)), 2, (True, True, True)),
+        ("z_121", z_poly(1, 2, 1), 3, None),
+    ]
+    catalogs = [(f"se3 m={m}", m, se3_generator_catalog(m)) for m in (1, 2, 3)]
+    catalogs.append(("t3 m=3", 3, translation_sagbi_catalog(3)))
+    for label, m, catalog in catalogs:
+        vs = screw_varset(m)
+        for name, p in catalog:
+            corpus.append((f"{label} {name}", p, m, None))
+            for extra in ("w11*w12", "v11"):
+                corpus.append((f"{label} {name} + {extra}", p + parse(extra, vs), m, None))
+    return corpus
+
+
+class TestReferenceParity:
+    """The subgroup oracle answers as the whole-group substitution does."""
+
+    KINDS = (ActionKind.FULL_ADJOINT, ActionKind.ROTATION_SUB, ActionKind.TRANSLATION_SUB)
+
+    @pytest.mark.parametrize(
+        "f,m,expected", [pytest.param(f, m, e, id=label) for label, f, m, e in _parity_corpus()]
+    )
+    def test_same_answer_for_every_kind(self, f, m, expected):
+        got = tuple(check_invariant_symbolic(f, kind, m) for kind in self.KINDS)
+        reference = tuple(_reference_check_invariant_symbolic(f, kind, m) for kind in self.KINDS)
+        assert got == reference
+        if expected is not None:
+            assert got == expected
 
 
 class TestSampledInvariance:

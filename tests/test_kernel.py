@@ -88,6 +88,17 @@ def test_matches_reference_on_random_corpora(nvars, corpus):
         assert _kernel.terms_scale(a, c) == reference_scale(a, c)
 
 
+@pytest.mark.parametrize("nvars, corpus", CORPORA)
+def test_add_into_matches_fresh_sum_in_order(nvars, corpus):
+    # accumulating in place leaves the same dict, insertion order included,
+    # as the fresh sum, and reads `b` only
+    for a, b, _ in corpus_cases(nvars, corpus):
+        out, snapshot_b = dict(a), dict(b)
+        _kernel.terms_add_into(out, b)
+        assert list(out.items()) == list(_kernel.terms_add(a, b).items())
+        assert b == snapshot_b
+
+
 @pytest.mark.parametrize("nvars", [2, 3])
 def test_sign_corpora_cancel_in_products(nvars):
     # the reference drops a zero sum, so the corpus reaches the kernel's
