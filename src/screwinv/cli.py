@@ -58,9 +58,13 @@ MAX_SO3_VECTORS = 9
 # SAGBI cost grows steeply with the degree bound: three screws take ~23 s at
 # bound 7 and ~4.5x more per further degree, and even the three-generator
 # seed x + y, x*y, x*y^2 takes 0.4 s at 16 but ~90 s at 32.  16 is twice the
-# paper's largest bound and keeps the recursive tete-a-tete enumeration far
-# below the interpreter's recursion limit.
+# paper's largest bound.
 MAX_DEGREE_BOUND = 16
+
+# One sample costs ~0.7 ms on one screw and ~1.2-1.6 ms on three-screw SE(3)
+# catalog elements (Intel Xeon, CPython 3.11), so the cap bounds a passing
+# sampled check to ~7-16 s on such inputs; the default is 32.
+MAX_SAMPLES = 10_000
 
 
 class _CliError(Exception):
@@ -174,6 +178,8 @@ def cmd_invariance(args) -> tuple[int, list[str], dict]:
         lines = [f"{'PASS' if ok else 'FAIL'}: {detail}"]
         payload = {"invariant": ok, "mode": "symbolic"}
         return (EXIT_OK if ok else EXIT_INVARIANCE), lines, payload
+    if args.samples > MAX_SAMPLES:
+        raise _CliError(f"--samples supports at most {MAX_SAMPLES}")
     check = check_invariant_sampled(f, kind, args.screws, n_samples=args.samples, seed=args.seed)
     payload = {"invariant": check.ok, "mode": "sample", "samples": args.samples, "seed": args.seed}
     if check.ok:

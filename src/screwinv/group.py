@@ -4,7 +4,8 @@ Rotations are 3x3 matrices of Fractions, validated orthogonal with
 determinant 1 on construction; exact rotations are sampled by pushing
 integer quaternions through the (rational) quaternion-to-matrix formula.
 A displacement acts on a twist by the 6x6 block matrix [[R, 0], [TR, R]],
-with T the skew matrix of the translation.
+with T the skew matrix of the translation t, so the columns of TR are t
+crossed with the columns of R.
 
 Invariance of a polynomial under the full action or either sub-action can
 be checked two independent ways: symbolically (substituting the action of
@@ -65,12 +66,6 @@ def mat_vec(a, v):
 
 def transpose(a):
     return tuple(zip(*a))
-
-
-def skew(v: Vec3) -> Mat3:
-    x, y, z = v
-    zero = Fraction(0)
-    return ((zero, -z, y), (z, zero, -x), (-y, x, zero))
 
 
 IDENTITY3: Mat3 = (
@@ -185,25 +180,27 @@ class EuclideanElement:
         return self.compose(other)
 
 
+def _act(r, t, omega, vee):
+    """The adjoint action (omega, v) -> (R omega, t x (R omega) + R v).
+
+    Ring-generic: the entries may be Fractions or Polynomials, so the same
+    formula acts on numbers and builds the symbolic images.
+    """
+    rw = mat_vec(r, omega)
+    return rw, tuple(a + b for a, b in zip(cross(t, rw), mat_vec(r, vee)))
+
+
 def adjoint_matrix(g: EuclideanElement) -> tuple:
     """The 6x6 block matrix [[R, 0], [TR, R]] acting on (omega, v)."""
     r = g.rotation.entries
-    tr = mat_mul(skew(g.translation), r)
-    zero = Fraction(0)
-    rows = []
-    for i in range(3):
-        rows.append(tuple(r[i]) + (zero, zero, zero))
-    for i in range(3):
-        rows.append(tuple(tr[i]) + tuple(r[i]))
-    return tuple(rows)
+    tr = transpose([cross(g.translation, column) for column in transpose(r)])
+    zero = (Fraction(0),) * 3
+    return tuple(row + zero for row in r) + tuple(a + b for a, b in zip(tr, r))
 
 
 def transform_twist(g: EuclideanElement, t: Twist) -> Twist:
-    """(omega, v) -> (R omega, r x (R omega) + R v)."""
-    rw = g.rotation.apply(t.omega)
-    rv = g.rotation.apply(t.vee)
-    tv = cross(g.translation, rw)
-    return Twist(rw, tuple(a + b for a, b in zip(tv, rv)))
+    """(omega, v) -> (R omega, t x (R omega) + R v)."""
+    return Twist(*_act(g.rotation.entries, g.translation, t.omega, t.vee))
 
 
 def apply_adjoint(g: EuclideanElement, s: MultiScrew) -> MultiScrew:
@@ -258,8 +255,8 @@ class PullbackSystem:
 def pullback(kind: ActionKind, m: int) -> PullbackSystem:
     """Build the pullback system of the chosen action on m screws.
 
-    Every kind uses the one adjoint formula: omega_i maps to R omega_i and
-    v_i to t x (R omega_i) + R v_i.  R is the quaternion matrix with its
+    Every kind uses the one adjoint formula `_act`: omega_i maps to R omega_i
+    and v_i to t x (R omega_i) + R v_i.  R is the quaternion matrix with its
     |q|^2 denominator cleared, or the identity for the translation
     sub-action; t is (t1, t2, t3), or zero for the rotation sub-action.
     """
@@ -280,13 +277,7 @@ def pullback(kind: ActionKind, m: int) -> PullbackSystem:
     else:
         r = IDENTITY3
     t = symbolic_vector(vs, "t") if "t1" in vs else (0, 0, 0)
-    omega_images = []
-    vee_images = []
-    for i in range(1, m + 1):
-        rw = mat_vec(r, symbolic_vector(vs, f"w{i}"))
-        rv = mat_vec(r, symbolic_vector(vs, f"v{i}"))
-        omega_images.extend(rw)
-        vee_images.extend(a + b for a, b in zip(cross(t, rw), rv))
+    images = _images(vs, m, r, t)
     return PullbackSystem(
         kind=kind,
         m=m,
@@ -294,63 +285,65 @@ def pullback(kind: ActionKind, m: int) -> PullbackSystem:
         order=order,
         group_vars=group_vars,
         space_vars=space.names,
-        images=tuple(omega_images + vee_images),
+        images=tuple(images[name] for name in space.names),
         projective=kind is not ActionKind.TRANSLATION_SUB,
     )
+
+
+def _images(vs: VariableSet, m: int, r, t) -> dict[str, Polynomial]:
+    """Each screw coordinate's name -> its image over `vs` under (r, t)."""
+    images = {}
+    for i in range(1, m + 1):
+        omega, vee = _act(r, t, symbolic_vector(vs, f"w{i}"), symbolic_vector(vs, f"v{i}"))
+        images.update(zip((f"w{i}{n}" for n in (1, 2, 3)), omega))
+        images.update(zip((f"v{i}{n}" for n in (1, 2, 3)), vee))
+    return images
 
 
 # The rotation axes whose one-parameter subgroups generate SO(3): e3 and e1.
 ROTATION_AXES = ("q3", "q1")
 
 
-def _rotation_invariant(f: Polynomial, m: int) -> bool:
-    """Exact invariance of `f` under every rotation about e3 and about e1.
+def _families(kind: ActionKind, m: int):
+    """Yield (varset, images, norm2) for each family of elements `kind` checks.
 
-    The quaternion images carry a cleared |q|^2 denominator each.  With the
-    other two of q1, q2, q3 set to zero, each homogeneous component of
-    degree d is compared against (q0^2 + q_k^2)^d times itself; since the
-    action is linear this per-degree test is exactly equivalent to
-    invariance under every rotation about e_k.
+    First one rotation family per axis e_k in ROTATION_AXES: the quaternion
+    matrix over (q0, q_k), the other two of q1..q3 zero, with its cleared
+    denominator norm2 = q0^2 + q_k^2.  Then the translations,
+    `pullback(t3, m)`, with norm2 = 1.  Lazy: after a failed family nothing
+    more is built.
     """
-    system = pullback(ActionKind.ROTATION_SUB, m)
-    vs = system.varset
-    identity = {name: Polynomial.variable(vs, name) for name in vs.names}
-    zero, q0 = Polynomial.zero(vs), identity["q0"]
-    components = f.degree_components()
-    for axis in ROTATION_AXES:
-        off_axis = {name: zero for name in ("q1", "q2", "q3") if name != axis}
-        on_axis = {**identity, **off_axis}
-        images = {name: img.substitute(on_axis) for name, img in system.image_map().items()}
-        norm2 = q0 * q0 + identity[axis] * identity[axis]
-        for degree, component in components.items():
-            if component.substitute(images) != norm2 ** degree * component.rename(vs):
-                return False
-    return True
-
-
-def _translation_invariant(f: Polynomial, m: int) -> bool:
-    """Exact invariance of `f` under every translation, one substitution."""
-    system = pullback(ActionKind.TRANSLATION_SUB, m)
-    return f.substitute(system.image_map()) == f.rename(system.varset)
+    space = screw_varset(m)
+    if kind is not ActionKind.TRANSLATION_SUB:
+        for axis in ROTATION_AXES:
+            vs = VariableSet(("q0", axis) + space.names)
+            q0, qk = Polynomial.variable(vs, "q0"), Polynomial.variable(vs, axis)
+            q = [qk if name == axis else 0 for name in ("q1", "q2", "q3")]
+            yield vs, _images(vs, m, _quaternion_matrix_raw(q0, *q), (0, 0, 0)), q0 * q0 + qk * qk
+    if kind is not ActionKind.ROTATION_SUB:
+        system = pullback(ActionKind.TRANSLATION_SUB, m)
+        yield system.varset, system.image_map(), Polynomial.constant(system.varset, 1)
 
 
 def check_invariant_symbolic(f: Polynomial, kind: ActionKind, m: int) -> bool:
     """Exact symbolic invariance test of `f` under the chosen action.
 
-    `t3` substitutes the translation pullback once.  `so3` checks the
-    rotations about e3 and about e1, which generate SO(3).  `se3` checks
-    both, since every (R, t) = (I, t)(R, 0).  Each check is an exact
-    polynomial identity in symbolic group parameters; see the module
-    docstring for why the subgroups suffice.
+    `so3` checks the two rotation families of `_families` (about e3 and e1,
+    which generate SO(3)), `t3` the translations, and `se3` both, since
+    every (R, t) = (I, t)(R, 0).  Per family, each homogeneous component of
+    degree d must map to norm2^d times itself: an exact polynomial identity
+    that, the action being linear, is invariance under the whole family.
+    See the module docstring for why the families suffice.
     """
     space = screw_varset(m)
     if f.varset != space:
         raise ValueError(f"polynomial must live over the {m}-screw variable set")
-    if kind is ActionKind.TRANSLATION_SUB:
-        return _translation_invariant(f, m)
-    if kind is ActionKind.ROTATION_SUB:
-        return _rotation_invariant(f, m)
-    return _rotation_invariant(f, m) and _translation_invariant(f, m)
+    components = f.degree_components()
+    for vs, images, norm2 in _families(kind, m):
+        for degree, component in components.items():
+            if component.substitute(images) != norm2 ** degree * component.rename(vs):
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -362,12 +355,7 @@ class Counterexample:
     after: Fraction
 
     def element(self) -> EuclideanElement:
-        rot = (
-            Rotation.identity()
-            if self.quaternion is None
-            else rotation_from_quaternion(self.quaternion)
-        )
-        return EuclideanElement(rot, self.translation)
+        return _element(self.quaternion, self.translation)
 
 
 @dataclass(frozen=True)
@@ -379,6 +367,11 @@ class SampledCheck:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _element(q: RationalQuaternion | None, t: Vec3) -> EuclideanElement:
+    """The element (R(q), t); no quaternion means no rotation."""
+    return EuclideanElement(Rotation.identity() if q is None else rotation_from_quaternion(q), t)
 
 
 def _sample_group(rng: random.Random, kind: ActionKind):
@@ -395,8 +388,7 @@ def _sample_group(rng: random.Random, kind: ActionKind):
         t = (Fraction(0), Fraction(0), Fraction(0))
     else:
         t = tuple(Fraction(rng.randint(-1000, 1000)) for _ in range(3))
-    rot = Rotation.identity() if q is None else rotation_from_quaternion(q)
-    return q, t, EuclideanElement(rot, t)
+    return q, t, _element(q, t)
 
 
 def _sample_screw(rng: random.Random, m: int) -> MultiScrew:
@@ -475,4 +467,4 @@ def parse_group_element(text: str) -> EuclideanElement:
     tvals = [parse_rational(x) for x in tpart[2:].split()]
     if len(qvals) != 4 or len(tvals) != 3:
         raise ValueError("expected four quaternion and three translation components")
-    return EuclideanElement(rotation_from_quaternion(RationalQuaternion(*qvals)), tuple(tvals))
+    return _element(RationalQuaternion(*qvals), tuple(tvals))

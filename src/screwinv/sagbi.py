@@ -217,7 +217,8 @@ def tete_a_tetes(basis: GeneratorSet, degree_bound: int) -> list[TeteATete]:
     support within each bucket of two or more.  The products are found by
     an extension search: each product is extended only by generators of
     index at least its last one while the degree fits, so every product is
-    visited exactly once.
+    visited exactly once.  The search keeps its own stack, so a large bound
+    is limited by time, not by the interpreter's recursion limit.
 
     A relation ``(a, b)`` is kept unless another found relation fits
     inside it: some found ``(x, y)`` with ``0 < x < a`` and ``y <= b``.
@@ -236,7 +237,9 @@ def tete_a_tetes(basis: GeneratorSet, degree_bound: int) -> list[TeteATete]:
     ngens = len(lms)
     buckets: dict[tuple, list[tuple]] = {}
 
-    def extend(last: int, path: tuple, mono: tuple, remaining: int) -> None:
+    stack = [(0, (), basis.order.varset.unit(), degree_bound)]
+    while stack:
+        last, path, mono, remaining = stack.pop()
         for i in range(last, ngens):
             d = degs[i]
             if d > remaining:
@@ -244,9 +247,7 @@ def tete_a_tetes(basis: GeneratorSet, degree_bound: int) -> list[TeteATete]:
             longer = path + (i,)
             product = tuple(map(add, mono, lms[i]))
             buckets.setdefault(product, []).append(longer)
-            extend(i, longer, product, remaining - d)
-
-    extend(0, (), basis.order.varset.unit(), degree_bound)
+            stack.append((i, longer, product, remaining - d))
 
     def dense(path: tuple) -> tuple:
         vec = [0] * ngens

@@ -91,7 +91,7 @@ class TestSagbi:
         assert any(line.startswith("x*y^3") for line in out.splitlines())
 
     def test_huge_degree_bound_exits_1(self, capsys, tmp_path):
-        # an unchecked bound this size overflowed the recursive enumeration
+        # an unchecked bound this size would not finish in any useful time
         seed_file = tmp_path / "chain.txt"
         seed_file.write_text("order: lex x y\nx + y\nx*y\nx*y^2\n")
         code, out, err = run(capsys, "sagbi", str(seed_file), "--degree-bound", "100000")
@@ -161,6 +161,14 @@ class TestInvariance:
         )
         assert code == 3
         assert "FAIL" in out and "q:" in out and "t:" in out
+
+    def test_sample_count_capped(self, capsys):
+        argv = ["invariance", "--poly", "w11", "--group", "se3", "--screws", "1", "--mode", "sample"]
+        code, out, _ = run(capsys, *argv, "--samples", str(cli.MAX_SAMPLES))
+        assert code == 3 and out.startswith("FAIL")
+        code, out, err = run(capsys, *argv, "--samples", str(cli.MAX_SAMPLES + 1))
+        assert code == 1 and out == ""
+        assert err == f"error: --samples supports at most {cli.MAX_SAMPLES}\n"
 
     def test_bracket_sum_symbolic(self, capsys):
         zsum = (

@@ -150,6 +150,18 @@ class TestAdjoint:
         a = adjoint_matrix(EuclideanElement.identity())
         assert all(a[i][j] == (1 if i == j else 0) for i in range(6) for j in range(6))
 
+    def test_hand_computed_matrix(self):
+        # a quarter turn about e1, then t = (1, 2, 3): TR is skew(t) R by hand
+        g = EuclideanElement(rotation_from_quaternion(RationalQuaternion(1, 1, 0, 0)), (1, 2, 3))
+        assert adjoint_matrix(g) == (
+            (1, 0, 0, 0, 0, 0),
+            (0, 0, -1, 0, 0, 0),
+            (0, 1, 0, 0, 0, 0),
+            (0, 2, 3, 1, 0, 0),
+            (3, -1, 0, 0, 0, -1),
+            (-2, 0, -1, 0, 1, 0),
+        )
+
     def test_pure_translation_example(self):
         g = EuclideanElement(Rotation.identity(), (1, 0, 0))
         t = transform_twist(g, Twist((0, 0, 1), (0, 0, 0)))

@@ -465,6 +465,12 @@ class TestTeteATetes:
         with pytest.raises(ValueError):
             tete_a_tetes(basis, 0)
 
+    def test_bound_beyond_recursion_limit(self):
+        # one product per degree, 3000 deep: a recursive search would overflow
+        vs = VariableSet(["x"])
+        basis = GeneratorSet([parse("x", vs)], vs.default_order())
+        assert tete_a_tetes(basis, 3000) == []
+
     @pytest.mark.parametrize("seed", range(36))
     def test_matches_reference_on_random_sets(self, seed):
         rng = random.Random(1000 + seed)
@@ -539,6 +545,12 @@ class TestConstruction:
         for pair in tete_a_tetes(res.basis, res.degree_bound):
             diff = res.basis.power_product(pair.a) - res.basis.power_product(pair.b)
             assert subduct(diff, res.basis).remainder.is_zero()
+
+    def test_bound_beyond_recursion_limit(self):
+        vs = VariableSet(["x"])
+        seed = GeneratorSet([parse("x", vs)], vs.default_order())
+        res = sagbi_construct(seed, degree_bound=3000)
+        assert res.complete and len(res.basis) == 1 and res.iterations == 1
 
     def test_empty_seed_rejected(self):
         vs = VariableSet(["x"])
