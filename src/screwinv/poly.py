@@ -1,10 +1,15 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 A polynomial is a dict mapping exponent tuples (one entry per variable of
-an immutable :class:`VariableSet`) to nonzero ``Fraction`` coefficients.
-The zero polynomial has an empty term map.  Everything here is exact: no
-floats, no tolerances, and all values are immutable after construction, so
-they are safe to share across threads.
+an immutable :class:`VariableSet`) to nonzero rational coefficients.  A
+coefficient enters a term map as an ``int`` when it is integral and as a
+``Fraction`` otherwise, so integral polynomials (every pullback, catalog
+and translation basis) run on int arithmetic.  Kernel arithmetic on real
+fractions may still leave an integral ``Fraction``; it compares equal to
+the ``int`` and prints the same.  The zero polynomial has an empty term
+map.  Everything here is exact: no floats, no tolerances, and all values
+are immutable after construction, so they are safe to share across
+threads.
 
 Term orders are pure lexicographic with an explicit variable priority; a
 prefix of the priority list acts as an elimination block.
@@ -156,6 +161,12 @@ def _coerce(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _coeff(value) -> int | Fraction:
+    """A polynomial coefficient: `_coerce`, then an int when integral."""
+    value = _coerce(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
@@ -171,9 +182,9 @@ class Polynomial:
                     not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exps
                 ):
                     raise ValueError(f"bad exponent tuple {exps!r} for {varset!r}")
-                coeff = _coerce(coeff)
+                coeff = _coeff(coeff)
                 if coeff:
-                    clean[exps] = clean.get(exps, Fraction(0)) + coeff
+                    clean[exps] = clean.get(exps, 0) + coeff
                     if not clean[exps]:
                         del clean[exps]
         self.varset = varset
@@ -196,7 +207,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, varset: VariableSet, value) -> "Polynomial":
-        value = _coerce(value)
+        value = _coeff(value)
         if not value:
             return cls._raw(varset, {})
         return cls._raw(varset, {varset.unit(): value})
@@ -205,7 +216,7 @@ class Polynomial:
     def variable(cls, varset: VariableSet, name: str) -> "Polynomial":
         exps = [0] * len(varset)
         exps[varset.index(name)] = 1
-        return cls._raw(varset, {tuple(exps): Fraction(1)})
+        return cls._raw(varset, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, varset: VariableSet, exps: Exponents, coeff=1) -> "Polynomial":
@@ -223,8 +234,8 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def coefficient(self, exps: Exponents) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Exponents) -> int | Fraction:
+        return self.terms.get(tuple(exps), 0)
 
     def used_variables(self) -> list[str]:
         """Names appearing with a positive exponent in some term."""
@@ -301,7 +312,7 @@ class Polynomial:
         return result
 
     def scale(self, c) -> "Polynomial":
-        c = _coerce(c)
+        c = _coeff(c)
         if not c:
             return Polynomial.zero(self.varset)
         return Polynomial._raw(self.varset, terms_scale(self.terms, c))
@@ -318,7 +329,7 @@ class Polynomial:
     # ------------------------------------------------------------------
     # term-order-dependent operations
 
-    def leading_term(self, order: TermOrder | None = None) -> tuple[Exponents, Fraction]:
+    def leading_term(self, order: TermOrder | None = None) -> tuple[Exponents, int | Fraction]:
         """Largest (monomial, coefficient) pair under `order`.
 
         Raises ValueError on the zero polynomial, which has no leading term.
@@ -356,7 +367,7 @@ class Polynomial:
         if not used:
             # constant: nothing to substitute
             target = next(iter(images.values())).varset if images else self.varset
-            return Polynomial.constant(target, self.terms.get(self.varset.unit(), Fraction(0)))
+            return Polynomial.constant(target, self.terms.get(self.varset.unit(), 0))
         target = None
         for name in used:
             if name not in images:
@@ -366,7 +377,7 @@ class Polynomial:
                 target = img.varset
             elif img.varset != target:
                 raise ValueError("substitution images use mismatched variable sets")
-        unit = {target.unit(): Fraction(1)}
+        unit = {target.unit(): 1}
         # cache of image powers, keyed by (variable index, exponent)
         powers: dict[int, list[dict]] = {}
         for name in used:

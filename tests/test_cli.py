@@ -28,6 +28,13 @@ class TestPoly:
         )
         assert code == 0 and out.strip() == "3"
 
+    def test_eval_prints_integral_values_plainly(self, capsys):
+        argv = ["poly", "2*x - y", "--vars", "x y", "--eval", "x=2, y=1"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == "3\n"
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 0 and json.loads(out)["items"] == [{"value": "3"}]
+
     def test_parse_error_exits_1(self, capsys):
         code, _, err = run(capsys, "poly", "w11 + $", "--screws", "1")
         assert code == 1 and "error" in err
@@ -105,6 +112,15 @@ class TestSagbi:
         code, out, _ = run(capsys, "sagbi", str(seed_file), "--degree-bound", bound)
         assert code == 0 and f"degree_bound: {bound}" in out.splitlines()
 
+    @pytest.mark.parametrize("flag", ["--degree-bound", "--max-iter"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bound_below_1_names_the_flag(self, capsys, tmp_path, flag, value):
+        seed_file = tmp_path / "chain.txt"
+        seed_file.write_text("order: lex x y\nx + y\nx*y\nx*y^2\n")
+        code, out, err = run(capsys, "sagbi", str(seed_file), flag, value)
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} must be at least 1\n"
+
     def test_bad_file_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("order: lex x\nx + $\n")
@@ -169,6 +185,18 @@ class TestInvariance:
         code, out, err = run(capsys, *argv, "--samples", str(cli.MAX_SAMPLES + 1))
         assert code == 1 and out == ""
         assert err == f"error: --samples supports at most {cli.MAX_SAMPLES}\n"
+
+    def test_symbolic_degree_capped(self, capsys):
+        cap = cli.MAX_SYMBOLIC_DEGREE
+        argv = ["invariance", "--group", "t3", "--screws", "3"]
+        code, out, _ = run(capsys, *argv, "--poly", f"w11^{cap}")
+        assert code == 0 and out.startswith("PASS")
+        for poly in (f"w11^{cap + 1}", f"w11 + w12^{cap}*v33", "w11^1000000"):
+            code, out, err = run(capsys, *argv, "--poly", poly)
+            assert code == 1 and out == ""
+            assert err == (
+                f"error: symbolic mode supports --poly of degree at most {cap}\n"
+            )
 
     def test_bracket_sum_symbolic(self, capsys):
         zsum = (

@@ -72,6 +72,12 @@ def _cli_cases() -> dict:
         argv = ["sagbi", f"{{pullback_{m}}}", "--degree-bound", "4"]
         cases[f"sagbi_pullback_{m}"] = argv
         cases[f"sagbi_pullback_{m}_eliminated"] = [*argv, "--eliminate", "t1,t2,t3"]
+    # bound 5 on three screws: 45/163/207 tete-a-tetes in the three passes
+    # (21/54/64 at bound 4), so many more subduction paths are pinned
+    argv = ["sagbi", "{pullback_3}", "--degree-bound", "5"]
+    for label, extra in (("", []), ("_eliminated", ["--eliminate", "t1,t2,t3"])):
+        cases[f"sagbi_pullback_3_bound_5{label}"] = [*argv, *extra]
+        cases[f"sagbi_pullback_3_bound_5{label}_json"] = ["--json", *argv, *extra]
     cases["sagbi_chain_max_iter_1"] = ["sagbi", "{chain}", "--max-iter", "1"]
     for label, poly in SUBDUCT_INPUTS.items():
         argv = ["subduct", "--basis", "{eliminated_2}", "--poly", poly]

@@ -26,6 +26,7 @@ from screwinv.group import (
 from screwinv.parsing import format_poly, parse
 from screwinv.poly import Polynomial
 from screwinv.screw import (
+    ExactRadical,
     MultiScrew,
     Twist,
     det,
@@ -33,6 +34,7 @@ from screwinv.screw import (
     killing_dot,
     klein_form,
     mixed_form,
+    pitch,
     screw_varset,
     se3_generator_catalog,
     symbolic_vector,
@@ -463,6 +465,44 @@ class TestTranslationBasis:
         got = {g.leading_monomial(res.basis.order): g for g in res.basis}
         expected = {p.leading_monomial(): p for p in catalog.polynomials()}
         assert got == expected
+
+
+class TestIntegerCoefficients:
+    """The paper's polynomials are integral, and their coefficients are
+    stored as ints: the SAGBI and invariance work runs on int arithmetic."""
+
+    @staticmethod
+    def coefficient_types(polys) -> set:
+        return {type(c) for p in polys for c in p.terms.values()}
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("kind", list(ActionKind))
+    def test_pullback_images(self, kind, m):
+        assert self.coefficient_types(pullback(kind, m).images) == {int}
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("catalog", [se3_generator_catalog, translation_sagbi_catalog])
+    def test_catalogs(self, catalog, m):
+        assert self.coefficient_types(catalog(m).polynomials()) == {int}
+
+    def test_three_screw_translation_basis(self):
+        res = translation_invariant_basis(3, 5)
+        assert len(res.basis) == 26
+        assert self.coefficient_types(res.basis) == {int}
+
+    def test_divided_values_stay_fractions(self):
+        # outside polynomials the exact-number rule keeps Fractions, integral
+        # or not: quaternions, vectors and radicals are divided, and an int
+        # quotient would be a float
+        q = RationalQuaternion(1, 1, 1, 0)
+        assert {type(c) for c in q.components()} == {Fraction}
+        r = rotation_from_quaternion(q)
+        assert r.entries[0] == (Fraction(1, 3), Fraction(2, 3), Fraction(2, 3))
+        assert {type(e) for row in r.entries for e in row} == {Fraction}
+        g = EuclideanElement(r, (1, 2, 3))
+        assert {type(c) for c in g.translation} == {Fraction}
+        assert pitch(Twist((0, 0, 3), (0, 0, 1))).value == Fraction(1, 3)
+        assert ExactRadical(1, 3).squared() == Fraction(1, 3)
 
 
 class TestSerialization:

@@ -99,6 +99,40 @@ def test_add_into_matches_fresh_sum_in_order(nvars, corpus):
         assert b == snapshot_b
 
 
+def _integral_as_int(c):
+    return c.numerator if c.denominator == 1 else c
+
+
+def _ints(terms: dict) -> dict:
+    return {e: _integral_as_int(c) for e, c in terms.items()}
+
+
+@pytest.mark.parametrize("nvars, corpus", CORPORA)
+def test_int_and_fraction_coefficients_agree_in_order(nvars, corpus):
+    # polynomials store integral coefficients as ints: with every integral
+    # n given as n instead of Fraction(n), each kernel returns the same term
+    # map, insertion order included, and int inputs give int outputs
+    for a, b, c in corpus_cases(nvars, corpus):
+        ia, ib, ic = _ints(a), _ints(b), _integral_as_int(c)
+        out, int_out = dict(a), dict(ia)
+        _kernel.terms_add_into(out, b)
+        _kernel.terms_add_into(int_out, ib)
+        pairs = [
+            (out, int_out),
+            (_kernel.terms_add(a, b), _kernel.terms_add(ia, ib)),
+            (_kernel.terms_sub(a, b), _kernel.terms_sub(ia, ib)),
+            (_kernel.terms_mul(a, b), _kernel.terms_mul(ia, ib)),
+            (_kernel.terms_scale(a, c), _kernel.terms_scale(ia, ic)),
+        ]
+        for fractions, ints in pairs:
+            assert list(ints.items()) == list(fractions.items())
+        if corpus is sign_terms:
+            # every coefficient is +-1, so nothing but ints may come out
+            # (the scaled map is left out: the scalar may be a fraction)
+            for _, ints in pairs[:-1]:
+                assert all(type(v) is int for v in ints.values())
+
+
 @pytest.mark.parametrize("nvars", [2, 3])
 def test_sign_corpora_cancel_in_products(nvars):
     # the reference drops a zero sum, so the corpus reaches the kernel's

@@ -142,6 +142,62 @@ class TestArithmetic:
             Polynomial(VariableSet(["x", "y"]), {(1, 0): True})
 
 
+class TestCoefficientRule:
+    """A coefficient is stored as an int when integral, else as a Fraction."""
+
+    @staticmethod
+    def types(f: Polynomial) -> dict:
+        return {exps: type(c) for exps, c in f.terms.items()}
+
+    def test_parse(self):
+        vs = VariableSet(["x", "y", "z"])
+        f = parse("3*x + 1/2*y - 6/3*z + x*y + 4", vs)
+        assert self.types(f) == {
+            (1, 0, 0): int, (0, 1, 0): Fraction, (0, 0, 1): int, (1, 1, 0): int, (0, 0, 0): int
+        }
+        assert f.coefficient((0, 0, 1)) == -2
+        assert f.coefficient((5, 0, 0)) == 0 and type(f.coefficient((5, 0, 0))) is int
+
+    def test_constructors(self):
+        vs = VariableSet(["x", "y"])
+        assert type(Polynomial.constant(vs, Fraction(4, 2)).terms[vs.unit()]) is int
+        assert type(Polynomial.constant(vs, Fraction(1, 3)).terms[vs.unit()]) is Fraction
+        assert self.types(Polynomial.variable(vs, "y")) == {(0, 1): int}
+        f = Polynomial(vs, {(1, 0): Fraction(-6, 2), (0, 1): Fraction(1, 2)})
+        assert self.types(f) == {(1, 0): int, (0, 1): Fraction}
+        assert self.types(Polynomial.monomial(vs, (2, 1), Fraction(5))) == {(2, 1): int}
+
+    def test_scale_monic_and_division(self):
+        vs = VariableSet(["x", "y"])
+        f = parse("-x + 2*y", vs)
+        assert self.types(f.scale(Fraction(6, 3))) == {(1, 0): int, (0, 1): int}
+        assert self.types(f * Fraction(-1)) == {(1, 0): int, (0, 1): int}
+        assert self.types(f / Fraction(1, 3)) == {(1, 0): int, (0, 1): int}
+        assert self.types(f.monic()) == {(1, 0): int, (0, 1): int}
+        assert f.monic() == parse("x - 2*y", vs)
+        assert f / 2 == parse("-1/2*x + y", vs)
+        assert type((f / 2).coefficient((1, 0))) is Fraction
+        assert type(parse("2*x + 3*y", vs).monic().coefficient((0, 1))) is Fraction
+
+    def test_bool_still_rejected(self):
+        vs = VariableSet(["x"])
+        x = Polynomial.variable(vs, "x")
+        for make in (
+            lambda: Polynomial.constant(vs, True),
+            lambda: x.scale(False),
+            lambda: Polynomial.monomial(vs, (1,), True),
+        ):
+            with pytest.raises(ValueError):
+                make()
+
+    def test_evaluate_returns_a_fraction(self):
+        vs = VariableSet(["x", "y"])
+        value = parse("x*y + 1", vs).evaluate({"x": 2, "y": 1})
+        assert type(value) is Fraction and str(value) == "3"
+        zero = Polynomial.zero(vs).evaluate({})
+        assert type(zero) is Fraction and str(zero) == "0"
+
+
 class TestTermOrderKey:
     """`TermOrder.key` skips the permutation when the priority is the
     variable order; every observable result must be as if it did not."""
