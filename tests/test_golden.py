@@ -58,6 +58,16 @@ SUBDUCT_INPUTS = {
     "nonmember": "w11^2*v11 + w11*w12*v12 + w11*w13*v13 + w21*v12",
 }
 
+# se3 invariance checks, label -> (poly, screws, mode): the Klein form of one
+# screw passes both oracles; the cross-screw Klein-like form fails the
+# symbolic one, and w11 fails sampling with a counterexample (default seed).
+INVARIANCE_INPUTS = {
+    "symbolic_klein": ("w11*v11 + w12*v12 + w13*v13", 1, "symbolic"),
+    "symbolic_cross": ("w11*v21 + w12*v22 + w13*v23", 2, "symbolic"),
+    "sample_klein": ("w11*v11 + w12*v12 + w13*v13", 1, "sample"),
+    "sample_w11": ("w11", 1, "sample"),
+}
+
 
 def _cli_cases() -> dict:
     """Golden name -> argv; `{pullback_m}`, `{chain}`, `{eliminated_2}` and
@@ -87,6 +97,10 @@ def _cli_cases() -> dict:
         argv = ["dh", "--pair", f"{{{label}}}"]
         cases[label] = argv
         cases[f"{label}_json"] = ["--json", *argv]
+    for label, (poly, m, mode) in INVARIANCE_INPUTS.items():
+        argv = ["invariance", "--poly", poly, "--group", "se3", "--screws", str(m), "--mode", mode]
+        cases[f"invariance_{label}"] = argv
+        cases[f"invariance_{label}_json"] = ["--json", *argv]
     return cases
 
 
