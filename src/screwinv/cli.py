@@ -67,11 +67,14 @@ MAX_DEGREE_BOUND = 16
 MAX_SAMPLES = 10_000
 
 # The symbolic check expands every image power the input's exponents ask
-# for.  On three screws over se3 (Intel Xeon, CPython 3.11), a degree-32
-# monomial spread over all 18 coordinates takes ~3.6 s to fail and the
-# expanded (w11^2 + w12^2 + w13^2)^16, 153 terms, ~6.1 s to pass.  Catalog
-# elements have degree at most 4.
-MAX_SYMBOLIC_DEGREE = 32
+# for, and sampling evaluates the input at exact rationals whose size grows
+# with the degree (w11^1000000 would run for seconds and print a value too
+# long to convert).  On three screws over se3 (Intel Xeon, CPython 3.11), a
+# degree-32 monomial spread over all 18 coordinates takes ~3.6 s to fail
+# symbolically, and the expanded (w11^2 + w12^2 + w13^2)^16, 153 terms,
+# ~6.1 s to pass symbolically and ~7.5 s per 1,000 samples, so ~75 s at
+# MAX_SAMPLES.  Catalog elements have degree at most 4.
+MAX_POLY_DEGREE = 32
 
 
 class _CliError(Exception):
@@ -95,7 +98,7 @@ def _resolve_varset(args) -> VariableSet:
     if getattr(args, "vars", None):
         names = args.vars.replace(",", " ").split()
         return VariableSet(names)
-    if getattr(args, "screws", None):
+    if getattr(args, "screws", None) is not None:
         return screw_varset(args.screws)
     raise _CliError("give a variable context: --screws M or --vars LIST")
 
@@ -182,16 +185,16 @@ def cmd_invariance(args) -> tuple[int, list[str], dict]:
     kind = ActionKind(args.group)
     vs = screw_varset(args.screws)
     f = parse(args.poly, vs)
+    if max(map(sum, f.terms), default=0) > MAX_POLY_DEGREE:
+        raise _CliError(f"{args.mode} mode supports --poly of degree at most {MAX_POLY_DEGREE}")
     if args.mode == "symbolic":
-        if max(map(sum, f.terms), default=0) > MAX_SYMBOLIC_DEGREE:
-            raise _CliError(
-                f"symbolic mode supports --poly of degree at most {MAX_SYMBOLIC_DEGREE}"
-            )
         ok = check_invariant_symbolic(f, kind, args.screws)
         detail = "symbolic identity holds" if ok else "symbolic difference is nonzero"
         lines = [f"{'PASS' if ok else 'FAIL'}: {detail}"]
         payload = {"invariant": ok, "mode": "symbolic"}
         return (EXIT_OK if ok else EXIT_INVARIANCE), lines, payload
+    if args.samples < 1:
+        raise _CliError("--samples must be at least 1")
     if args.samples > MAX_SAMPLES:
         raise _CliError(f"--samples supports at most {MAX_SAMPLES}")
     check = check_invariant_sampled(f, kind, args.screws, n_samples=args.samples, seed=args.seed)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .parsing import parse_rational
 from .poly import Polynomial, TermOrder, VariableSet, _coerce
 from .sagbi import (
     DEFAULT_DEGREE_BOUND,
@@ -114,9 +113,6 @@ class Rotation:
             raise ValueError("matrix has determinant != 1")
         self.entries = entries
 
-    def apply(self, v: Vec3) -> Vec3:
-        return mat_vec(self.entries, v)
-
     def compose(self, other: "Rotation") -> "Rotation":
         out = object.__new__(Rotation)
         out.entries = mat_mul(self.entries, other.entries)
@@ -170,14 +166,11 @@ class EuclideanElement:
 
     def compose(self, other: "EuclideanElement") -> "EuclideanElement":
         """self after other: (R2, r2)(R1, r1) = (R2 R1, R2 r1 + r2)."""
-        r = self.rotation.apply(other.translation)
+        r = mat_vec(self.rotation.entries, other.translation)
         return EuclideanElement(
             self.rotation.compose(other.rotation),
             tuple(a + b for a, b in zip(r, self.translation)),
         )
-
-    def __matmul__(self, other: "EuclideanElement") -> "EuclideanElement":
-        return self.compose(other)
 
 
 def _act(r, t, omega, vee):
@@ -221,8 +214,8 @@ class PullbackSystem:
     For the translation sub-action the images are honest polynomials in
     t1..t3 and the screw coordinates.  For the rotation-bearing kinds the
     quaternion norm denominators are cleared, so each image is |q|^2 times
-    the true one (`projective=True`); those systems feed the symbolic
-    invariance check but are rejected as SAGBI seeds.
+    the true one (`projective=True`); those systems are pinned by
+    `tests/golden/pullback_{se3,so3}_*.txt` and refused as SAGBI seeds.
     """
 
     kind: ActionKind
@@ -236,12 +229,6 @@ class PullbackSystem:
 
     def image_map(self) -> dict[str, Polynomial]:
         return {name: img for name, img in zip(self.space_vars, self.images)}
-
-    def identity_values(self) -> dict[str, Fraction]:
-        values = {}
-        for name in self.group_vars:
-            values[name] = Fraction(1) if name == "q0" else Fraction(0)
-        return values
 
     def seed_generators(self) -> GeneratorSet:
         """The images as a SAGBI seed; translation sub-action only."""
@@ -448,23 +435,9 @@ def translation_invariant_basis(
 
 
 # ----------------------------------------------------------------------
-# group element text format: `q: a b c d; t: x y z`
+# group element text, as a counterexample prints it: `q: a b c d; t: x y z`
 
 def format_group_sample(q: RationalQuaternion | None, t: Vec3) -> str:
     qtext = "1 0 0 0" if q is None else " ".join(str(c) for c in q.components())
     ttext = " ".join(str(c) for c in vec3(t))
     return f"q: {qtext}; t: {ttext}"
-
-
-def parse_group_element(text: str) -> EuclideanElement:
-    parts = text.split(";")
-    if len(parts) != 2:
-        raise ValueError("expected `q: a b c d; t: x y z`")
-    qpart, tpart = parts[0].strip(), parts[1].strip()
-    if not qpart.startswith("q:") or not tpart.startswith("t:"):
-        raise ValueError("expected `q: a b c d; t: x y z`")
-    qvals = [parse_rational(x) for x in qpart[2:].split()]
-    tvals = [parse_rational(x) for x in tpart[2:].split()]
-    if len(qvals) != 4 or len(tvals) != 3:
-        raise ValueError("expected four quaternion and three translation components")
-    return _element(RationalQuaternion(*qvals), tuple(tvals))

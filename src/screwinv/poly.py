@@ -218,10 +218,6 @@ class Polynomial:
         exps[varset.index(name)] = 1
         return cls._raw(varset, {tuple(exps): 1})
 
-    @classmethod
-    def monomial(cls, varset: VariableSet, exps: Exponents, coeff=1) -> "Polynomial":
-        return cls(varset, {tuple(exps): coeff})
-
     # ------------------------------------------------------------------
     # basic queries
 

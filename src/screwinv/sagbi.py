@@ -408,11 +408,6 @@ def is_member(f: Polynomial, result: SagbiResult) -> MembershipResult:
     )
 
 
-def verify_sagbi(basis: GeneratorSet, witnesses: Iterable[Polynomial]) -> bool:
-    """Falsifiable partial check: every witness must subduct to zero."""
-    return all(subduct(w, basis).remainder.is_zero() for w in witnesses)
-
-
 # ----------------------------------------------------------------------
 # basis file format: `order: lex v1 v2 ...` header, one polynomial per line
 
@@ -422,7 +417,6 @@ def write_basis_file(
     complete: bool | None = None,
     degree_bound: int | None = None,
     iterations: int | None = None,
-    names: Sequence[str] | None = None,
 ) -> None:
     stream.write(f"order: lex {' '.join(basis.order.priority)}\n")
     if complete is not None:
@@ -431,11 +425,8 @@ def write_basis_file(
         stream.write(f"degree_bound: {degree_bound}\n")
     if iterations is not None:
         stream.write(f"iterations: {iterations}\n")
-    for i, g in enumerate(basis.gens):
-        line = format_poly(g, basis.order)
-        if names is not None and i < len(names):
-            line += f"  # {names[i]}"
-        stream.write(line + "\n")
+    for g in basis.gens:
+        stream.write(format_poly(g, basis.order) + "\n")
 
 
 def read_basis_file(stream: IO[str]) -> tuple[GeneratorSet, dict]:

@@ -58,9 +58,6 @@ class Twist:
         object.__setattr__(self, "omega", vec3(self.omega))
         object.__setattr__(self, "vee", vec3(self.vee))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.omega) and all(c == 0 for c in self.vee)
-
 
 @dataclass(frozen=True)
 class MultiScrew:
@@ -148,13 +145,6 @@ def joint_type(t: Twist) -> JointType:
     if p.kind == "infinite":
         return JointType.P
     return JointType.R if p.value == 0 else JointType.H
-
-
-def pitch_invariance_check(g, t: Twist) -> bool:
-    """Pitch is unchanged by the adjoint action of `g` (exact comparison)."""
-    from .group import transform_twist
-
-    return pitch(transform_twist(g, t)) == pitch(t)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """CLI behaviour: exit codes, output shapes, --json, mutation sanity."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from screwinv import cli
+from screwinv.parsing import format_poly, parse
+from screwinv.screw import screw_varset
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -57,6 +60,11 @@ class TestPoly:
     def test_missing_context_exits_1(self, capsys):
         code, _, err = run(capsys, "poly", "w11")
         assert code == 1
+
+    def test_zero_screws_exits_1(self, capsys):
+        code, out, err = run(capsys, "poly", "w11", "--screws", "0")
+        assert code == 1 and out == ""
+        assert err == "error: need at least one screw\n"
 
     def test_explicit_vars_and_order(self, capsys):
         code, out, _ = run(
@@ -186,8 +194,28 @@ class TestInvariance:
         assert code == 1 and out == ""
         assert err == f"error: --samples supports at most {cli.MAX_SAMPLES}\n"
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_sample_count_below_1_names_the_flag(self, capsys, samples):
+        argv = ["invariance", "--poly", "w11", "--group", "se3", "--screws", "1", "--mode", "sample"]
+        code, out, err = run(capsys, *argv, "--samples", samples)
+        assert code == 1 and out == ""
+        assert err == "error: --samples must be at least 1\n"
+
+    def test_sample_degree_capped(self, capsys):
+        cap = cli.MAX_POLY_DEGREE
+        argv = ["invariance", "--group", "so3", "--screws", "1", "--mode", "sample"]
+        norm = parse("w11^2 + w12^2 + w13^2", screw_varset(1)) ** (cap // 2)
+        code, out, _ = run(capsys, *argv, "--poly", format_poly(norm))
+        assert code == 0 and out.startswith("PASS")
+        for poly in (f"w11^{cap + 1}", f"w11 + w12^{cap}*v11", "w11^1000000"):
+            t0 = time.monotonic()
+            code, out, err = run(capsys, *argv, "--poly", poly)
+            assert time.monotonic() - t0 < 1.0
+            assert code == 1 and out == ""
+            assert err == f"error: sample mode supports --poly of degree at most {cap}\n"
+
     def test_symbolic_degree_capped(self, capsys):
-        cap = cli.MAX_SYMBOLIC_DEGREE
+        cap = cli.MAX_POLY_DEGREE
         argv = ["invariance", "--group", "t3", "--screws", "3"]
         code, out, _ = run(capsys, *argv, "--poly", f"w11^{cap}")
         assert code == 0 and out.startswith("PASS")

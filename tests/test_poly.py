@@ -165,7 +165,7 @@ class TestCoefficientRule:
         assert self.types(Polynomial.variable(vs, "y")) == {(0, 1): int}
         f = Polynomial(vs, {(1, 0): Fraction(-6, 2), (0, 1): Fraction(1, 2)})
         assert self.types(f) == {(1, 0): int, (0, 1): Fraction}
-        assert self.types(Polynomial.monomial(vs, (2, 1), Fraction(5))) == {(2, 1): int}
+        assert self.types(Polynomial(vs, {(2, 1): Fraction(5)})) == {(2, 1): int}
 
     def test_scale_monic_and_division(self):
         vs = VariableSet(["x", "y"])
@@ -185,7 +185,7 @@ class TestCoefficientRule:
         for make in (
             lambda: Polynomial.constant(vs, True),
             lambda: x.scale(False),
-            lambda: Polynomial.monomial(vs, (1,), True),
+            lambda: Polynomial(vs, {(1,): True}),
         ):
             with pytest.raises(ValueError):
                 make()
