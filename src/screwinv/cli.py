@@ -55,15 +55,23 @@ EXIT_INVARIANCE = 3
 # vectors (omega_i, v_i) of up to four screws.
 MAX_SO3_VECTORS = 9
 
+# Every invariance image carries an exponent tuple over all 6M + 7 group and
+# screw variables, so memory grows with M: the 3-term Klein form took 3.6 s
+# and 254 MiB to check symbolically at M = 400.  At the cap (Intel Xeon,
+# 2 cores, CPython 3.11) it takes 0.03 s symbolically, and the 96-term sum
+# of all 32 Klein forms 0.08 s symbolically and ~7.4 s per 1,000 samples,
+# so ~74 s at MAX_SAMPLES.
+MAX_INVARIANCE_SCREWS = 32
+
 # SAGBI cost grows steeply with the degree bound: three screws take ~23 s at
 # bound 7 and ~4.5x more per further degree, and even the three-generator
 # seed x + y, x*y, x*y^2 takes 0.4 s at 16 but ~90 s at 32.  16 is twice the
 # paper's largest bound.
 MAX_DEGREE_BOUND = 16
 
-# One sample costs ~0.7 ms on one screw and ~1.2-1.6 ms on three-screw SE(3)
-# catalog elements (Intel Xeon, CPython 3.11), so the cap bounds a passing
-# sampled check to ~7-16 s on such inputs; the default is 32.
+# One sample costs ~0.3 ms on one screw and ~0.5-1.1 ms on three-screw SE(3)
+# catalog elements (Intel Xeon, 2 cores, CPython 3.11), so the cap bounds a
+# passing sampled check to ~3-11 s on such inputs; the default is 32.
 MAX_SAMPLES = 10_000
 
 # The symbolic check expands every image power the input's exponents ask
@@ -72,7 +80,7 @@ MAX_SAMPLES = 10_000
 # long to convert).  On three screws over se3 (Intel Xeon, CPython 3.11), a
 # degree-32 monomial spread over all 18 coordinates takes ~3.6 s to fail
 # symbolically, and the expanded (w11^2 + w12^2 + w13^2)^16, 153 terms,
-# ~6.1 s to pass symbolically and ~7.5 s per 1,000 samples, so ~75 s at
+# ~6.1 s to pass symbolically and ~6.4 s per 1,000 samples, so ~64 s at
 # MAX_SAMPLES.  Catalog elements have degree at most 4.
 MAX_POLY_DEGREE = 32
 
@@ -183,6 +191,8 @@ def cmd_sagbi(args) -> tuple[int, list[str], dict]:
 
 def cmd_invariance(args) -> tuple[int, list[str], dict]:
     kind = ActionKind(args.group)
+    if args.screws > MAX_INVARIANCE_SCREWS:
+        raise _CliError(f"--screws supports at most {MAX_INVARIANCE_SCREWS}")
     vs = screw_varset(args.screws)
     f = parse(args.poly, vs)
     if max(map(sum, f.terms), default=0) > MAX_POLY_DEGREE:

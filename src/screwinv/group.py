@@ -1,11 +1,14 @@
 """Exact rigid displacements and their adjoint action on multi-screws.
 
-Rotations are 3x3 matrices of Fractions, validated orthogonal with
-determinant 1 on construction; exact rotations are sampled by pushing
-integer quaternions through the (rational) quaternion-to-matrix formula.
-A displacement acts on a twist by the 6x6 block matrix [[R, 0], [TR, R]],
-with T the skew matrix of the translation t, so the columns of TR are t
-crossed with the columns of R.
+A rotation is held as M/n: an integer 3x3 matrix M over one positive
+integer denominator n, reduced so that gcd(M, n) = 1, and checked on
+construction in integer arithmetic (M^T M = n^2 I and det M = n^3, so M/n
+is exactly orthogonal with determinant 1).  Exact rotations are sampled by
+pushing integer quaternions q through the quaternion-to-matrix formula,
+which gives M over n = |q|^2 before reduction.  The Fraction matrix M/n is
+a view built on request.  A displacement acts on a twist by the 6x6 block
+matrix [[R, 0], [TR, R]], with T the skew matrix of the translation t, so
+the columns of TR are t crossed with the columns of R.
 
 Invariance of a polynomial under the full action or either sub-action can
 be checked two independent ways: symbolically (substituting the action of
@@ -24,6 +27,7 @@ invariant under the whole group, and each family is one small substitution.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -89,49 +93,84 @@ class RationalQuaternion:
         if not (self.q0 or self.q1 or self.q2 or self.q3):
             raise ValueError("the zero quaternion defines no rotation")
 
-    def norm_squared(self) -> Fraction:
-        return self.q0 ** 2 + self.q1 ** 2 + self.q2 ** 2 + self.q3 ** 2
-
     def components(self) -> tuple:
         return (self.q0, self.q1, self.q2, self.q3)
 
 
 class Rotation:
-    """Exactly orthogonal 3x3 matrix with determinant 1.
+    """Exactly orthogonal 3x3 matrix with determinant 1, held as M/n.
 
-    Both conditions are asserted on construction, so a Rotation can never
-    hold an inexact or reflecting matrix.
+    `numerator` is the integer matrix M and `denominator` the integer n > 0,
+    reduced so that gcd(M, n) = 1; the pair is unique, so equality and
+    hashing compare it.  Construction checks M^T M = n^2 I and det M = n^3
+    in integer arithmetic and raises otherwise, so a Rotation can never hold
+    an inexact or reflecting matrix.  `entries` is the Fraction view M/n,
+    built on each read.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("numerator", "denominator")
 
     def __init__(self, entries):
-        entries = _mat3(entries)
-        if mat_mul(transpose(entries), entries) != IDENTITY3:
-            raise ValueError("matrix is not exactly orthogonal")
-        if det(entries) != 1:
-            raise ValueError("matrix has determinant != 1")
-        self.entries = entries
+        flat, n = _cleared([e for row in _mat3(entries) for e in row])
+        checked = Rotation._from_integers(tuple(flat[i:i + 3] for i in (0, 3, 6)), n)
+        self.numerator, self.denominator = checked.numerator, checked.denominator
 
-    def compose(self, other: "Rotation") -> "Rotation":
-        out = object.__new__(Rotation)
-        out.entries = mat_mul(self.entries, other.entries)
+    @classmethod
+    def _from_integers(cls, numerator, denominator: int) -> "Rotation":
+        """M/n from an integer 3x3 matrix M and an int n > 0, checked and reduced."""
+        if not all(type(x) is int for x in (denominator, *(e for row in numerator for e in row))):
+            raise TypeError("a rotation's numerator and denominator must be ints")
+        if denominator <= 0:
+            raise ValueError("a rotation's denominator must be positive")
+        n2 = denominator * denominator
+        scaled_identity = tuple(tuple(n2 if i == j else 0 for j in range(3)) for i in range(3))
+        if mat_mul(transpose(numerator), numerator) != scaled_identity:
+            raise ValueError("matrix is not exactly orthogonal")
+        if det(numerator) != n2 * denominator:
+            raise ValueError("matrix has determinant != 1")
+        return cls._reduced(numerator, denominator)
+
+    @classmethod
+    def _reduced(cls, numerator, denominator: int) -> "Rotation":
+        """M/n with gcd(M, n) divided out; unchecked, for known rotations."""
+        g = math.gcd(denominator, *(x for row in numerator for x in row))
+        out = object.__new__(cls)
+        out.numerator = tuple(tuple(x // g for x in row) for row in numerator)
+        out.denominator = denominator // g
         return out
 
+    @property
+    def entries(self) -> Mat3:
+        n = self.denominator
+        return tuple(tuple(Fraction(x, n) for x in row) for row in self.numerator)
+
+    def compose(self, other: "Rotation") -> "Rotation":
+        return Rotation._reduced(
+            mat_mul(self.numerator, other.numerator), self.denominator * other.denominator
+        )
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, Rotation) and self.entries == other.entries
+        return (
+            isinstance(other, Rotation)
+            and self.denominator == other.denominator
+            and self.numerator == other.numerator
+        )
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.numerator, self.denominator))
 
     def __repr__(self) -> str:
         return f"Rotation({[list(map(str, row)) for row in self.entries]})"
 
     @classmethod
     def identity(cls) -> "Rotation":
-        out = object.__new__(cls)
-        out.entries = IDENTITY3
-        return out
+        return cls._reduced(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1)
+
+
+def _cleared(values) -> tuple:
+    """(numerators, d): the Fractions `values` as ints over their least common denominator d."""
+    d = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (d // v.denominator) for v in values), d
 
 
 def _quaternion_matrix_raw(q0, q1, q2, q3):
@@ -144,10 +183,13 @@ def _quaternion_matrix_raw(q0, q1, q2, q3):
 
 
 def rotation_from_quaternion(q: RationalQuaternion) -> Rotation:
-    """Exact rotation matrix of a (not necessarily unit) quaternion."""
-    n2 = q.norm_squared()
-    raw = _quaternion_matrix_raw(*q.components())
-    return Rotation(tuple(tuple(e / n2 for e in row) for row in raw))
+    """Exact rotation matrix of a (not necessarily unit) quaternion.
+
+    With the components cleared to integers a (q = a/d), the rotation is the
+    quaternion matrix of a over |a|^2; the scale d cancels.
+    """
+    a, _ = _cleared(q.components())
+    return Rotation._from_integers(_quaternion_matrix_raw(*a), sum(x * x for x in a))
 
 
 @dataclass(frozen=True)
@@ -165,11 +207,14 @@ class EuclideanElement:
         return cls(Rotation.identity(), (0, 0, 0))
 
     def compose(self, other: "EuclideanElement") -> "EuclideanElement":
-        """self after other: (R2, r2)(R1, r1) = (R2 R1, R2 r1 + r2)."""
-        r = mat_vec(self.rotation.entries, other.translation)
+        """self after other: (R2, r2)(R1, r1) = (R2 R1, R2 r1 + r2), R2 r1 = (M2 r1)/n2."""
+        r2 = self.rotation
         return EuclideanElement(
-            self.rotation.compose(other.rotation),
-            tuple(a + b for a, b in zip(r, self.translation)),
+            r2.compose(other.rotation),
+            tuple(
+                a / r2.denominator + b
+                for a, b in zip(mat_vec(r2.numerator, other.translation), self.translation)
+            ),
         )
 
 
@@ -183,12 +228,26 @@ def _act(r, t, omega, vee):
     return rw, tuple(a + b for a, b in zip(cross(t, rw), mat_vec(r, vee)))
 
 
+def _scaled_adjoint(g: EuclideanElement) -> tuple:
+    """(A, d): the adjoint matrix of g is A/d, with A a 6x6 matrix of ints and d > 0.
+
+    With R = M/n and t = u/e (u the integer numerators over the common
+    denominator e), A = [[e M, 0], [U M, e M]] and d = n e, where the columns
+    of U M are u crossed with the columns of M.
+    """
+    m = g.rotation.numerator
+    u, e = _cleared(g.translation)
+    em = tuple(tuple(e * x for x in row) for row in m)
+    um = transpose([cross(u, column) for column in transpose(m)])
+    zero = (0, 0, 0)
+    a = tuple(row + zero for row in em) + tuple(x + y for x, y in zip(um, em))
+    return a, g.rotation.denominator * e
+
+
 def adjoint_matrix(g: EuclideanElement) -> tuple:
-    """The 6x6 block matrix [[R, 0], [TR, R]] acting on (omega, v)."""
-    r = g.rotation.entries
-    tr = transpose([cross(g.translation, column) for column in transpose(r)])
-    zero = (Fraction(0),) * 3
-    return tuple(row + zero for row in r) + tuple(a + b for a, b in zip(tr, r))
+    """The 6x6 block matrix [[R, 0], [TR, R]] acting on (omega, v), as Fractions."""
+    a, d = _scaled_adjoint(g)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in a)
 
 
 def transform_twist(g: EuclideanElement, t: Twist) -> Twist:
@@ -198,7 +257,8 @@ def transform_twist(g: EuclideanElement, t: Twist) -> Twist:
 
 def apply_adjoint(g: EuclideanElement, s: MultiScrew) -> MultiScrew:
     """Adjoint action applied componentwise to each twist."""
-    return MultiScrew(tuple(transform_twist(g, t) for t in s))
+    r = g.rotation.entries
+    return MultiScrew(tuple(Twist(*_act(r, g.translation, t.omega, t.vee)) for t in s))
 
 
 class ActionKind(Enum):

@@ -18,7 +18,7 @@ from . import screw as _screw
 from .group import (
     ActionKind,
     _sample_group,
-    adjoint_matrix,
+    _scaled_adjoint,
     apply_adjoint,
     check_invariant_sampled,
     check_invariant_symbolic,
@@ -319,15 +319,21 @@ def check_property_suites() -> VerifyItem:
         f = _random_poly(rng, vs)
         if parse(format_poly(f, order), vs) != f:
             return VerifyItem("property suites", False, f"round trip failed on {format_poly(f)}")
-    # adjoint representation property; orthogonality holds by construction,
-    # since Rotation raises unless R^T R = I and det R = 1 exactly
+    # adjoint representation property, Ad(g1 g2) = Ad(g1) Ad(g2), on the
+    # integer forms Ad(g) = A/d by cross-multiplication; orthogonality holds
+    # by construction, since a Rotation M/n raises unless M^T M = n^2 I and
+    # det M = n^3 exactly
     rot_rng = random.Random(SUITE_SEED + 1)
     elements = list(_random_rotations(1000, SUITE_SEED + 2))
     for _ in range(1000):
         g1 = elements[rot_rng.randrange(len(elements))]
         g2 = elements[rot_rng.randrange(len(elements))]
-        if adjoint_matrix(g1.compose(g2)) != mat_mul(adjoint_matrix(g1), adjoint_matrix(g2)):
-            return VerifyItem("property suites", False, "adjoint homomorphism failed")
+        (a1, d1), (a2, d2) = _scaled_adjoint(g1), _scaled_adjoint(g2)
+        a12, d12 = _scaled_adjoint(g1.compose(g2))
+        d1d2 = d1 * d2
+        for row12, row in zip(a12, mat_mul(a1, a2)):
+            if any(x * d1d2 != y * d12 for x, y in zip(row12, row)):
+                return VerifyItem("property suites", False, "adjoint homomorphism failed")
     return VerifyItem(
         "property suites",
         True,

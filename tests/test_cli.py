@@ -226,6 +226,19 @@ class TestInvariance:
                 f"error: symbolic mode supports --poly of degree at most {cap}\n"
             )
 
+    @pytest.mark.parametrize("mode", ["symbolic", "sample"])
+    def test_screw_count_capped(self, capsys, mode):
+        cap = cli.MAX_INVARIANCE_SCREWS
+        argv = ["invariance", "--poly", "w11*v11 + w12*v12 + w13*v13", "--group", "se3"]
+        code, out, _ = run(capsys, *argv, "--mode", mode, "--screws", str(cap))
+        assert code == 0 and out.startswith("PASS")
+        for screws in (cap + 1, 400, 10 ** 9):
+            t0 = time.monotonic()
+            code, out, err = run(capsys, *argv, "--mode", mode, "--screws", str(screws))
+            assert time.monotonic() - t0 < 1.0
+            assert code == 1 and out == ""
+            assert err == f"error: --screws supports at most {cap}\n"
+
     def test_bracket_sum_symbolic(self, capsys):
         zsum = (
             "v11*w22*w33 - v11*w23*w32 - v21*w12*w33 + v21*w13*w32"

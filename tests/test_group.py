@@ -1,5 +1,6 @@
 """Exact group elements, the adjoint action, pullbacks, invariance oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from screwinv.group import (
     EuclideanElement,
     RationalQuaternion,
     Rotation,
+    _scaled_adjoint,
     adjoint_matrix,
     apply_adjoint,
     check_invariant_sampled,
@@ -28,6 +30,7 @@ from screwinv.screw import (
     ExactRadical,
     MultiScrew,
     Twist,
+    cross,
     det,
     dot,
     killing_dot,
@@ -40,7 +43,7 @@ from screwinv.screw import (
     translation_sagbi_catalog,
     z_poly,
 )
-from screwinv.verification import SUITE_SEED, _random_rotations
+from screwinv.verification import SUITE_SEED, _random_rotations, check_property_suites
 
 I3 = ((Fraction(1), Fraction(0), Fraction(0)),
       (Fraction(0), Fraction(1), Fraction(0)),
@@ -502,6 +505,86 @@ class TestIntegerCoefficients:
         assert {type(c) for c in g.translation} == {Fraction}
         assert pitch(Twist((0, 0, 3), (0, 0, 1))).value == Fraction(1, 3)
         assert ExactRadical(1, 3).squared() == Fraction(1, 3)
+
+
+class TestIntegerGroupElements:
+    """A rotation is an integer matrix M over one int n; the adjoint matrix
+    is an integer 6x6 A over one int d.  The Fraction matrices are views."""
+
+    @staticmethod
+    def elements():
+        rng = random.Random(41)
+        singles = [random_element(rng) for _ in range(20)]
+        # translations with denominators, then products of such elements
+        fractional = [
+            EuclideanElement(g.rotation, tuple(c / rng.randint(2, 9) for c in g.translation))
+            for g in singles
+        ]
+        composed = [a.compose(b) for a, b in zip(fractional, reversed(fractional))]
+        return [EuclideanElement.identity()] + singles + fractional + composed
+
+    def test_numerators_and_denominators_are_ints(self):
+        for g in self.elements():
+            r = g.rotation
+            assert {type(x) for row in r.numerator for x in row} | {type(r.denominator)} == {int}
+            assert r.denominator > 0
+            assert math.gcd(r.denominator, *(x for row in r.numerator for x in row)) == 1
+            a, d = _scaled_adjoint(g)
+            assert len(a) == 6 and all(len(row) == 6 for row in a)
+            assert {type(x) for row in a for x in row} | {type(d)} == {int}
+            assert d > 0
+
+    def test_entries_are_numerator_over_denominator(self):
+        r = rotation_from_quaternion(RationalQuaternion(1, 1, 1, 0))
+        assert r.numerator == ((1, 2, 2), (2, 1, -2), (-2, 2, -1)) and r.denominator == 3
+        assert r.entries[1] == (Fraction(2, 3), Fraction(1, 3), Fraction(-2, 3))
+
+    @pytest.mark.parametrize("k", [3, -2, Fraction(2, 7), Fraction(-5, 3)])
+    def test_scaled_quaternions_give_one_rotation(self, k):
+        rng = random.Random(43)
+        for _ in range(100):
+            comps = [rng.randint(-30, 30) for _ in range(3)] + [rng.randint(1, 30)]
+            r = rotation_from_quaternion(RationalQuaternion(*comps))
+            scaled = rotation_from_quaternion(RationalQuaternion(*(k * c for c in comps)))
+            rebuilt = Rotation(r.entries)
+            for other in (scaled, rebuilt):
+                assert other == r and hash(other) == hash(r)
+                assert (other.numerator, other.denominator) == (r.numerator, r.denominator)
+
+    def test_adjoint_matrix_is_a_over_d(self):
+        for g in self.elements():
+            a, d = _scaled_adjoint(g)
+            expected = tuple(tuple(Fraction(x, d) for x in row) for row in a)
+            assert adjoint_matrix(g) == expected
+            r, t = g.rotation.entries, g.translation
+            tr = transpose([cross(t, column) for column in transpose(r)])
+            assert expected == tuple(row + (0, 0, 0) for row in r) + tuple(
+                x + y for x, y in zip(tr, r)
+            )
+
+    @pytest.mark.parametrize(
+        "numerator, denominator, error",
+        [
+            (((1, 1, 0), (0, 1, 0), (0, 0, 1)), 1, ValueError),  # not orthogonal
+            (((3, 0, 0), (0, 3, 0), (0, 0, 3)), 2, ValueError),  # M^T M = 9 I, not 4 I
+            (((1, 0, 0), (0, 1, 0), (0, 0, -1)), 1, ValueError),  # a reflection
+            (((-1, 0, 0), (0, -1, 0), (0, 0, -1)), 1, ValueError),  # -I, det -1
+            (((1, 0, 0), (0, 1, 0), (0, 0, 1)), -1, ValueError),  # negative scale
+            (((1, 0, 0), (0, 1, 0), (0, 0, 1)), Fraction(1), TypeError),
+            (((Fraction(1), 0, 0), (0, 1, 0), (0, 0, 1)), 1, TypeError),
+        ],
+    )
+    def test_integer_constructor_checks(self, numerator, denominator, error):
+        with pytest.raises(error):
+            Rotation._from_integers(numerator, denominator)
+
+    def test_verify_homomorphism_check_catches_wrong_order(self, monkeypatch):
+        assert check_property_suites().passed
+        compose = EuclideanElement.compose
+        monkeypatch.setattr(EuclideanElement, "compose", lambda self, other: compose(other, self))
+        item = check_property_suites()
+        assert not item.passed
+        assert item.detail == "adjoint homomorphism failed"
 
 
 class TestSerialization:
