@@ -24,7 +24,7 @@ from .group import (
     format_group_sample,
     pullback,
 )
-from .parsing import ParseError, format_poly, parse, parse_rational
+from .parsing import format_poly, parse, parse_rational
 from .poly import TermOrder, VariableSet
 from .sagbi import (
     DEFAULT_DEGREE_BOUND,
@@ -55,13 +55,15 @@ EXIT_INVARIANCE = 3
 # vectors (omega_i, v_i) of up to four screws.
 MAX_SO3_VECTORS = 9
 
-# Every invariance image carries an exponent tuple over all 6M + 7 group and
-# screw variables, so memory grows with M: the 3-term Klein form took 3.6 s
-# and 254 MiB to check symbolically at M = 400.  At the cap (Intel Xeon,
-# 2 cores, CPython 3.11) it takes 0.03 s symbolically, and the 96-term sum
-# of all 32 Klein forms 0.08 s symbolically and ~7.4 s per 1,000 samples,
-# so ~74 s at MAX_SAMPLES.
-MAX_INVARIANCE_SCREWS = 32
+# Caps --screws for invariance and the pullback catalog.  Every pullback
+# image carries an exponent tuple over all 6M screw variables and up to 7
+# group variables, so memory grows with M: the 3-term Klein form took 3.6 s
+# and 254 MiB to check symbolically at M = 400, and the pullback catalog
+# 0.74 s and 39 MiB at M = 200.  At the cap (Intel Xeon, 2 cores, CPython 3.11) the Klein form
+# takes 0.03 s symbolically, the 96-term sum of all 32 Klein forms 0.08 s
+# symbolically and ~7.4 s per 1,000 samples, so ~74 s at MAX_SAMPLES, and
+# the pullback catalog 0.03 s within the interpreter's own 17 MiB.
+MAX_SCREWS = 32
 
 # SAGBI cost grows steeply with the degree bound: three screws take ~23 s at
 # bound 7 and ~4.5x more per further degree, and even the three-generator
@@ -85,17 +87,11 @@ MAX_SAMPLES = 10_000
 MAX_POLY_DEGREE = 32
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures remapped onto the exit-code contract."""
 
     def error(self, message):
-        raise _CliError(message, EXIT_USAGE)
+        raise ValueError(message)
 
 
 def _float15(x: float) -> str:
@@ -108,7 +104,7 @@ def _resolve_varset(args) -> VariableSet:
         return VariableSet(names)
     if getattr(args, "screws", None) is not None:
         return screw_varset(args.screws)
-    raise _CliError("give a variable context: --screws M or --vars LIST")
+    raise ValueError("give a variable context: --screws M or --vars LIST")
 
 
 def cmd_poly(args) -> tuple[int, list[str], dict]:
@@ -117,18 +113,18 @@ def cmd_poly(args) -> tuple[int, list[str], dict]:
     f = parse(args.expr, vs)
     if args.eval is not None:
         if args.format:
-            raise _CliError("--format and --eval are mutually exclusive")
+            raise ValueError("--format and --eval are mutually exclusive")
         point = {}
         for piece in args.eval.split(","):
             if not piece.strip():
                 continue
             name, _, value = piece.partition("=")
             if not _:
-                raise _CliError(f"bad assignment {piece!r}, expected name=value")
+                raise ValueError(f"bad assignment {piece!r}, expected name=value")
             try:
                 point[name.strip()] = parse_rational(value.strip())
             except ValueError as exc:
-                raise _CliError(f"bad assignment {piece!r}, {exc}") from None
+                raise ValueError(f"bad assignment {piece!r}, {exc}") from None
         value = f.evaluate(point)
         return EXIT_OK, [str(value)], {"value": str(value)}
     text = format_poly(f, order)
@@ -162,9 +158,9 @@ def cmd_subduct(args) -> tuple[int, list[str], dict]:
 def cmd_sagbi(args) -> tuple[int, list[str], dict]:
     for flag, value in (("--degree-bound", args.degree_bound), ("--max-iter", args.max_iter)):
         if value < 1:
-            raise _CliError(f"{flag} must be at least 1")
+            raise ValueError(f"{flag} must be at least 1")
     if args.degree_bound > MAX_DEGREE_BOUND:
-        raise _CliError(f"--degree-bound supports at most {MAX_DEGREE_BOUND}")
+        raise ValueError(f"--degree-bound supports at most {MAX_DEGREE_BOUND}")
     with open(args.generators) as handle:
         seed, _ = read_basis_file(handle)
     result = sagbi_construct(seed, degree_bound=args.degree_bound, max_iterations=args.max_iter)
@@ -191,12 +187,12 @@ def cmd_sagbi(args) -> tuple[int, list[str], dict]:
 
 def cmd_invariance(args) -> tuple[int, list[str], dict]:
     kind = ActionKind(args.group)
-    if args.screws > MAX_INVARIANCE_SCREWS:
-        raise _CliError(f"--screws supports at most {MAX_INVARIANCE_SCREWS}")
+    if args.screws > MAX_SCREWS:
+        raise ValueError(f"--screws supports at most {MAX_SCREWS}")
     vs = screw_varset(args.screws)
     f = parse(args.poly, vs)
     if max(map(sum, f.terms), default=0) > MAX_POLY_DEGREE:
-        raise _CliError(f"{args.mode} mode supports --poly of degree at most {MAX_POLY_DEGREE}")
+        raise ValueError(f"{args.mode} mode supports --poly of degree at most {MAX_POLY_DEGREE}")
     if args.mode == "symbolic":
         ok = check_invariant_symbolic(f, kind, args.screws)
         detail = "symbolic identity holds" if ok else "symbolic difference is nonzero"
@@ -204,9 +200,9 @@ def cmd_invariance(args) -> tuple[int, list[str], dict]:
         payload = {"invariant": ok, "mode": "symbolic"}
         return (EXIT_OK if ok else EXIT_INVARIANCE), lines, payload
     if args.samples < 1:
-        raise _CliError("--samples must be at least 1")
+        raise ValueError("--samples must be at least 1")
     if args.samples > MAX_SAMPLES:
-        raise _CliError(f"--samples supports at most {MAX_SAMPLES}")
+        raise ValueError(f"--samples supports at most {MAX_SAMPLES}")
     check = check_invariant_sampled(f, kind, args.screws, n_samples=args.samples, seed=args.seed)
     payload = {"invariant": check.ok, "mode": "sample", "samples": args.samples, "seed": args.seed}
     if check.ok:
@@ -236,9 +232,11 @@ def cmd_catalog(args) -> tuple[int, list[str], dict]:
         catalog = translation_sagbi_catalog(m)
     elif args.which == "so3":
         if m > MAX_SO3_VECTORS:
-            raise _CliError(f"so3 catalogs support 1 to {MAX_SO3_VECTORS} vectors")
+            raise ValueError(f"so3 catalogs support 1 to {MAX_SO3_VECTORS} vectors")
         catalog = so3_sagbi_catalog(m)
     else:  # pullback: translation pullback images as a ready SAGBI seed file
+        if m > MAX_SCREWS:
+            raise ValueError(f"--screws supports at most {MAX_SCREWS}")
         system = pullback(ActionKind.TRANSLATION_SUB, m)
         buf = io.StringIO()
         write_basis_file(buf, system.seed_generators())
@@ -269,7 +267,7 @@ def cmd_dh(args) -> tuple[int, list[str], dict]:
     with open(args.pair) as handle:
         pair = parse_multiscrew(handle.read())
     if len(pair) != 2:
-        raise _CliError("the DH pair file must hold exactly two screws")
+        raise ValueError("the DH pair file must hold exactly two screws")
     report = dh_invariants(pair)
     w11, w12, w22 = report.dots
     lines = [
@@ -303,7 +301,7 @@ def cmd_dh(args) -> tuple[int, list[str], dict]:
 
 def cmd_verify(args) -> tuple[int, list[str], dict]:
     if args.suite != "paper":
-        raise _CliError(f"unknown suite {args.suite!r}")
+        raise ValueError(f"unknown suite {args.suite!r}")
     items = run_paper_suite()
     width = max(len(item.name) for item in items)
     lines = [f"{'PASS' if i.passed else 'FAIL'}  {i.name:<{width}}  {i.detail}" for i in items]
@@ -380,10 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         code, lines, payload = args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.json:

@@ -71,13 +71,6 @@ def transpose(a):
     return tuple(zip(*a))
 
 
-IDENTITY3: Mat3 = (
-    (Fraction(1), Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(0), Fraction(1)),
-)
-
-
 @dataclass(frozen=True)
 class RationalQuaternion:
     """Quaternion with rational components, not all zero (never normalized)."""
@@ -322,7 +315,7 @@ def pullback(kind: ActionKind, m: int) -> PullbackSystem:
     if "q0" in vs:
         r = _quaternion_matrix_raw(Polynomial.variable(vs, "q0"), *symbolic_vector(vs, "q"))
     else:
-        r = IDENTITY3
+        r = Rotation.identity().numerator
     t = symbolic_vector(vs, "t") if "t1" in vs else (0, 0, 0)
     images = _images(vs, m, r, t)
     return PullbackSystem(

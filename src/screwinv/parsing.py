@@ -7,9 +7,11 @@ Grammar (whitespace insignificant, identifiers `[A-Za-z][A-Za-z0-9]*`):
     factor := ident ('^' nat)?
     coeff  := int ('/' nat)?
 
-Canonical output prints terms in strictly decreasing term order with
-`+`/`-` separators, reduced coefficients, and the coefficient 1 suppressed
-except on the unit monomial.  `parse(format(f)) == f` always.
+Parsing is one pass over the tokens: each term's factor exponents and
+signed coefficient go straight into one term dict, with no polynomial
+arithmetic.  Canonical output prints terms in strictly decreasing term
+order with `+`/`-` separators, reduced coefficients, and the coefficient 1
+suppressed except on the unit monomial.  `parse(format(f)) == f` always.
 """
 
 from __future__ import annotations
@@ -35,113 +37,83 @@ class UnknownVariableError(ParseError):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<nat>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()]))"
+    r"\s*(?:(?P<nat>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
 )
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """(kind, text, position) per token, closed by an `end` token."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        if m.lastgroup == "nat":
-            tokens.append(("nat", m.group("nat"), m.start("nat")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, varset: VariableSet):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.varset = varset
+def parse(text: str, varset: VariableSet) -> Polynomial:
+    """Parse `text` into a polynomial over `varset`.
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse_nat(self) -> int:
-        kind, text, pos = self.next()
-        if kind != "nat":
-            raise ParseError("expected a natural number", pos)
-        return int(text)
-
-    def parse_factor(self) -> Polynomial:
-        kind, text, pos = self.next()
-        if kind != "ident":
-            raise ParseError("expected a variable name", pos)
-        if text not in self.varset:
-            raise UnknownVariableError(text, pos)
-        f = Polynomial.variable(self.varset, text)
-        if self.peek()[:2] == ("op", "^"):
-            self.next()
-            f = f ** self.parse_nat()
-        return f
-
-    def parse_coeff(self) -> Fraction:
-        kind, text, pos = self.next()
-        if kind != "nat":
-            raise ParseError("expected a number", pos)
-        num = int(text)
-        if self.peek()[:2] == ("op", "/"):
-            self.next()
-            kind, dtext, dpos = self.next()
-            if kind != "nat":
-                raise ParseError("expected a denominator", dpos)
-            den = int(dtext)
-            if den == 0:
-                raise ParseError("zero denominator", dpos)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def parse_term(self) -> Polynomial:
-        kind, text, pos = self.peek()
+    Per term, the factor exponents add into one exponent list (`x*x` and
+    `x^2` give the same list) and `sign * coeff` accumulates into the term
+    dict; `Polynomial` then drops zeros and stores integral values as ints.
+    """
+    tokens = _tokenize(text)
+    terms: dict = {}
+    i = 0
+    while True:
+        # optional on the first term; the end-of-term check puts one before
+        # every later term
+        sign = 1
+        if tokens[i][:2] in (("op", "+"), ("op", "-")):
+            sign = -1 if tokens[i][1] == "-" else 1
+            i += 1
+        exps = [0] * len(varset)
+        coeff = 1
+        kind, tok, pos = tokens[i]
         if kind == "nat":
-            f = Polynomial.constant(self.varset, self.parse_coeff())
+            coeff = int(tok)
+            i += 1
+            if tokens[i][:2] == ("op", "/"):
+                kind, tok, pos = tokens[i + 1]
+                if kind != "nat":
+                    raise ParseError("expected a denominator", pos)
+                if int(tok) == 0:
+                    raise ParseError("zero denominator", pos)
+                coeff = Fraction(coeff, int(tok))
+                i += 2
+            more = tokens[i][:2] == ("op", "*")
+            i += more  # step over the '*'
         elif kind == "ident":
-            f = self.parse_factor()
+            more = True
         else:
             raise ParseError("expected a term", pos)
-        while self.peek()[:2] == ("op", "*"):
-            self.next()
-            f = f * self.parse_factor()
-        return f
-
-    def parse_expr(self) -> Polynomial:
-        sign = 1
-        if self.peek()[0] == "op" and self.peek()[1] in "+-":
-            if self.next()[1] == "-":
-                sign = -1
-        total = self.parse_term() * sign
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text in "+-":
-                self.next()
-                term = self.parse_term()
-                total = total + term if text == "+" else total - term
-            elif kind == "end":
-                return total
-            else:
-                raise ParseError(f"unexpected token {text!r}", pos)
-
-
-def parse(text: str, varset: VariableSet) -> Polynomial:
-    """Parse `text` into a polynomial over `varset`."""
-    return _Parser(text, varset).parse_expr()
+        while more:
+            kind, name, pos = tokens[i]
+            if kind != "ident":
+                raise ParseError("expected a variable name", pos)
+            if name not in varset:
+                raise UnknownVariableError(name, pos)
+            i += 1
+            e = 1
+            if tokens[i][:2] == ("op", "^"):
+                kind, tok, pos = tokens[i + 1]
+                if kind != "nat":
+                    raise ParseError("expected a natural number", pos)
+                e = int(tok)
+                i += 2
+            exps[varset.index(name)] += e
+            more = tokens[i][:2] == ("op", "*")
+            i += more
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + sign * coeff
+        kind, tok, pos = tokens[i]
+        if kind == "end":
+            return Polynomial(varset, terms)
+        if kind != "op" or tok not in "+-":
+            raise ParseError(f"unexpected token {tok!r}", pos)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -152,10 +124,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{text!r} is not a rational number") from None
-
-
-def _format_coeff(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def _format_monomial(exps, names) -> str:
@@ -180,11 +148,11 @@ def format_poly(f: Polynomial, order: TermOrder | None = None) -> str:
         mono = _format_monomial(exps, names)
         mag = abs(coeff)
         if not mono:
-            body = _format_coeff(mag)
+            body = str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{_format_coeff(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         if not pieces:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:

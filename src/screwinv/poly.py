@@ -125,11 +125,11 @@ class TermOrder:
             return tuple(exponents)
         return tuple(exponents[i] for i in perm)
 
-    def sorted_terms(self, terms: Mapping, reverse: bool = True):
-        """Terms as (exponents, coefficient) pairs, decreasing by default."""
+    def sorted_terms(self, terms: Mapping):
+        """Terms as (exponents, coefficient) pairs in decreasing order."""
         if self._perm is None:
-            return sorted(terms.items(), key=itemgetter(0), reverse=reverse)
-        return sorted(terms.items(), key=lambda item: self.key(item[0]), reverse=reverse)
+            return sorted(terms.items(), key=itemgetter(0), reverse=True)
+        return sorted(terms.items(), key=lambda item: self.key(item[0]), reverse=True)
 
     def eliminates(self, block: Sequence[str]) -> bool:
         """True iff `block` is exactly a prefix of the priority list."""

@@ -228,7 +228,7 @@ class TestInvariance:
 
     @pytest.mark.parametrize("mode", ["symbolic", "sample"])
     def test_screw_count_capped(self, capsys, mode):
-        cap = cli.MAX_INVARIANCE_SCREWS
+        cap = cli.MAX_SCREWS
         argv = ["invariance", "--poly", "w11*v11 + w12*v12 + w13*v13", "--group", "se3"]
         code, out, _ = run(capsys, *argv, "--mode", mode, "--screws", str(cap))
         assert code == 0 and out.startswith("PASS")
@@ -301,6 +301,18 @@ class TestCatalog:
         assert code == 1 and out == ""
         assert err == "error: so3 catalogs support 1 to 9 vectors\n"
         assert "Traceback" not in err
+
+    def test_pullback_screw_count_capped(self, capsys):
+        cap = cli.MAX_SCREWS
+        argv = ["catalog", "--which", "pullback", "--screws"]
+        code, out, _ = run(capsys, *argv, str(cap))
+        assert code == 0 and len(out.splitlines()) == 1 + 6 * cap
+        for screws in (cap + 1, 400, 10 ** 9):
+            t0 = time.monotonic()
+            code, out, err = run(capsys, *argv, str(screws))
+            assert time.monotonic() - t0 < 1.0
+            assert code == 1 and out == ""
+            assert err == f"error: --screws supports at most {cap}\n"
 
     def test_se3_three_screws_flags_conjecture(self, capsys):
         code, out, _ = run(capsys, "--json", "catalog", "--screws", "3", "--which", "se3")

@@ -68,6 +68,16 @@ INVARIANCE_INPUTS = {
     "sample_w11": ("w11", 1, "sample"),
 }
 
+# `poly` runs, label -> argv after the subcommand: a leading sign,
+# cancellation to zero, fraction arithmetic, a --order override and --eval.
+POLY_INPUTS = {
+    "leading_sign": ["- w11*v11 + w12 -3*w13^2", "--screws", "1"],
+    "cancellation": ["3/2*w11^2*v11 - w12 - 3/2*v11*w11*w11 + w12", "--screws", "1"],
+    "fractions": ["1/2*x + 1/3*x - 5/6*y*y + 7/4 - 2/8*x*y", "--vars", "x,y"],
+    "order_y_x": ["x^2 + y + x*y^2 - 2", "--vars", "x,y", "--order", "y x"],
+    "eval": ["1/2*x^2*y - 3*y + 4/3", "--vars", "x,y", "--eval", "x=2,y=-3/4"],
+}
+
 
 def _cli_cases() -> dict:
     """Golden name -> argv; `{pullback_m}`, `{chain}`, `{eliminated_2}` and
@@ -101,6 +111,9 @@ def _cli_cases() -> dict:
         argv = ["invariance", "--poly", poly, "--group", "se3", "--screws", str(m), "--mode", mode]
         cases[f"invariance_{label}"] = argv
         cases[f"invariance_{label}_json"] = ["--json", *argv]
+    for label, args in POLY_INPUTS.items():
+        cases[f"poly_{label}"] = ["poly", *args]
+        cases[f"poly_{label}_json"] = ["--json", "poly", *args]
     return cases
 
 

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_poly
 from screwinv.parsing import ParseError, UnknownVariableError, format_poly, parse, parse_rational
 from screwinv.poly import Polynomial, TermOrder, VariableSet
+from screwinv.sagbi import read_basis_file
 from screwinv.screw import screw_varset
 
 
@@ -62,6 +63,58 @@ def test_unknown_variable(vs1):
 def test_zero_denominator(vs1):
     with pytest.raises(ParseError):
         parse("1/0", vs1)
+
+
+# One row per error path: input -> (exception class, message, position).
+ERRORS = {
+    "w11 $ w12": (ParseError, "unexpected character '$'", 4),
+    "": (ParseError, "expected a term", 0),
+    "+-w11": (ParseError, "expected a term", 1),
+    "(w11)": (ParseError, "expected a term", 0),
+    "w11 +": (ParseError, "expected a term", 5),
+    "2*3": (ParseError, "expected a variable name", 2),
+    "w11*2": (ParseError, "expected a variable name", 4),
+    "w11*": (ParseError, "expected a variable name", 4),
+    "w11^": (ParseError, "expected a natural number", 4),
+    "w11^v11": (ParseError, "expected a natural number", 4),
+    "2/": (ParseError, "expected a denominator", 2),
+    "2/w11": (ParseError, "expected a denominator", 2),
+    "1/0": (ParseError, "zero denominator", 2),
+    "w11 w12": (ParseError, "unexpected token 'w12'", 4),
+    "w11^2^3": (ParseError, "unexpected token '^'", 5),
+    "w11)": (ParseError, "unexpected token ')'", 3),
+    "w11 + bogus": (UnknownVariableError, "unknown variable 'bogus'", 6),
+    # a bad character is reported before any syntax error ahead of it
+    "w11 w12 + $": (ParseError, "unexpected character '$'", 10),
+}
+
+
+@pytest.mark.parametrize("text", list(ERRORS))
+def test_error_table(vs1, text):
+    cls, message, position = ERRORS[text]
+    with pytest.raises(ParseError) as exc:
+        parse(text, vs1)
+    assert type(exc.value) is cls
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
+
+
+def test_factor_exponents_add(vs1):
+    assert parse("w11*w11*v11", vs1) == parse("w11^2*v11", vs1) == parse("v11*w11^2", vs1)
+    assert parse("w11^2*w11^3 - w11^5", vs1).is_zero()
+
+
+def test_integral_coefficients_are_ints(vs1, tmp_path):
+    f = parse("1/2*w11 + 1/2*w11 - 3/4 + 7/4", vs1)
+    assert f == parse("w11 + 1", vs1)
+    assert all(type(c) is int for c in f.terms.values())
+    path = tmp_path / "basis.txt"
+    path.write_text("order: lex x y\n1/3*x + 2/3*x\n2/4*y + 1/2*y + 1/2\n")
+    with open(path) as handle:
+        basis, _ = read_basis_file(handle)
+    coeffs = sorted(c for g in basis for c in g.terms.values())
+    assert coeffs == [Fraction(1, 2), 1, 1]
+    assert [type(c) for c in coeffs] == [Fraction, int, int]
 
 
 def test_parse_rational():
