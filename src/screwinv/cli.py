@@ -59,31 +59,34 @@ MAX_SO3_VECTORS = 9
 # image carries an exponent tuple over all 6M screw variables and up to 7
 # group variables, so memory grows with M: the 3-term Klein form took 3.6 s
 # and 254 MiB to check symbolically at M = 400, and the pullback catalog
-# 0.74 s and 39 MiB at M = 200.  At the cap (Intel Xeon, 2 cores, CPython 3.11) the Klein form
-# takes 0.03 s symbolically, the 96-term sum of all 32 Klein forms 0.08 s
-# symbolically and ~7.4 s per 1,000 samples, so ~74 s at MAX_SAMPLES, and
-# the pullback catalog 0.03 s within the interpreter's own 17 MiB.
+# 0.74 s and 39 MiB at M = 200.  At the cap (Intel Xeon, 2 cores, CPython
+# 3.11) the Klein form takes 0.03 s symbolically, the 96-term sum of all 32
+# Klein forms 0.07 s symbolically and ~4 s per 1,000 samples, so ~40 s at
+# MAX_SAMPLES, and the pullback catalog 0.03 s within the interpreter's own
+# 17 MiB.
 MAX_SCREWS = 32
 
-# SAGBI cost grows steeply with the degree bound: three screws take ~23 s at
-# bound 7 and ~4.5x more per further degree, and even the three-generator
-# seed x + y, x*y, x*y^2 takes 0.4 s at 16 but ~90 s at 32.  16 is twice the
-# paper's largest bound.
+# SAGBI cost grows steeply with the degree bound: three screws take ~6.6 s
+# at bound 7 and ~5x more per further degree (Intel Xeon, CPython 3.11), and
+# even the three-generator seed x + y, x*y, x*y^2 takes 0.1 s at 16 but
+# ~39 s at 32.  16 is twice the paper's largest bound.
 MAX_DEGREE_BOUND = 16
 
-# One sample costs ~0.3 ms on one screw and ~0.5-1.1 ms on three-screw SE(3)
-# catalog elements (Intel Xeon, 2 cores, CPython 3.11), so the cap bounds a
-# passing sampled check to ~3-11 s on such inputs; the default is 32.
+# One sample costs ~0.2 ms on one screw and ~0.25-0.5 ms on three-screw
+# SE(3) catalog elements (Intel Xeon, 2 cores, CPython 3.11), so the cap
+# bounds a passing sampled check to ~2-5 s on such inputs; the default is
+# 32.
 MAX_SAMPLES = 10_000
 
 # The symbolic check expands every image power the input's exponents ask
-# for, and sampling evaluates the input at exact rationals whose size grows
-# with the degree (w11^1000000 would run for seconds and print a value too
-# long to convert).  On three screws over se3 (Intel Xeon, CPython 3.11), a
-# degree-32 monomial spread over all 18 coordinates takes ~3.6 s to fail
-# symbolically, and the expanded (w11^2 + w12^2 + w13^2)^16, 153 terms,
-# ~6.1 s to pass symbolically and ~6.4 s per 1,000 samples, so ~64 s at
-# MAX_SAMPLES.  Catalog elements have degree at most 4.
+# for, and sampling and `poly --eval` evaluate the input at exact rationals
+# whose size grows with the degree (w11^1000000 would run for seconds and
+# print a value too long to convert); `poly` without --eval only parses and
+# prints, so it is not capped.  On three screws over se3 (Intel Xeon,
+# CPython 3.11), a degree-32 monomial spread over all 18 coordinates takes
+# ~3.5 s to fail symbolically, and the expanded (w11^2 + w12^2 + w13^2)^16,
+# 153 terms, ~4.7 s to pass symbolically and ~1.5 s per 1,000 samples, so
+# ~15 s at MAX_SAMPLES.  Catalog elements have degree at most 4.
 MAX_POLY_DEGREE = 32
 
 
@@ -125,6 +128,8 @@ def cmd_poly(args) -> tuple[int, list[str], dict]:
                 point[name.strip()] = parse_rational(value.strip())
             except ValueError as exc:
                 raise ValueError(f"bad assignment {piece!r}, {exc}") from None
+        if max(map(sum, f.terms), default=0) > MAX_POLY_DEGREE:
+            raise ValueError(f"--eval supports polynomials of degree at most {MAX_POLY_DEGREE}")
         value = f.evaluate(point)
         return EXIT_OK, [str(value)], {"value": str(value)}
     text = format_poly(f, order)

@@ -8,7 +8,10 @@ pushing integer quaternions q through the quaternion-to-matrix formula,
 which gives M over n = |q|^2 before reduction.  The Fraction matrix M/n is
 a view built on request.  A displacement acts on a twist by the 6x6 block
 matrix [[R, 0], [TR, R]], with T the skew matrix of the translation t, so
-the columns of TR are t crossed with the columns of R.
+the columns of TR are t crossed with the columns of R.  Numerically that
+matrix is held as an integer matrix A over one int d, and a twist is
+acted on with its coordinates cleared to ints over their common
+denominator, so each image coordinate costs one Fraction.
 
 Invariance of a polynomial under the full action or either sub-action can
 be checked two independent ways: symbolically (substituting the action of
@@ -32,8 +35,9 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 
-from .poly import Polynomial, TermOrder, VariableSet, _coerce
+from .poly import Polynomial, TermOrder, VariableSet, _cleared, _coerce
 from .sagbi import (
     DEFAULT_DEGREE_BOUND,
     DEFAULT_MAX_ITERATIONS,
@@ -160,12 +164,6 @@ class Rotation:
         return cls._reduced(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1)
 
 
-def _cleared(values) -> tuple:
-    """(numerators, d): the Fractions `values` as ints over their least common denominator d."""
-    d = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (d // v.denominator) for v in values), d
-
-
 def _quaternion_matrix_raw(q0, q1, q2, q3):
     """Unnormalized quaternion matrix; the true rotation is this over |q|^2."""
     return (
@@ -214,8 +212,8 @@ class EuclideanElement:
 def _act(r, t, omega, vee):
     """The adjoint action (omega, v) -> (R omega, t x (R omega) + R v).
 
-    Ring-generic: the entries may be Fractions or Polynomials, so the same
-    formula acts on numbers and builds the symbolic images.
+    Ring-generic, so it builds the symbolic pullback images from Polynomial
+    entries; numeric twists are acted on by `_act_scaled` instead.
     """
     rw = mat_vec(r, omega)
     return rw, tuple(a + b for a, b in zip(cross(t, rw), mat_vec(r, vee)))
@@ -243,15 +241,23 @@ def adjoint_matrix(g: EuclideanElement) -> tuple:
     return tuple(tuple(Fraction(x, d) for x in row) for row in a)
 
 
+def _act_scaled(a, d: int, t: Twist) -> Twist:
+    """The twist (A/d) t, in ints: t = p/e, so each coordinate is (row . p)/(d e)."""
+    p, e = _cleared(t.omega + t.vee)
+    de = d * e
+    image = [Fraction(sum(map(mul, row, p)), de) for row in a]
+    return Twist(image[:3], image[3:])
+
+
 def transform_twist(g: EuclideanElement, t: Twist) -> Twist:
-    """(omega, v) -> (R omega, t x (R omega) + R v)."""
-    return Twist(*_act(g.rotation.entries, g.translation, t.omega, t.vee))
+    """(omega, v) -> (R omega, t x (R omega) + R v), computed on `_scaled_adjoint(g)`."""
+    return _act_scaled(*_scaled_adjoint(g), t)
 
 
 def apply_adjoint(g: EuclideanElement, s: MultiScrew) -> MultiScrew:
-    """Adjoint action applied componentwise to each twist."""
-    r = g.rotation.entries
-    return MultiScrew(tuple(Twist(*_act(r, g.translation, t.omega, t.vee)) for t in s))
+    """Adjoint action applied componentwise to each twist, with one `_scaled_adjoint(g)`."""
+    a, d = _scaled_adjoint(g)
+    return MultiScrew(tuple(_act_scaled(a, d, t) for t in s))
 
 
 class ActionKind(Enum):

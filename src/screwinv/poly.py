@@ -17,8 +17,10 @@ prefix of the priority list acts as an elimination block.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -159,6 +161,12 @@ def _coerce(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _cleared(values) -> tuple:
+    """(numerators, d): the rationals `values` as ints over their least common denominator d."""
+    d = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (d // v.denominator) for v in values), d
 
 
 def _coeff(value) -> int | Fraction:
@@ -392,24 +400,39 @@ class Polynomial:
         return Polynomial._raw(target, result)
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
-        """Exact value at a point; every used variable must be assigned."""
+        """Exact value at a point, as a Fraction; every used variable must be assigned.
+
+        Computed in ints: the used variables' values are P_i/D over one
+        denominator D and the coefficients C_t/C over one denominator C, so
+        the value is sum(C_t * prod(P_i^e_i) * D^(top - deg_t)) / (C * D^top),
+        with top the largest term degree, and one Fraction is built.
+        """
         for name in point:
             if name not in self.varset:
                 raise ValueError(f"unknown variable {name!r}")
         values = {}
         for name, val in point.items():
             values[self.varset.index(name)] = _coerce(val)
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
+        n = len(self.varset)
+        used = {}
+        for exps in self.terms:
+            for i in compress(range(n), exps):
                 if i not in values:
                     raise ValueError(f"missing assignment for variable {self.varset.names[i]!r}")
-                term *= values[i] ** e
+                used[i] = values[i]
+        numerators, d = _cleared(used.values())
+        p = dict(zip(used, numerators))
+        coeffs, c = _cleared(self.terms.values())
+        degrees = [sum(exps) for exps in self.terms]
+        top = max(degrees, default=0)
+        scales = {k: d ** (top - k) for k in set(degrees)}
+        total = 0
+        for exps, coeff, k in zip(self.terms, coeffs, degrees):
+            term = coeff * scales[k]
+            for i in compress(range(n), exps):
+                term *= p[i] ** exps[i]
             total += term
-        return total
+        return Fraction(total, c * d**top)
 
     def rename(self, target: VariableSet, mapping: Mapping[str, str] | None = None) -> "Polynomial":
         """Re-index into `target`, optionally renaming variables.

@@ -33,9 +33,14 @@ class GeneratorSet:
     subtracted (which preserves the generated algebra) and the reduced
     candidate is re-inserted; an exact duplicate melts away to zero and is
     dropped.
+
+    Two memos live on a set: generator powers, keyed by (index, exponent),
+    which `with_added` carries over, and leading-monomial factorizations,
+    keyed by target monomial, which it does not: a new generator can make a
+    target factor, or change which factorization the search returns.
     """
 
-    __slots__ = ("gens", "order", "_lms", "_powers")
+    __slots__ = ("gens", "order", "_lms", "_powers", "_factors")
 
     def __init__(self, gens: Iterable[Polynomial], order: TermOrder):
         self.order = order
@@ -46,6 +51,7 @@ class GeneratorSet:
         self.gens = tuple(store)
         self._lms = tuple(lms)
         self._powers: dict[tuple[int, int], Polynomial] = {}
+        self._factors: dict[Exponents, tuple | None] = {}
 
     def _insert(self, g: Polynomial, store: list[Polynomial], lms: list[Exponents]) -> None:
         if g.varset != self.order.varset:
@@ -181,6 +187,7 @@ def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
     if f.varset != order.varset:
         raise ValueError("polynomial over the wrong variable set")
     lms = basis.leading_monomials()
+    factors = basis._factors
     cert_terms: dict = {}
     g = f
     prev_key = None
@@ -192,7 +199,10 @@ def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
                 f"subduction must strictly descend: leading key {key} after {prev_key}"
             )
         prev_key = key
-        exps = _factor_monomial(lt_exps, lms, order.key)
+        if lt_exps in factors:
+            exps = factors[lt_exps]
+        else:
+            exps = factors[lt_exps] = _factor_monomial(lt_exps, lms, order.key)
         if exps is None:
             break
         cert_terms[exps] = lt_coeff

@@ -57,6 +57,21 @@ class TestPoly:
         assert code == 1 and out == ""
         assert err == "error: bad assignment 'x=abc', 'abc' is not a rational number\n"
 
+    def test_eval_degree_capped(self, capsys):
+        cap = cli.MAX_POLY_DEGREE
+        code, out, _ = run(capsys, "poly", f"w11^{cap}", "--screws", "1", "--eval", "w11=3")
+        assert code == 0 and out == f"{3 ** cap}\n"
+        for poly in (f"w11^{cap + 1}", f"w11 + w12^{cap}*v11", "w11^1000000"):
+            t0 = time.monotonic()
+            code, out, err = run(capsys, "poly", poly, "--screws", "1", "--eval", "w11=3")
+            assert time.monotonic() - t0 < 1.0
+            assert code == 1 and out == ""
+            assert err == f"error: --eval supports polynomials of degree at most {cap}\n"
+
+    def test_format_without_eval_not_degree_capped(self, capsys):
+        code, out, _ = run(capsys, "poly", "w11^1000000", "--screws", "1")
+        assert code == 0 and out == "w11^1000000\n"
+
     def test_missing_context_exits_1(self, capsys):
         code, _, err = run(capsys, "poly", "w11")
         assert code == 1

@@ -60,12 +60,14 @@ SUBDUCT_INPUTS = {
 
 # se3 invariance checks, label -> (poly, screws, mode): the Klein form of one
 # screw passes both oracles; the cross-screw Klein-like form fails the
-# symbolic one, and w11 fails sampling with a counterexample (default seed).
+# symbolic one, and w11 fails sampling with a counterexample (default seed),
+# as does a non-homogeneous two-screw form with fractional coefficients.
 INVARIANCE_INPUTS = {
     "symbolic_klein": ("w11*v11 + w12*v12 + w13*v13", 1, "symbolic"),
     "symbolic_cross": ("w11*v21 + w12*v22 + w13*v23", 2, "symbolic"),
     "sample_klein": ("w11*v11 + w12*v12 + w13*v13", 1, "sample"),
     "sample_w11": ("w11", 1, "sample"),
+    "sample_fractional_two_screw": ("1/3*w11*v21 + w12^2 - 5/7", 2, "sample"),
 }
 
 # `poly` runs, label -> argv after the subcommand: a leading sign,

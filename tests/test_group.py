@@ -11,6 +11,7 @@ from screwinv.group import (
     EuclideanElement,
     RationalQuaternion,
     Rotation,
+    _act,
     _scaled_adjoint,
     adjoint_matrix,
     apply_adjoint,
@@ -216,6 +217,39 @@ class TestAdjoint:
         g = EuclideanElement(Rotation.identity(), (0, 0, 1))
         t = transform_twist(g, Twist((0, 0, 1), (0, 0, 0)))
         assert t.vee == (0, 0, 0)
+
+    @pytest.mark.parametrize("kind", list(ActionKind))
+    def test_integer_action_matches_fraction_formula(self, kind):
+        # the reference is the ring-generic formula on the Fraction view of g
+        rng = random.Random(41)
+
+        def rational(bound):
+            return Fraction(rng.randint(-bound, bound), rng.randint(1, 30))
+
+        for _ in range(60):
+            if kind is ActionKind.TRANSLATION_SUB:
+                rotation = Rotation.identity()
+            else:
+                rotation = rotation_from_quaternion(
+                    RationalQuaternion(*(rng.randint(-60, 60) or 1 for _ in range(4)))
+                )
+            if kind is ActionKind.ROTATION_SUB:
+                translation = (0, 0, 0)
+            else:
+                translation = tuple(rational(500) for _ in range(3))
+            g = EuclideanElement(rotation, translation)
+            twists = [Twist((0, 0, 0), (0, 0, 0)), Twist((1, 0, 0), (0, 0, 0))]
+            twists += [
+                Twist([rational(40) for _ in range(3)], [rational(40) for _ in range(3)])
+                for _ in range(3)
+            ]
+            images = apply_adjoint(g, MultiScrew(tuple(twists)))
+            for tw, image in zip(twists, images):
+                expected = Twist(*_act(g.rotation.entries, g.translation, tw.omega, tw.vee))
+                single = transform_twist(g, tw)
+                assert single == expected and image == expected
+                for coord in single.omega + single.vee + image.omega + image.vee:
+                    assert type(coord) is Fraction
 
     def test_multi_screw_componentwise(self):
         rng = random.Random(37)

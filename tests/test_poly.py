@@ -8,8 +8,29 @@ import pytest
 
 from conftest import random_poly
 from screwinv.parsing import parse
-from screwinv.poly import Polynomial, TermOrder, VariableSet
+from screwinv.poly import Polynomial, TermOrder, VariableSet, _coerce
 from screwinv.screw import screw_varset, z_poly
+
+
+def _reference_evaluate(f: Polynomial, point) -> Fraction:
+    """The term-by-term Fraction loop `Polynomial.evaluate` replaced."""
+    for name in point:
+        if name not in f.varset:
+            raise ValueError(f"unknown variable {name!r}")
+    values = {}
+    for name, val in point.items():
+        values[f.varset.index(name)] = _coerce(val)
+    total = Fraction(0)
+    for exps, coeff in f.terms.items():
+        term = coeff
+        for i, e in enumerate(exps):
+            if not e:
+                continue
+            if i not in values:
+                raise ValueError(f"missing assignment for variable {f.varset.names[i]!r}")
+            term *= values[i] ** e
+        total += term
+    return total
 
 
 class TestVariableSet:
@@ -360,6 +381,45 @@ class TestSubstituteEvaluate:
             f.evaluate({"x": 1})
         with pytest.raises(ValueError):
             f.evaluate({"x": 1, "z": 2})
+
+    def test_evaluate_matches_fraction_reference(self):
+        rng = random.Random(43)
+        vs = VariableSet(["a", "b", "c", "d", "e"])
+
+        def number(integral):
+            if integral:
+                return rng.randint(-12, 12)
+            return Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+
+        polys = [Polynomial.zero(vs), Polynomial.constant(vs, Fraction(-7, 3))]
+        for _ in range(200):
+            terms = {}
+            for _ in range(rng.randint(1, 6)):
+                exps = tuple(rng.randint(0, 3) if rng.random() < 0.4 else 0 for _ in vs)
+                terms[exps] = number(rng.random() < 0.5)
+            polys.append(Polynomial(vs, terms))
+        for f in polys:
+            for _ in range(5):
+                integral = rng.random() < 0.3
+                point = {name: number(integral) for name in vs.names}
+                value = f.evaluate(point)
+                assert type(value) is Fraction
+                assert value == _reference_evaluate(f, point)
+
+    def test_evaluate_missing_assignment_names_reference_variable(self):
+        rng = random.Random(47)
+        vs = VariableSet(["a", "b", "c", "d"])
+        for _ in range(200):
+            f = random_poly(rng, vs, max_terms=5, max_deg=4)
+            point = {name: rng.randint(-3, 3) for name in vs.names if rng.random() < 0.5}
+            try:
+                expected = _reference_evaluate(f, point)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as caught:
+                    f.evaluate(point)
+                assert str(caught.value) == str(exc)
+            else:
+                assert f.evaluate(point) == expected
 
     def test_degree_components(self, abcd):
         f = parse("a^2 + a*b + c + 7", abcd)

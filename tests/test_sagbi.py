@@ -290,6 +290,22 @@ class TestPowerCache:
         assert basis.gens is gens
         assert [dict(g.terms) for g in basis.gens] == before
 
+    def test_factorizations_not_carried_across_with_added(self):
+        vs = VariableSet(["x", "y"])
+        x, y = parse("x", vs), parse("y", vs)
+        basis = GeneratorSet([x], vs.default_order())
+        # x*y does not factor over {x}; subducting records that answer
+        assert subduct(x * y, basis).remainder == x * y
+        assert subduct(x * y, basis.with_added(y)).remainder.is_zero()
+        assert subduct(x * y, basis).remainder == x * y
+        # a new generator can change which factorization the search returns
+        pair = GeneratorSet([x, y], vs.default_order())
+        target = x * x * y
+        assert subduct(target, pair).certificate.terms == {(2, 1): 1}
+        grown = pair.with_added(x * y)
+        assert subduct(target, grown).certificate.terms == {(1, 0, 1): 1}
+        assert subduct(target, pair).certificate.terms == {(2, 1): 1}
+
     def test_empty_product_is_one(self):
         basis = self._small_set()
         assert basis.power_product((0, 0, 0)) == Polynomial.constant(basis.order.varset, 1)
@@ -508,6 +524,18 @@ class TestTeteATetes:
         assert pairs == _reference_tete_a_tetes(basis, bound)
 
 
+NONHOMOGENEOUS_SEED = (
+    "y*u - 3/2*x*y",
+    "x*y*z - 2*x^2*u - 2*x*u",
+    "y^2 + x*z*u - z",
+    "y*z*u + x*y + 2*x*z",
+    "x*y + 1/3*x*u^2 + 2/3*x*z",
+    "x",
+    "x^2*u + x*u - x^2",
+    "x*u^2 + 2*x*z",
+)
+
+
 class TestConstruction:
     def test_free_seed_completes_immediately(self):
         vs = VariableSet(["x", "y"])
@@ -534,12 +562,22 @@ class TestConstruction:
         assert not res.complete
         assert len(res.basis) == 4  # x*y^3 joined within the bound
 
-    def test_construction_closure_when_complete(self):
-        vs = screw_varset(1)
-        from screwinv.group import ActionKind, pullback
-
-        seed = pullback(ActionKind.TRANSLATION_SUB, 1).seed_generators()
-        res = sagbi_construct(seed, degree_bound=4, max_iterations=16)
+    @pytest.mark.parametrize(
+        "seed_name, bound",
+        [("translation-1", 4), ("translation-2", 5), ("nonhomogeneous", 4)],
+    )
+    def test_construction_closure_when_complete(self, seed_name, bound):
+        # the non-homogeneous seed completes in 3 passes; skipping last
+        # pass's pairs would stop it after 2 with a non-closing basis
+        if seed_name == "nonhomogeneous":
+            vs = VariableSet(["x", "y", "z", "u"])
+            seed = GeneratorSet(
+                [parse(g, vs) for g in NONHOMOGENEOUS_SEED], TermOrder(vs, ["y", "u", "z", "x"])
+            )
+        else:
+            m = int(seed_name.rsplit("-", 1)[1])
+            seed = pullback(ActionKind.TRANSLATION_SUB, m).seed_generators()
+        res = sagbi_construct(seed, degree_bound=bound, max_iterations=16)
         assert res.complete
         for pair in tete_a_tetes(res.basis, res.degree_bound):
             diff = res.basis.power_product(pair.a) - res.basis.power_product(pair.b)
