@@ -1,17 +1,17 @@
 """Exact rigid displacements and their adjoint action on multi-screws.
 
-A rotation is held as M/n: an integer 3x3 matrix M over one positive
-integer denominator n, reduced so that gcd(M, n) = 1, and checked on
-construction in integer arithmetic (M^T M = n^2 I and det M = n^3, so M/n
-is exactly orthogonal with determinant 1).  Exact rotations are sampled by
-pushing integer quaternions q through the quaternion-to-matrix formula,
-which gives M over n = |q|^2 before reduction.  The Fraction matrix M/n is
-a view built on request.  A displacement acts on a twist by the 6x6 block
-matrix [[R, 0], [TR, R]], with T the skew matrix of the translation t, so
-the columns of TR are t crossed with the columns of R.  Numerically that
-matrix is held as an integer matrix A over one int d, and a twist is
-acted on with its coordinates cleared to ints over their common
-denominator, so each image coordinate costs one Fraction.
+A rotation is held as M/n: an integer 3x3 matrix M over one int n > 0,
+reduced so that gcd(M, n) = 1.  Its one constructor checks every rotation,
+products included, in integer arithmetic (M^T M = n^2 I, det M = n^3).
+Exact rotations come from integer quaternions q through the
+quaternion-to-matrix formula, which gives M over n = |q|^2 before
+reduction; the Fraction matrix M/n is a view built on request.  A
+displacement acts on a twist by the 6x6 block matrix [[R, 0], [TR, R]],
+with T the skew matrix of the translation t; `_adjoint_blocks` is the one
+place this is written.  Numerically that matrix is held as an integer
+matrix A over one int d, and a twist is acted on with its coordinates
+cleared to ints over their common denominator, so each image coordinate
+costs one Fraction.
 
 Invariance of a polynomial under the full action or either sub-action can
 be checked two independent ways: symbolically (substituting the action of
@@ -35,40 +35,32 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 from .poly import Polynomial, TermOrder, VariableSet, _cleared, _coerce
 from .sagbi import (
     DEFAULT_DEGREE_BOUND,
-    DEFAULT_MAX_ITERATIONS,
     GeneratorSet,
     SagbiResult,
     eliminate,
     sagbi_construct,
 )
-from .screw import MultiScrew, Twist, Vec3, cross, det, screw_varset, symbolic_vector, vec3
-
-Mat3 = tuple  # 3 rows of 3 Fractions
+from .screw import MultiScrew, Twist, Vec3, cross, dot, screw_varset, symbolic_vector, vec3
 
 DEFAULT_SAMPLES = 32
 DEFAULT_SEED = 0xC0FFEE
 
 
-def _mat3(rows) -> Mat3:
-    rows = tuple(vec3(row) for row in rows)
-    if len(rows) != 3:
-        raise ValueError("expected a 3x3 matrix")
-    return rows
-
-
 def mat_mul(a, b):
     """Matrix product of any compatible sizes; rows of `a` times columns of `b`."""
     columns = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in columns) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
 
 
 def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    """The product a v, each row summed from its first product (no int 0 start)."""
+    return tuple(reduce(add, map(mul, row, v)) for row in a)
 
 
 def transpose(a):
@@ -97,54 +89,44 @@ class RationalQuaternion:
 class Rotation:
     """Exactly orthogonal 3x3 matrix with determinant 1, held as M/n.
 
-    `numerator` is the integer matrix M and `denominator` the integer n > 0,
-    reduced so that gcd(M, n) = 1; the pair is unique, so equality and
-    hashing compare it.  Construction checks M^T M = n^2 I and det M = n^3
-    in integer arithmetic and raises otherwise, so a Rotation can never hold
-    an inexact or reflecting matrix.  `entries` is the Fraction view M/n,
-    built on each read.
+    `Rotation(M, n)` takes an int 3x3 matrix M and an int n > 0, raises
+    unless M^T M = n^2 I and det M = n^3, and stores the unique reduced pair
+    (gcd(M, n) = 1) that equality and hashing compare.  It is the only way
+    to build one, and it cannot be reassigned, so a Rotation never holds an
+    inexact or reflecting matrix.  `entries` is the Fraction view M/n.
     """
 
     __slots__ = ("numerator", "denominator")
 
-    def __init__(self, entries):
-        flat, n = _cleared([e for row in _mat3(entries) for e in row])
-        checked = Rotation._from_integers(tuple(flat[i:i + 3] for i in (0, 3, 6)), n)
-        self.numerator, self.denominator = checked.numerator, checked.denominator
-
-    @classmethod
-    def _from_integers(cls, numerator, denominator: int) -> "Rotation":
-        """M/n from an integer 3x3 matrix M and an int n > 0, checked and reduced."""
-        if not all(type(x) is int for x in (denominator, *(e for row in numerator for e in row))):
+    def __init__(self, numerator, denominator: int):
+        rows = tuple(map(tuple, numerator))
+        if [len(row) for row in rows] != [3, 3, 3]:
+            raise ValueError("expected a 3x3 matrix")
+        if not all(type(x) is int for x in (denominator, *(e for row in rows for e in row))):
             raise TypeError("a rotation's numerator and denominator must be ints")
         if denominator <= 0:
             raise ValueError("a rotation's denominator must be positive")
         n2 = denominator * denominator
         scaled_identity = tuple(tuple(n2 if i == j else 0 for j in range(3)) for i in range(3))
-        if mat_mul(transpose(numerator), numerator) != scaled_identity:
+        if mat_mul(transpose(rows), rows) != scaled_identity:
             raise ValueError("matrix is not exactly orthogonal")
-        if det(numerator) != n2 * denominator:
+        if dot(rows[0], cross(rows[1], rows[2])) != n2 * denominator:  # det M
             raise ValueError("matrix has determinant != 1")
-        return cls._reduced(numerator, denominator)
+        g = math.gcd(denominator, *(x for row in rows for x in row))
+        object.__setattr__(self, "numerator", tuple(tuple(x // g for x in row) for row in rows))
+        object.__setattr__(self, "denominator", denominator // g)
 
-    @classmethod
-    def _reduced(cls, numerator, denominator: int) -> "Rotation":
-        """M/n with gcd(M, n) divided out; unchecked, for known rotations."""
-        g = math.gcd(denominator, *(x for row in numerator for x in row))
-        out = object.__new__(cls)
-        out.numerator = tuple(tuple(x // g for x in row) for row in numerator)
-        out.denominator = denominator // g
-        return out
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Rotation is immutable; cannot set {name!r}")
 
     @property
-    def entries(self) -> Mat3:
+    def entries(self) -> tuple:
         n = self.denominator
         return tuple(tuple(Fraction(x, n) for x in row) for row in self.numerator)
 
     def compose(self, other: "Rotation") -> "Rotation":
-        return Rotation._reduced(
-            mat_mul(self.numerator, other.numerator), self.denominator * other.denominator
-        )
+        n = self.denominator * other.denominator
+        return Rotation(mat_mul(self.numerator, other.numerator), n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -157,11 +139,11 @@ class Rotation:
         return hash((self.numerator, self.denominator))
 
     def __repr__(self) -> str:
-        return f"Rotation({[list(map(str, row)) for row in self.entries]})"
+        return f"Rotation({self.numerator!r}, {self.denominator!r})"
 
     @classmethod
     def identity(cls) -> "Rotation":
-        return cls._reduced(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1)
+        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1)
 
 
 def _quaternion_matrix_raw(q0, q1, q2, q3):
@@ -180,7 +162,7 @@ def rotation_from_quaternion(q: RationalQuaternion) -> Rotation:
     quaternion matrix of a over |a|^2; the scale d cancels.
     """
     a, _ = _cleared(q.components())
-    return Rotation._from_integers(_quaternion_matrix_raw(*a), sum(x * x for x in a))
+    return Rotation(_quaternion_matrix_raw(*a), sum(x * x for x in a))
 
 
 @dataclass(frozen=True)
@@ -209,27 +191,26 @@ class EuclideanElement:
         )
 
 
-def _act(r, t, omega, vee):
-    """The adjoint action (omega, v) -> (R omega, t x (R omega) + R v).
+def _adjoint_blocks(m, u, e) -> tuple:
+    """(eM, UM), the columns of UM being u crossed with the columns of M.
 
-    Ring-generic, so it builds the symbolic pullback images from Polynomial
-    entries; numeric twists are acted on by `_act_scaled` instead.
+    The one place the adjoint action is written: with R = M/n and t = u/e,
+    (R, t) acts on (omega, v) by [[eM, 0], [UM, eM]] / (n e).  Ring-generic,
+    so `_scaled_adjoint` calls it on ints and `_images` on Polynomials.
     """
-    rw = mat_vec(r, omega)
-    return rw, tuple(a + b for a, b in zip(cross(t, rw), mat_vec(r, vee)))
+    em = tuple(tuple(e * x for x in row) for row in m)
+    um = transpose([cross(u, column) for column in transpose(m)])
+    return em, um
 
 
 def _scaled_adjoint(g: EuclideanElement) -> tuple:
     """(A, d): the adjoint matrix of g is A/d, with A a 6x6 matrix of ints and d > 0.
 
-    With R = M/n and t = u/e (u the integer numerators over the common
-    denominator e), A = [[e M, 0], [U M, e M]] and d = n e, where the columns
-    of U M are u crossed with the columns of M.
+    With t = u/e (u the integer numerators over the common denominator e),
+    A = [[eM, 0], [UM, eM]] from `_adjoint_blocks` and d = n e.
     """
-    m = g.rotation.numerator
     u, e = _cleared(g.translation)
-    em = tuple(tuple(e * x for x in row) for row in m)
-    um = transpose([cross(u, column) for column in transpose(m)])
+    em, um = _adjoint_blocks(g.rotation.numerator, u, e)
     zero = (0, 0, 0)
     a = tuple(row + zero for row in em) + tuple(x + y for x, y in zip(um, em))
     return a, g.rotation.denominator * e
@@ -301,10 +282,10 @@ class PullbackSystem:
 def pullback(kind: ActionKind, m: int) -> PullbackSystem:
     """Build the pullback system of the chosen action on m screws.
 
-    Every kind uses the one adjoint formula `_act`: omega_i maps to R omega_i
-    and v_i to t x (R omega_i) + R v_i.  R is the quaternion matrix with its
-    |q|^2 denominator cleared, or the identity for the translation
-    sub-action; t is (t1, t2, t3), or zero for the rotation sub-action.
+    Every kind uses `_adjoint_blocks`: omega_i maps to R omega_i and v_i to
+    t x (R omega_i) + R v_i.  R is the quaternion matrix with its |q|^2
+    denominator cleared, or the identity for the translation sub-action; t
+    is (t1, t2, t3), or zero for the rotation sub-action.
     """
     if m < 1:
         raise ValueError("need at least one screw")
@@ -338,11 +319,13 @@ def pullback(kind: ActionKind, m: int) -> PullbackSystem:
 
 def _images(vs: VariableSet, m: int, r, t) -> dict[str, Polynomial]:
     """Each screw coordinate's name -> its image over `vs` under (r, t)."""
+    em, um = _adjoint_blocks(r, t, 1)
     images = {}
     for i in range(1, m + 1):
-        omega, vee = _act(r, t, symbolic_vector(vs, f"w{i}"), symbolic_vector(vs, f"v{i}"))
-        images.update(zip((f"w{i}{n}" for n in (1, 2, 3)), omega))
-        images.update(zip((f"v{i}{n}" for n in (1, 2, 3)), vee))
+        omega, vee = symbolic_vector(vs, f"w{i}"), symbolic_vector(vs, f"v{i}")
+        images.update(zip((f"w{i}{n}" for n in (1, 2, 3)), mat_vec(em, omega)))
+        vee_image = (a + b for a, b in zip(mat_vec(um, omega), mat_vec(em, vee)))
+        images.update(zip((f"v{i}{n}" for n in (1, 2, 3)), vee_image))
     return images
 
 
@@ -475,11 +458,7 @@ def check_invariant_sampled(
     return SampledCheck(True)
 
 
-def translation_invariant_basis(
-    m: int,
-    degree_bound: int = DEFAULT_DEGREE_BOUND,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> SagbiResult:
+def translation_invariant_basis(m: int, degree_bound: int = DEFAULT_DEGREE_BOUND) -> SagbiResult:
     """Translation-invariant basis on m screws via pullback plus elimination.
 
     Runs the bounded SAGBI construction on the translation pullback images
@@ -487,9 +466,7 @@ def translation_invariant_basis(
     screw coordinates.  The completeness flag is inherited from the run.
     """
     system = pullback(ActionKind.TRANSLATION_SUB, m)
-    result = sagbi_construct(
-        system.seed_generators(), degree_bound=degree_bound, max_iterations=max_iterations
-    )
+    result = sagbi_construct(system.seed_generators(), degree_bound=degree_bound)
     return eliminate(result, system.group_vars)
 
 

@@ -49,9 +49,12 @@ class VariableSet:
             if name in seen:
                 raise ValueError(f"duplicate variable name {name!r}")
             seen.add(name)
-        self.names = names
-        self._index = {name: i for i, name in enumerate(names)}
-        self._default_order = None
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
+        object.__setattr__(self, "_default_order", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"VariableSet is immutable; cannot set {name!r}")
 
     def index(self, name: str) -> int:
         try:
@@ -84,7 +87,7 @@ class VariableSet:
     def default_order(self) -> "TermOrder":
         """Lex order with priority equal to the creation order (cached)."""
         if self._default_order is None:
-            self._default_order = TermOrder(self)
+            object.__setattr__(self, "_default_order", TermOrder(self))
         return self._default_order
 
 

@@ -62,7 +62,7 @@ def _random_rotations(count: int, seed: int):
 
 def check_single_screw_sagbi() -> VerifyItem:
     """Construction on the one-screw translation pullback: 4 generators."""
-    res = translation_invariant_basis(1, degree_bound=4, max_iterations=16)
+    res = translation_invariant_basis(1, degree_bound=4)
     vs = screw_varset(1)
     expected_lms = {
         parse(text, vs).leading_monomial() for text in ("w11", "w12", "w13", "w11*v11")
@@ -91,7 +91,7 @@ def check_two_screw_sagbi() -> VerifyItem:
     translation-invariant; the rejected transcription (w21^2*v23
     instead of w13*w21*v23) is reported, never silently substituted.
     """
-    res = translation_invariant_basis(2, degree_bound=4, max_iterations=16)
+    res = translation_invariant_basis(2, degree_bound=4)
     catalog = translation_sagbi_catalog(2)
     by_lm_expected = {p.leading_monomial(): p for _, p in catalog}
     by_lm_got = {g.leading_monomial(res.basis.order): g for g in res.basis}
@@ -254,7 +254,7 @@ def check_membership_oracle() -> VerifyItem:
     """Mixed Klein sum is a member, a lone cross Klein term is not."""
     vs = screw_varset(2)
     seed = GeneratorSet(se3_generator_catalog(2).polynomials(), vs.default_order())
-    res = sagbi_construct(seed, degree_bound=4, max_iterations=16)
+    res = sagbi_construct(seed, degree_bound=4)
     mixed = mixed_form(vs, 1, 2)
     member = is_member(mixed, res)
     lone = parse("w11*v21 + w12*v22 + w13*v23", vs)
@@ -321,8 +321,8 @@ def check_property_suites() -> VerifyItem:
             return VerifyItem("property suites", False, f"round trip failed on {format_poly(f)}")
     # adjoint representation property, Ad(g1 g2) = Ad(g1) Ad(g2), on the
     # integer forms Ad(g) = A/d by cross-multiplication; orthogonality holds
-    # by construction, since a Rotation M/n raises unless M^T M = n^2 I and
-    # det M = n^3 exactly
+    # by construction, since every Rotation M/n, products included, raises
+    # unless M^T M = n^2 I and det M = n^3 exactly
     rot_rng = random.Random(SUITE_SEED + 1)
     elements = list(_random_rotations(1000, SUITE_SEED + 2))
     for _ in range(1000):

@@ -182,6 +182,22 @@ class TestSubduct:
         code, out, _ = run(capsys, "subduct", "--basis", str(basis), "--poly", "y")
         assert code == 0 and "member: no" in out
 
+    def test_degree_capped(self, capsys, tmp_path):
+        # every subduction step against x + 1 lowers the degree by one, so
+        # x^1600 would run for minutes
+        cap = cli.MAX_POLY_DEGREE
+        basis = tmp_path / "basis.txt"
+        basis.write_text("order: lex x\nx + 1\n")
+        argv = ["subduct", "--basis", str(basis), "--poly"]
+        code, out, _ = run(capsys, *argv, f"x^{cap}")
+        assert code == 0 and "member: yes" in out
+        for poly in (f"x^{cap + 1}", f"1 + x^{cap + 1}", "x^1600"):
+            t0 = time.monotonic()
+            code, out, err = run(capsys, *argv, poly)
+            assert time.monotonic() - t0 < 1.0
+            assert code == 1 and out == ""
+            assert err == f"error: subduct supports --poly of degree at most {cap}\n"
+
 
 class TestInvariance:
     def test_symbolic_pass(self, capsys):
@@ -191,6 +207,23 @@ class TestInvariance:
             "--group", "se3", "--screws", "1",
         )
         assert code == 0 and out.startswith("PASS")
+
+    @pytest.mark.parametrize("seed, expected", [("0xC0FFEE", 0xC0FFEE), ("12", 12), ("0b101", 5)])
+    def test_seed_in_any_base(self, capsys, seed, expected):
+        argv = ["invariance", "--poly", "w11*w11", "--group", "t3", "--screws", "1"]
+        code, out, _ = run(capsys, "--json", *argv, "--mode", "sample", "--seed", seed)
+        assert code == 0 and json.loads(out)["items"][0]["seed"] == expected
+
+    @pytest.mark.parametrize("seed", ["abc", "1.5", "0x", ""])
+    def test_bad_seed_names_an_integer(self, capsys, seed):
+        argv = ["invariance", "--poly", "w11", "--group", "se3", "--screws", "1"]
+        code, out, err = run(capsys, *argv, "--mode", "sample", "--seed", seed)
+        assert code == 1 and out == ""
+        assert err == (
+            "error: argument --seed: expected an integer (decimal, or prefixed 0x, 0o or 0b),"
+            f" got {seed!r}\n"
+        )
+        assert "lambda" not in err
 
     def test_sample_fail_shows_counterexample(self, capsys):
         code, out, _ = run(

@@ -11,7 +11,6 @@ from screwinv.group import (
     EuclideanElement,
     RationalQuaternion,
     Rotation,
-    _act,
     _scaled_adjoint,
     adjoint_matrix,
     apply_adjoint,
@@ -80,19 +79,48 @@ class TestRotation:
 
     def test_constructor_rejects_non_orthogonal(self):
         with pytest.raises(ValueError):
-            Rotation(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+            Rotation(((1, 1, 0), (0, 1, 0), (0, 0, 1)), 1)
 
     def test_constructor_rejects_reflection(self):
         with pytest.raises(ValueError):
-            Rotation(((1, 0, 0), (0, 1, 0), (0, 0, -1)))
+            Rotation(((1, 0, 0), (0, 1, 0), (0, 0, -1)), 1)
 
-    # values that equal 1, so only the number rule can reject the identity
+    # values that equal 1, so only the number rule can reject the identity;
+    # a rotation takes ints only, so a bool or a Fraction is refused too
     @pytest.mark.parametrize(
-        "value, error", [(1.0, TypeError), ("1", TypeError), (True, ValueError)]
+        "value, error",
+        [(1.0, TypeError), ("1", TypeError), (True, TypeError), (Fraction(1), TypeError)],
     )
     def test_constructor_rejects_inexact_entries(self, value, error):
         with pytest.raises(error):
-            Rotation(((value, 0, 0), (0, 1, 0), (0, 0, 1)))
+            Rotation(((value, 0, 0), (0, 1, 0), (0, 0, 1)), 1)
+        with pytest.raises(error):
+            Rotation(((1, 0, 0), (0, 1, 0), (0, 0, 1)), value)
+
+    def test_attributes_cannot_be_reassigned(self):
+        r = Rotation.identity()
+        stretched = ((2, 0, 0), (0, 1, 0), (0, 0, 1))
+        with pytest.raises(AttributeError):
+            r.numerator = stretched
+        with pytest.raises(AttributeError):
+            r.denominator = 2
+        with pytest.raises(AttributeError):
+            r.extra = 1
+        assert r == Rotation.identity()
+        g = EuclideanElement(r, (0, 0, 0))
+        assert g.rotation.numerator == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def test_compose_checks_the_product(self):
+        # a corrupted operand can only be made by going round the
+        # constructor; compose builds its product through it and refuses
+        r = rotation_from_quaternion(RationalQuaternion(1, 1, 1, 0))
+        corrupted = rotation_from_quaternion(RationalQuaternion(1, 2, 0, 0))
+        object.__setattr__(corrupted, "numerator", ((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+        for a, b in ((r, corrupted), (corrupted, r)):
+            with pytest.raises(ValueError):
+                a.compose(b)
+        with pytest.raises(ValueError):
+            EuclideanElement(r, (1, 2, 3)).compose(EuclideanElement(corrupted, (0, 0, 0)))
 
     def test_matrix_helpers_take_any_size(self):
         a = ((1, 2, 3), (4, 5, 6))
@@ -220,7 +248,8 @@ class TestAdjoint:
 
     @pytest.mark.parametrize("kind", list(ActionKind))
     def test_integer_action_matches_fraction_formula(self, kind):
-        # the reference is the ring-generic formula on the Fraction view of g
+        # the reference is (R omega, t x (R omega) + R v), written out here on
+        # the Fraction view of g rather than taken from the library
         rng = random.Random(41)
 
         def rational(bound):
@@ -244,8 +273,16 @@ class TestAdjoint:
                 for _ in range(3)
             ]
             images = apply_adjoint(g, MultiScrew(tuple(twists)))
+            r, t = g.rotation.entries, g.translation
             for tw, image in zip(twists, images):
-                expected = Twist(*_act(g.rotation.entries, g.translation, tw.omega, tw.vee))
+                r_omega = tuple(sum(x * y for x, y in zip(row, tw.omega)) for row in r)
+                r_vee = tuple(sum(x * y for x, y in zip(row, tw.vee)) for row in r)
+                t_cross = (
+                    t[1] * r_omega[2] - t[2] * r_omega[1],
+                    t[2] * r_omega[0] - t[0] * r_omega[2],
+                    t[0] * r_omega[1] - t[1] * r_omega[0],
+                )
+                expected = Twist(r_omega, tuple(a + b for a, b in zip(t_cross, r_vee)))
                 single = transform_twist(g, tw)
                 assert single == expected and image == expected
                 for coord in single.omega + single.vee + image.omega + image.vee:
@@ -580,10 +617,19 @@ class TestIntegerGroupElements:
             comps = [rng.randint(-30, 30) for _ in range(3)] + [rng.randint(1, 30)]
             r = rotation_from_quaternion(RationalQuaternion(*comps))
             scaled = rotation_from_quaternion(RationalQuaternion(*(k * c for c in comps)))
-            rebuilt = Rotation(r.entries)
-            for other in (scaled, rebuilt):
-                assert other == r and hash(other) == hash(r)
-                assert (other.numerator, other.denominator) == (r.numerator, r.denominator)
+            assert scaled == r and hash(scaled) == hash(r)
+            assert (scaled.numerator, scaled.denominator) == (r.numerator, r.denominator)
+
+    @pytest.mark.parametrize("k", [2, 3, 17])
+    def test_scaled_numerator_and_denominator_give_one_rotation(self, k):
+        rng = random.Random(47)
+        for _ in range(100):
+            comps = [rng.randint(-30, 30) for _ in range(3)] + [rng.randint(1, 30)]
+            r = rotation_from_quaternion(RationalQuaternion(*comps))
+            m, n = r.numerator, r.denominator
+            rebuilt = Rotation(tuple(tuple(k * x for x in row) for row in m), k * n)
+            assert rebuilt == r and hash(rebuilt) == hash(r)
+            assert (rebuilt.numerator, rebuilt.denominator) == (m, n)
 
     def test_adjoint_matrix_is_a_over_d(self):
         for g in self.elements():
@@ -606,11 +652,22 @@ class TestIntegerGroupElements:
             (((1, 0, 0), (0, 1, 0), (0, 0, 1)), -1, ValueError),  # negative scale
             (((1, 0, 0), (0, 1, 0), (0, 0, 1)), Fraction(1), TypeError),
             (((Fraction(1), 0, 0), (0, 1, 0), (0, 0, 1)), 1, TypeError),
+            (((1, 0, 0), (0, 1, 0), (0, 0, 1)), 0, ValueError),  # zero scale
+            (((True, 0, 0), (0, 1, 0), (0, 0, 1)), 1, TypeError),
+            (((1, 0), (0, 1)), 1, ValueError),  # 2x2
+            (((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)), 1, ValueError),  # 4x3
+            (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), 1, ValueError),  # 3x4
         ],
     )
     def test_integer_constructor_checks(self, numerator, denominator, error):
         with pytest.raises(error):
-            Rotation._from_integers(numerator, denominator)
+            Rotation(numerator, denominator)
+
+    def test_constructor_reduces_and_accepts_any_rows(self):
+        r = Rotation([[3, 6, 6], [6, 3, -6], [-6, 6, -3]], 9)
+        assert r.numerator == ((1, 2, 2), (2, 1, -2), (-2, 2, -1)) and r.denominator == 3
+        assert r == rotation_from_quaternion(RationalQuaternion(1, 1, 1, 0))
+        assert repr(r) == "Rotation(((1, 2, 2), (2, 1, -2), (-2, 2, -1)), 3)"
 
     def test_verify_homomorphism_check_catches_wrong_order(self, monkeypatch):
         assert check_property_suites().passed

@@ -53,6 +53,20 @@ class TestVariableSet:
         with pytest.raises(ValueError):
             vs.index("y")
 
+    @pytest.mark.parametrize("name", ["names", "_index", "_default_order", "extra"])
+    def test_attributes_cannot_be_reassigned(self, name):
+        # reassigning names would leave the lookup index describing other
+        # variables, so "y" in vs would be False after vs.names = ("y",)
+        vs = VariableSet(["x"])
+        with pytest.raises(AttributeError):
+            setattr(vs, name, ("y",))
+        assert vs.names == ("x",) and "x" in vs and "y" not in vs
+
+    def test_default_order_is_cached(self):
+        vs = VariableSet(["x", "y"])
+        order = vs.default_order()
+        assert vs.default_order() is order and order.priority == ("x", "y")
+
 
 class TestTermOrder:
     def test_lex_key_and_elimination(self):
