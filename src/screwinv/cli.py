@@ -104,7 +104,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _cap_degree(f, what: str) -> None:
     """Refuse `f` above MAX_POLY_DEGREE, saying "<what> of degree at most <cap>"."""
-    if max(map(sum, f.terms), default=0) > MAX_POLY_DEGREE:
+    if max(map(f.varset.degree, f.terms), default=0) > MAX_POLY_DEGREE:
         raise ValueError(f"{what} of degree at most {MAX_POLY_DEGREE}")
 
 

@@ -142,10 +142,10 @@ def format_poly(f: Polynomial, order: TermOrder | None = None) -> str:
         return "0"
     if order is None:
         order = f.varset.default_order()
-    names = f.varset.names
+    names, unpack = f.varset.names, f.varset.unpack
     pieces = []
-    for exps, coeff in order.sorted_terms(f.terms):
-        mono = _format_monomial(exps, names)
+    for m, coeff in order.sorted_terms(f.terms):
+        mono = _format_monomial(unpack(m), names)
         mag = abs(coeff)
         if not mono:
             body = str(mag)

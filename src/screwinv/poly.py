@@ -1,7 +1,8 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is a dict mapping exponent tuples (one entry per variable of
-an immutable :class:`VariableSet`) to nonzero rational coefficients.  A
+A polynomial is a dict mapping packed monomials (one int per exponent
+vector over an immutable :class:`VariableSet`, which packs and unpacks
+them; see `_kernel` for the layout) to nonzero rational coefficients.  A
 coefficient enters a term map as an ``int`` when it is integral and as a
 ``Fraction`` otherwise, so integral polynomials (every pullback, catalog
 and translation basis) run on int arithmetic.  Kernel arithmetic on real
@@ -19,14 +20,26 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from fractions import Fraction
+from functools import reduce
 from itertools import compress
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._kernel import terms_add, terms_add_into, terms_mul, terms_scale, terms_sub
+from ._kernel import (
+    FIELD_BITS,
+    MAX_EXPONENT,
+    guard_mask,
+    terms_add,
+    terms_add_into,
+    terms_mul,
+    terms_scale,
+    terms_sub,
+)
 
-Exponents = tuple  # exponent tuple, one small int per variable
+Exponents = Sequence[int]  # an exponent vector, one int per variable
+Monomial = int  # a packed exponent vector, see VariableSet.pack
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
@@ -34,9 +47,14 @@ Scalar = (int, Fraction)
 
 
 class VariableSet:
-    """Ordered, immutable collection of distinct variable names."""
+    """Ordered, immutable collection of distinct variable names.
 
-    __slots__ = ("names", "_index", "_default_order")
+    It owns the packed monomial layout of `_kernel`: variable i sits in
+    field i from the most significant end, and `guard` has the guard bit
+    of every field set.
+    """
+
+    __slots__ = ("names", "guard", "_index", "_default_order", "_layout", "_nbytes")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -50,8 +68,11 @@ class VariableSet:
                 raise ValueError(f"duplicate variable name {name!r}")
             seen.add(name)
         object.__setattr__(self, "names", names)
+        object.__setattr__(self, "guard", guard_mask(len(names)))
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
         object.__setattr__(self, "_default_order", None)
+        object.__setattr__(self, "_layout", struct.Struct(f">{len(names)}I"))  # FIELD_BITS each
+        object.__setattr__(self, "_nbytes", self._layout.size)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"VariableSet is immutable; cannot set {name!r}")
@@ -80,9 +101,37 @@ class VariableSet:
     def __repr__(self) -> str:
         return f"VariableSet({list(self.names)!r})"
 
-    def unit(self) -> Exponents:
-        """The all-zero exponent tuple (the unit monomial)."""
-        return (0,) * len(self.names)
+    def unit(self) -> Monomial:
+        """The unit monomial, all exponents zero."""
+        return 0
+
+    def pack(self, exponents: Exponents) -> Monomial:
+        """The packed monomial of an exponent vector, one entry per variable.
+
+        Raises ValueError unless every entry is an int (not a bool) from 0
+        to MAX_EXPONENT = 2^31 - 1.
+        """
+        exps = tuple(exponents)
+        try:
+            packed = int.from_bytes(self._layout.pack(*exps), "big")
+        except struct.error:
+            packed = self.guard  # out of range or not an int: sorted out below
+        if packed & self.guard or bool in map(type, exps):
+            if len(exps) == len(self.names) and all(
+                isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps
+            ):
+                name, e = next((n, e) for n, e in zip(self.names, exps) if e > MAX_EXPONENT)
+                raise ValueError(f"exponent {e} of {name} is above the limit 2^31 - 1")
+            raise ValueError(f"bad exponent tuple {exps!r} for {self!r}")
+        return packed
+
+    def unpack(self, monomial: Monomial) -> tuple[int, ...]:
+        """The exponent tuple of a packed monomial."""
+        return self._layout.unpack(monomial.to_bytes(self._nbytes, "big"))
+
+    def degree(self, monomial: Monomial) -> int:
+        """Total degree of a packed monomial."""
+        return sum(self.unpack(monomial))
 
     def default_order(self) -> "TermOrder":
         """Lex order with priority equal to the creation order (cached)."""
@@ -110,28 +159,34 @@ class TermOrder:
         priority = tuple(priority)
         if sorted(priority) != sorted(varset.names):
             raise ValueError("priority must be a permutation of the variable set")
-        self.varset = varset
-        self.priority = priority
+        object.__setattr__(self, "varset", varset)
+        object.__setattr__(self, "priority", priority)
         perm = tuple(varset.index(name) for name in priority)
         # None when the priority is the variable-set order (every pullback
-        # system): exponent tuples then compare as their own keys.
-        self._perm = None if perm == tuple(range(len(perm))) else perm
+        # system): packed monomials then compare as their own keys.
+        object.__setattr__(self, "_perm", None if perm == tuple(range(len(perm))) else itemgetter(*perm))
 
-    def key(self, exponents: Exponents) -> Exponents:
-        """Sort key: exponents permuted into priority order.
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TermOrder is immutable; cannot set {name!r}")
 
-        When the priority equals the variable-set order the permutation is
-        the identity, so the key is the exponent tuple itself and no
-        per-call permutation is built; otherwise it is
-        ``tuple(exponents[i] for i in perm)``.
+    def key(self, monomial: Monomial | Exponents) -> Monomial:
+        """Sort key: the monomial packed with its exponents in priority order.
+
+        Takes a packed monomial or an exponent vector, which it packs.
+        When the priority equals the variable-set order the key is the
+        packed monomial itself; otherwise it is
+        ``varset.pack([exponents[i] for i in perm])``.
         """
+        varset = self.varset
+        if not isinstance(monomial, int):
+            monomial = varset.pack(monomial)
         perm = self._perm
         if perm is None:
-            return tuple(exponents)
-        return tuple(exponents[i] for i in perm)
+            return monomial
+        return int.from_bytes(varset._layout.pack(*perm(varset.unpack(monomial))), "big")
 
     def sorted_terms(self, terms: Mapping):
-        """Terms as (exponents, coefficient) pairs in decreasing order."""
+        """Terms as (monomial, coefficient) pairs in decreasing order."""
         if self._perm is None:
             return sorted(terms.items(), key=itemgetter(0), reverse=True)
         return sorted(terms.items(), key=lambda item: self.key(item[0]), reverse=True)
@@ -173,7 +228,9 @@ def _cleared(values) -> tuple:
 
 
 def _coeff(value) -> int | Fraction:
-    """A polynomial coefficient: `_coerce`, then an int when integral."""
+    """A polynomial coefficient: an int as it is, else `_coerce`, then an int when integral."""
+    if type(value) is int:
+        return value
     value = _coerce(value)
     return value.numerator if value.denominator == 1 else value
 
@@ -184,30 +241,36 @@ class Polynomial:
     __slots__ = ("varset", "terms")
 
     def __init__(self, varset: VariableSet, terms: Mapping | None = None):
-        n = len(varset)
+        """`terms` maps exponent vectors, which are packed, or packed
+        monomials, such as another polynomial's `terms` keys, to coefficients."""
         clean = {}
         if terms:
+            width = FIELD_BITS * len(varset)
             for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != n or any(
-                    not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exps
-                ):
-                    raise ValueError(f"bad exponent tuple {exps!r} for {varset!r}")
+                if type(exps) is int:
+                    if exps < 0 or exps >> width or exps & varset.guard:
+                        raise ValueError(f"bad packed monomial {exps!r} for {varset!r}")
+                    m = exps
+                else:
+                    m = varset.pack(exps)
                 coeff = _coeff(coeff)
                 if coeff:
-                    clean[exps] = clean.get(exps, 0) + coeff
-                    if not clean[exps]:
-                        del clean[exps]
-        self.varset = varset
-        self.terms = clean
+                    clean[m] = clean.get(m, 0) + coeff
+                    if not clean[m]:
+                        del clean[m]
+        object.__setattr__(self, "varset", varset)
+        object.__setattr__(self, "terms", clean)
 
     @classmethod
     def _raw(cls, varset: VariableSet, terms: dict) -> "Polynomial":
-        """Internal fast path: terms already canonical (no zeros, right arity)."""
+        """Internal fast path: terms already canonical (packed keys, no zeros)."""
         self = object.__new__(cls)
-        self.varset = varset
-        self.terms = terms
+        _set_varset(self, varset)
+        _set_terms(self, terms)
         return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Polynomial is immutable; cannot set {name!r}")
 
     # ------------------------------------------------------------------
     # constructors
@@ -225,9 +288,8 @@ class Polynomial:
 
     @classmethod
     def variable(cls, varset: VariableSet, name: str) -> "Polynomial":
-        exps = [0] * len(varset)
-        exps[varset.index(name)] = 1
-        return cls._raw(varset, {tuple(exps): 1})
+        shift = FIELD_BITS * (len(varset) - 1 - varset.index(name))
+        return cls._raw(varset, {1 << shift: 1})
 
     # ------------------------------------------------------------------
     # basic queries
@@ -241,17 +303,16 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def coefficient(self, exps: Exponents) -> int | Fraction:
-        return self.terms.get(tuple(exps), 0)
+    def coefficient(self, monomial: Monomial | Exponents) -> int | Fraction:
+        """Coefficient of a packed monomial or an exponent vector."""
+        if not isinstance(monomial, int):
+            monomial = self.varset.pack(monomial)
+        return self.terms.get(monomial, 0)
 
     def used_variables(self) -> list[str]:
         """Names appearing with a positive exponent in some term."""
-        used = [False] * len(self.varset)
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used[i] = True
-        return [name for name, flag in zip(self.varset.names, used) if flag]
+        used = self.varset.unpack(reduce(or_, self.terms, 0))
+        return [name for name, e in zip(self.varset.names, used) if e]
 
     # ------------------------------------------------------------------
     # ring operations
@@ -336,7 +397,7 @@ class Polynomial:
     # ------------------------------------------------------------------
     # term-order-dependent operations
 
-    def leading_term(self, order: TermOrder | None = None) -> tuple[Exponents, int | Fraction]:
+    def leading_term(self, order: TermOrder | None = None) -> tuple[Monomial, int | Fraction]:
         """Largest (monomial, coefficient) pair under `order`.
 
         Raises ValueError on the zero polynomial, which has no leading term.
@@ -346,12 +407,12 @@ class Polynomial:
         if order is None:
             order = self.varset.default_order()
         if order._perm is None:
-            exps = max(self.terms)
+            m = max(self.terms)
         else:
-            exps = max(self.terms, key=order.key)
-        return exps, self.terms[exps]
+            m = max(self.terms, key=order.key)
+        return m, self.terms[m]
 
-    def leading_monomial(self, order: TermOrder | None = None) -> Exponents:
+    def leading_monomial(self, order: TermOrder | None = None) -> Monomial:
         return self.leading_term(order)[0]
 
     def monic(self, order: TermOrder | None = None) -> "Polynomial":
@@ -389,10 +450,11 @@ class Polynomial:
         powers: dict[int, list[dict]] = {}
         for name in used:
             powers[self.varset.index(name)] = [unit, dict(images[name].terms)]
+        unpack = self.varset.unpack
         result: dict = {}
-        for exps, coeff in self.terms.items():
+        for m, coeff in self.terms.items():
             acc = {target.unit(): coeff}
-            for i, e in enumerate(exps):
+            for i, e in enumerate(unpack(m)):
                 if not e:
                     continue
                 plist = powers[i]
@@ -410,27 +472,27 @@ class Polynomial:
         the value is sum(C_t * prod(P_i^e_i) * D^(top - deg_t)) / (C * D^top),
         with top the largest term degree, and one Fraction is built.
         """
-        for name in point:
-            if name not in self.varset:
-                raise ValueError(f"unknown variable {name!r}")
-        values = {}
-        for name, val in point.items():
-            values[self.varset.index(name)] = _coerce(val)
+        index = self.varset._index
+        if not index.keys() >= point.keys():
+            raise ValueError(f"unknown variable {next(k for k in point if k not in index)!r}")
+        values = {index[name]: _coerce(val) for name, val in point.items()}
         n = len(self.varset)
-        used = {}
-        for exps in self.terms:
-            for i in compress(range(n), exps):
-                if i not in values:
-                    raise ValueError(f"missing assignment for variable {self.varset.names[i]!r}")
-                used[i] = values[i]
-        numerators, d = _cleared(used.values())
+        monomials = list(map(self.varset.unpack, self.terms))
+        used = list(compress(range(n), self.varset.unpack(reduce(or_, self.terms, 0))))
+        if not all(i in values for i in used):
+            # name the first unassigned variable in term order
+            for exps in monomials:
+                for i in compress(range(n), exps):
+                    if i not in values:
+                        raise ValueError(f"missing assignment for variable {self.varset.names[i]!r}")
+        numerators, d = _cleared([values[i] for i in used])
         p = dict(zip(used, numerators))
         coeffs, c = _cleared(self.terms.values())
-        degrees = [sum(exps) for exps in self.terms]
+        degrees = list(map(sum, monomials))
         top = max(degrees, default=0)
         scales = {k: d ** (top - k) for k in set(degrees)}
         total = 0
-        for exps, coeff, k in zip(self.terms, coeffs, degrees):
+        for exps, coeff, k in zip(monomials, coeffs, degrees):
             term = coeff * scales[k]
             for i in compress(range(n), exps):
                 term *= p[i] ** exps[i]
@@ -451,19 +513,19 @@ class Polynomial:
             raise ValueError("rename mapping must be injective on used variables")
         n = len(target)
         out = {}
-        for exps, coeff in self.terms.items():
+        for m, coeff in self.terms.items():
             new_exps = [0] * n
-            for i, e in enumerate(exps):
+            for i, e in enumerate(self.varset.unpack(m)):
                 if e:
                     new_exps[take[i]] = e
-            out[tuple(new_exps)] = coeff
+            out[target.pack(new_exps)] = coeff
         return Polynomial._raw(target, out)
 
     def degree_components(self) -> dict[int, "Polynomial"]:
         """Split into homogeneous components keyed by total degree."""
         buckets: dict[int, dict] = {}
-        for exps, coeff in self.terms.items():
-            buckets.setdefault(sum(exps), {})[exps] = coeff
+        for m, coeff in self.terms.items():
+            buckets.setdefault(self.varset.degree(m), {})[m] = coeff
         return {d: Polynomial._raw(self.varset, t) for d, t in buckets.items()}
 
     # ------------------------------------------------------------------
@@ -474,3 +536,10 @@ class Polynomial:
         return format_poly(self)
 
     __str__ = __repr__
+
+
+# The slots' own setters, which `_raw` calls past the refusing __setattr__;
+# on CPython 3.11 they take about two thirds of object.__setattr__'s time,
+# and `_raw` builds every intermediate polynomial.
+_set_varset = Polynomial.varset.__set__
+_set_terms = Polynomial.terms.__set__

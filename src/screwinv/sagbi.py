@@ -17,12 +17,13 @@ result carries a `complete` flag instead of promising a basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as product_of
-from operator import add, le
+from functools import reduce
+from itertools import compress, product as product_of
+from operator import le, or_
 from typing import IO, Iterable, Sequence
 
 from .parsing import format_poly, parse
-from .poly import Exponents, Polynomial, TermOrder, VariableSet
+from .poly import Monomial, Polynomial, TermOrder, VariableSet
 
 
 class GeneratorSet:
@@ -43,17 +44,21 @@ class GeneratorSet:
     __slots__ = ("gens", "order", "_lms", "_powers", "_factors")
 
     def __init__(self, gens: Iterable[Polynomial], order: TermOrder):
-        self.order = order
+        object.__setattr__(self, "order", order)
         store: list[Polynomial] = []
-        lms: list[Exponents] = []
+        lms: list[Monomial] = []
         for g in gens:
             self._insert(g, store, lms)
-        self.gens = tuple(store)
-        self._lms = tuple(lms)
-        self._powers: dict[tuple[int, int], Polynomial] = {}
-        self._factors: dict[Exponents, tuple | None] = {}
+        object.__setattr__(self, "gens", tuple(store))
+        object.__setattr__(self, "_lms", tuple(lms))
+        # (generator index, exponent) -> power; target monomial -> factorization
+        object.__setattr__(self, "_powers", {})
+        object.__setattr__(self, "_factors", {})
 
-    def _insert(self, g: Polynomial, store: list[Polynomial], lms: list[Exponents]) -> None:
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GeneratorSet is immutable; cannot set {name!r}")
+
+    def _insert(self, g: Polynomial, store: list[Polynomial], lms: list[Monomial]) -> None:
         if g.varset != self.order.varset:
             raise ValueError("generator over the wrong variable set")
         first = True
@@ -61,7 +66,7 @@ class GeneratorSet:
             if g.is_zero():
                 return
             lm, _ = g.leading_term(self.order)
-            if sum(lm) == 0:
+            if lm == 0:
                 if first:
                     raise ValueError("constant generators are not allowed")
                 return  # merge residue in the ground field; adds nothing
@@ -73,7 +78,7 @@ class GeneratorSet:
             g = g - store[lms.index(lm)]
             first = False
 
-    def leading_monomials(self) -> tuple[Exponents, ...]:
+    def leading_monomials(self) -> tuple[Monomial, ...]:
         return self._lms
 
     def with_added(self, *new_gens: Polynomial) -> "GeneratorSet":
@@ -93,13 +98,13 @@ class GeneratorSet:
         generator order.
         """
         result = None
-        powers = self._powers
-        for i, (g, e) in enumerate(zip(self.gens, exps)):
-            if e:
-                power = powers.get((i, e))
-                if power is None:
-                    power = powers[i, e] = g ** e
-                result = power if result is None else result * power
+        gens, powers = self.gens, self._powers
+        for i in compress(range(len(gens)), exps):
+            e = exps[i]
+            power = powers.get((i, e))
+            if power is None:
+                power = powers[i, e] = gens[i] ** e
+            result = power if result is None else result * power
         if result is None:
             return Polynomial.constant(self.order.varset, 1)
         return result
@@ -141,37 +146,43 @@ class SubductionResult:
     certificate: Certificate
 
 
-def _factor_monomial(target: Exponents, lms: Sequence[Exponents], key):
+def _factor_monomial(target: Monomial, lms: Sequence[Monomial], order: TermOrder):
     """Write `target` as a product of generator leading monomials.
 
     Returns an exponent vector over the generators, or None when no exact
     factorization exists.  Complete depth-first search over the generators
     whose leading monomial divides `target` (no other can take part),
-    largest leading monomial under `key` first, so the answer is
-    deterministic.
+    largest leading monomial under `order` first, so the answer is
+    deterministic.  On packed monomials, `lm` divides `target` exactly
+    when ``target - lm`` has no guard bit set: a field of `lm` above
+    `target`'s borrows into its own guard bit.
     """
-    divisors = [i for i, lm in enumerate(lms) if all(map(le, lm, target))]
-    divisors.sort(key=lambda i: key(lms[i]), reverse=True)
-    n = len(divisors)
+    varset = order.varset
+    guard, unpack = varset.guard, varset.unpack
+    divisors = [i for i, lm in enumerate(lms) if not (target - lm) & guard]
+    divisors.sort(key=lambda i: order.key(lms[i]), reverse=True)
+    steps = [(i, lms[i], unpack(lms[i])) for i in divisors]
+    n = len(steps)
     result = [0] * len(lms)
 
-    def rec(pos: int, remaining: list[int]) -> bool:
-        if not any(remaining):
+    def rec(pos: int, remaining: Monomial) -> bool:
+        if not remaining:
             return True
         if pos == n:
             return False
-        i = divisors[pos]
-        lm = lms[i]
-        emax = min(r // l for r, l in zip(remaining, lm) if l)
+        i, lm, exps = steps[pos]
+        if (remaining - lm) & guard:
+            emax = 0
+        else:
+            emax = min(r // l for r, l in zip(unpack(remaining), exps) if l)
         for e in range(emax, -1, -1):
             result[i] = e
-            rest = [r - e * l for r, l in zip(remaining, lm)] if e else remaining
-            if rec(pos + 1, rest):
+            if rec(pos + 1, remaining - e * lm):
                 return True
         result[i] = 0
         return False
 
-    return tuple(result) if rec(0, list(target)) else None
+    return tuple(result) if rec(0, target) else None
 
 
 def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
@@ -192,17 +203,19 @@ def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
     g = f
     prev_key = None
     while not g.is_zero():
-        lt_exps, lt_coeff = g.leading_term(order)
-        key = order.key(lt_exps)
+        lt_mono, lt_coeff = g.leading_term(order)
+        key = order.key(lt_mono)
         if prev_key is not None and not key < prev_key:
+            unpack = order.varset.unpack  # the key's exponents, in priority order
             raise RuntimeError(
-                f"subduction must strictly descend: leading key {key} after {prev_key}"
+                "subduction must strictly descend: "
+                f"leading key {unpack(key)} after {unpack(prev_key)}"
             )
         prev_key = key
-        if lt_exps in factors:
-            exps = factors[lt_exps]
+        if lt_mono in factors:
+            exps = factors[lt_mono]
         else:
-            exps = factors[lt_exps] = _factor_monomial(lt_exps, lms, order.key)
+            exps = factors[lt_mono] = _factor_monomial(lt_mono, lms, order)
         if exps is None:
             break
         cert_terms[exps] = lt_coeff
@@ -226,9 +239,12 @@ def tete_a_tetes(basis: GeneratorSet, degree_bound: int) -> list[TeteATete]:
     product monomial, and pairs up the exponent vectors with disjoint
     support within each bucket of two or more.  The products are found by
     an extension search: each product is extended only by generators of
-    index at least its last one while the degree fits, so every product is
-    visited exactly once.  The search keeps its own stack, so a large bound
-    is limited by time, not by the interpreter's recursion limit.
+    index at least its last one whose degree fits the remaining bound, so
+    every product is visited exactly once; the fitting generators are
+    listed once per (last index, remaining degree).  The search keeps its
+    own stack, so a large bound is limited by time, not by the
+    interpreter's recursion limit.  A bound below 2^31 keeps every
+    exponent of a product below 2^31, so packed products never overflow.
 
     A relation ``(a, b)`` is kept unless another found relation fits
     inside it: some found ``(x, y)`` with ``0 < x < a`` and ``y <= b``.
@@ -242,22 +258,29 @@ def tete_a_tetes(basis: GeneratorSet, degree_bound: int) -> list[TeteATete]:
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be at least 1")
+    if degree_bound >= 2**31:
+        raise ValueError("degree bound must be below 2^31")
     lms = basis.leading_monomials()
-    degs = [sum(lm) for lm in lms]
+    degs = list(map(basis.order.varset.degree, lms))
     ngens = len(lms)
-    buckets: dict[tuple, list[tuple]] = {}
+    buckets: dict[Monomial, list[tuple]] = {}
+    fitting: dict[tuple[int, int], list[tuple]] = {}  # (last, remaining) -> [(i, lm, degree)]
 
-    stack = [(0, (), basis.order.varset.unit(), degree_bound)]
+    stack = [(0, (), 0, degree_bound)]
     while stack:
         last, path, mono, remaining = stack.pop()
-        for i in range(last, ngens):
-            d = degs[i]
-            if d > remaining:
-                continue
+        walk = fitting.get((last, remaining))
+        if walk is None:
+            walk = fitting[last, remaining] = [
+                (i, lms[i], degs[i]) for i in range(last, ngens) if degs[i] <= remaining
+            ]
+        for i, lm, d in walk:
             longer = path + (i,)
-            product = tuple(map(add, mono, lms[i]))
+            product = mono + lm
             buckets.setdefault(product, []).append(longer)
             stack.append((i, longer, product, remaining - d))
+
+    bits = [1 << i for i in range(ngens)]  # a path's generators as a bit set
 
     def dense(path: tuple) -> tuple:
         vec = [0] * ngens
@@ -265,14 +288,15 @@ def tete_a_tetes(basis: GeneratorSet, degree_bound: int) -> list[TeteATete]:
             vec[i] += 1
         return tuple(vec)
 
-    found: dict[tuple, tuple] = {}  # relation -> its product monomial
+    found: dict[tuple, Monomial] = {}  # relation -> its product monomial
     for product, paths in buckets.items():
         if len(paths) < 2:
             continue
         vecs = [dense(path) for path in paths]
-        for i, a in enumerate(vecs):
-            for b in vecs[i + 1:]:
-                if any(x and y for x, y in zip(a, b)):
+        supports = [reduce(or_, map(bits.__getitem__, path)) for path in paths]
+        for i, (a, support) in enumerate(zip(vecs, supports)):
+            for b, other in zip(vecs[i + 1:], supports[i + 1:]):
+                if support & other:
                     continue  # common factor; the reduced pair has its own bucket
                 found[min(a, b), max(a, b)] = product
 

@@ -6,26 +6,33 @@ from fractions import Fraction
 import pytest
 
 from screwinv import _kernel
+from screwinv.poly import VariableSet
+
+
+def varset(nvars: int) -> VariableSet:
+    return VariableSet([f"x{i}" for i in range(nvars)])
 
 
 def random_terms(rng: random.Random, nvars: int, nterms: int) -> dict:
+    vs = varset(nvars)
     out = {}
     for _ in range(nterms):
         exps = tuple(rng.randint(0, 3) for _ in range(nvars))
-        out[exps] = Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+        out[vs.pack(exps)] = Fraction(rng.randint(-20, 20), rng.randint(1, 12))
     return {e: c for e, c in out.items() if c}
 
 
 def sign_terms(rng: random.Random, nvars: int, nterms: int) -> dict:
     """Coefficients +-1 on squarefree monomials, so products collide and cancel."""
+    vs = varset(nvars)
     out = {}
     for _ in range(nterms):
-        out[tuple(rng.randint(0, 1) for _ in range(nvars))] = Fraction(rng.choice((-1, 1)))
+        out[vs.pack(tuple(rng.randint(0, 1) for _ in range(nvars)))] = Fraction(rng.choice((-1, 1)))
     return out
 
 
 def corpus_cases(nvars: int, corpus):
-    """100 seeded operand triples (a, b, scalar) drawn from one corpus."""
+    """100 seeded operand triples (a, b, scalar) drawn from one corpus, keys packed over `varset(nvars)`."""
     rng = random.Random(1000 + nvars)
     for _ in range(100):
         a = corpus(rng, nvars, rng.randint(0, 8))
@@ -34,6 +41,7 @@ def corpus_cases(nvars: int, corpus):
 
 
 # Naive references: accumulate every contribution, then drop the zeros.
+# Products add unpacked exponent tuples and pack the sum.
 
 def _accumulate(pairs) -> dict:
     acc = {}
@@ -46,9 +54,9 @@ def _collect(pairs) -> dict:
     return {e: c for e, c in _accumulate(pairs).items() if c}
 
 
-def _products(a, b):
+def _products(vs, a, b):
     return (
-        (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+        (vs.pack(tuple(x + y for x, y in zip(vs.unpack(ea), vs.unpack(eb)))), ca * cb)
         for ea, ca in a.items()
         for eb, cb in b.items()
     )
@@ -62,8 +70,8 @@ def reference_sub(a, b):
     return _collect([*a.items(), *((e, -c) for e, c in b.items())])
 
 
-def reference_mul(a, b):
-    return _collect(_products(a, b))
+def reference_mul(vs, a, b):
+    return _collect(_products(vs, a, b))
 
 
 def reference_scale(a, c):
@@ -81,10 +89,11 @@ CORPORA = [
 
 @pytest.mark.parametrize("nvars, corpus", CORPORA)
 def test_matches_reference_on_random_corpora(nvars, corpus):
+    vs = varset(nvars)
     for a, b, c in corpus_cases(nvars, corpus):
         assert _kernel.terms_add(a, b) == reference_add(a, b)
         assert _kernel.terms_sub(a, b) == reference_sub(a, b)
-        assert _kernel.terms_mul(a, b) == reference_mul(a, b)
+        assert _kernel.terms_mul(a, b) == reference_mul(vs, a, b)
         assert _kernel.terms_scale(a, c) == reference_scale(a, c)
 
 
@@ -138,32 +147,45 @@ def test_sign_corpora_cancel_in_products(nvars):
     # the reference drops a zero sum, so the corpus reaches the kernel's
     # delete-on-zero branch rather than only the non-cancelling path
     zero_sums = sum(
-        list(_accumulate(_products(a, b)).values()).count(0)
+        list(_accumulate(_products(varset(nvars), a, b)).values()).count(0)
         for a, b, _ in corpus_cases(nvars, sign_terms)
     )
     assert zero_sums > 0
 
 
 def test_cancellation():
-    a = {(1, 0): Fraction(1), (0, 1): Fraction(2)}
-    b = {(1, 0): Fraction(-1), (0, 1): Fraction(3)}
-    assert _kernel.terms_add(a, b) == {(0, 1): Fraction(5)}
+    p, q = varset(2).pack, varset(1).pack
+    a = {p((1, 0)): Fraction(1), p((0, 1)): Fraction(2)}
+    b = {p((1, 0)): Fraction(-1), p((0, 1)): Fraction(3)}
+    assert _kernel.terms_add(a, b) == {p((0, 1)): Fraction(5)}
     assert _kernel.terms_sub(a, a) == {}
     # products that cancel midway must be dropped from the result
-    f = {(1,): Fraction(1), (0,): Fraction(1)}   # x + 1
-    g = {(1,): Fraction(1), (0,): Fraction(-1)}  # x - 1
+    f = {q((1,)): Fraction(1), q((0,)): Fraction(1)}   # x + 1
+    g = {q((1,)): Fraction(1), q((0,)): Fraction(-1)}  # x - 1
     assert _kernel.terms_mul(f, g) == {
-        (2,): Fraction(1),
-        (0,): Fraction(-1),
+        q((2,)): Fraction(1),
+        q((0,)): Fraction(-1),
     }
 
 
 def test_inputs_never_mutated():
-    a = {(1, 0): Fraction(1)}
-    b = {(1, 0): Fraction(-1), (0, 1): Fraction(2)}
+    p = varset(2).pack
+    a = {p((1, 0)): Fraction(1)}
+    b = {p((1, 0)): Fraction(-1), p((0, 1)): Fraction(2)}
     snapshot_a, snapshot_b = dict(a), dict(b)
     _kernel.terms_add(a, b)
     _kernel.terms_sub(a, b)
     _kernel.terms_mul(a, b)
     _kernel.terms_scale(a, Fraction(2))
     assert a == snapshot_a and b == snapshot_b
+
+
+def test_mul_refuses_a_field_overflow():
+    # y's field would carry into x's; the guard bit catches it instead
+    p = varset(2).pack
+    half = {p((0, 2**30)): 1}
+    with pytest.raises(ValueError, match="above the limit"):
+        _kernel.terms_mul(half, half)
+    # the union of the keys' fields reaches the guard bit, no product does
+    a = {p((0, 2**30)): 1, p((0, 2**30 - 1)): 1}
+    assert _kernel.terms_mul(a, {p((0, 1)): 1}) == {p((0, 2**30 + 1)): 1, p((0, 2**30)): 1}

@@ -21,9 +21,9 @@ def _reference_evaluate(f: Polynomial, point) -> Fraction:
     for name, val in point.items():
         values[f.varset.index(name)] = _coerce(val)
     total = Fraction(0)
-    for exps, coeff in f.terms.items():
+    for m, coeff in f.terms.items():
         term = coeff
-        for i, e in enumerate(exps):
+        for i, e in enumerate(f.varset.unpack(m)):
             if not e:
                 continue
             if i not in values:
@@ -68,6 +68,94 @@ class TestVariableSet:
         assert vs.default_order() is order and order.priority == ("x", "y")
 
 
+class TestPackedLayout:
+    """One int per monomial: 32-bit fields, variable 0 most significant,
+    exponents up to 2^31 - 1 under a guard bit that no product may set."""
+
+    LIMIT = 2**31 - 1
+
+    def test_pack_unpack_round_trip(self):
+        rng = random.Random(61)
+        for n in (1, 2, 5, 21):
+            vs = VariableSet([f"x{i}" for i in range(n)])
+            for _ in range(200):
+                exps = tuple(rng.choice((0, 1, rng.randint(0, 99), self.LIMIT)) for _ in range(n))
+                m = vs.pack(exps)
+                assert type(m) is int and vs.unpack(m) == exps
+                assert vs.pack(list(exps)) == m and vs.degree(m) == sum(exps)
+            assert vs.pack((0,) * n) == vs.unit() == 0
+        xy = VariableSet(["x", "y"])
+        assert xy.pack((1, 0)) == 1 << 32 and xy.pack((0, 1)) == 1
+        assert xy.guard == (1 << 63) | (1 << 31)
+
+    @pytest.mark.parametrize(
+        "priority", [("a", "b", "c", "d"), ("d", "c", "b", "a"), ("c", "a", "d", "b")]
+    )
+    def test_int_order_is_tuple_lex_order(self, abcd, priority):
+        order = TermOrder(abcd, priority)
+        perm = [abcd.index(name) for name in priority]
+        rng = random.Random(62)
+        for _ in range(1000):
+            a, b = (tuple(rng.choice((0, 1, 2, 3, self.LIMIT)) for _ in range(4)) for _ in range(2))
+            pa, pb = abcd.pack(a), abcd.pack(b)
+            by_tuple = [a[i] for i in perm] < [b[i] for i in perm]
+            assert (order.key(pa) < order.key(pb)) == by_tuple
+            assert order.key(pa) == order.key(a)
+            if priority == abcd.names:
+                assert order.key(pa) == pa and (pa < pb) == (a < b)
+
+    def test_exponent_limit(self):
+        vs = VariableSet(["x", "y"])
+        x = Polynomial.variable(vs, "x")
+        assert Polynomial(vs, {(0, self.LIMIT): 1}) == parse(f"y^{self.LIMIT}", vs)
+        assert x ** self.LIMIT == parse(f"x^{self.LIMIT}", vs)
+        for make in (
+            lambda: Polynomial(vs, {(0, self.LIMIT + 1): 1}),
+            lambda: Polynomial(vs, {(2**40, 0): 1}),
+            lambda: parse(f"x^{self.LIMIT + 1}", vs),
+            lambda: parse(f"x^{self.LIMIT}*x", vs),
+            lambda: vs.pack((self.LIMIT + 1, 0)),
+        ):
+            with pytest.raises(ValueError, match="above the limit 2\\^31 - 1"):
+                make()
+        with pytest.raises(ValueError, match="above the limit"):
+            x ** (self.LIMIT + 1)
+
+    def test_products_raise_instead_of_wrapping(self):
+        # an overflow in y's field would otherwise carry into x's
+        vs = VariableSet(["x", "y"])
+        x, y = Polynomial.variable(vs, "x"), Polynomial.variable(vs, "y")
+        half = 2**30
+        for v in (x, y):
+            with pytest.raises(ValueError, match="above the limit"):
+                v**half * v**half
+        assert y ** (half - 1) * y**half == parse(f"y^{self.LIMIT}", vs)
+        with pytest.raises(ValueError, match="above the limit"):
+            parse("x^2 + y", vs).substitute({"x": y**half + 1, "y": x})
+
+    def test_constructor_takes_packed_monomials(self, abcd):
+        f = random_poly(random.Random(63), abcd, max_terms=8)
+        assert Polynomial(abcd, f.terms) == f
+        assert Polynomial(abcd, {abcd.pack((1, 0, 0, 2)): 3, (1, 0, 0, 2): -3}).is_zero()
+        for bad in (-1, 1 << 128, abcd.guard, 1 << 31):
+            with pytest.raises(ValueError, match="bad packed monomial"):
+                Polynomial(abcd, {bad: 1})
+
+    def test_attributes_cannot_be_reassigned(self, abcd):
+        order = TermOrder(abcd, ("b", "a", "c", "d"))
+        p = parse("a*b + c", abcd)
+        for obj, name, value in (
+            (order, "priority", ("a", "b", "c", "d")),
+            (order, "_perm", None),
+            (p, "terms", {}),
+            (p, "varset", VariableSet(["x"])),
+        ):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, value)
+        assert order.priority == ("b", "a", "c", "d") and order.key((1, 0, 0, 0)) < order.key((0, 1, 0, 0))
+        assert p == parse("a*b + c", abcd) and p.varset == abcd
+
+
 class TestTermOrder:
     def test_lex_key_and_elimination(self):
         vs = VariableSet(["t1", "x", "y"])
@@ -90,7 +178,7 @@ class TestTermOrder:
         unit = abcd.unit()
         for _ in range(200):
             exps = tuple(rng.randint(0, 4) for _ in range(4))
-            if exps != unit:
+            if abcd.pack(exps) != unit:
                 assert order.key(exps) > order.key(unit)
 
     def test_multiplicativity_fuzz(self, abcd):
@@ -182,7 +270,7 @@ class TestCoefficientRule:
 
     @staticmethod
     def types(f: Polynomial) -> dict:
-        return {exps: type(c) for exps, c in f.terms.items()}
+        return {f.varset.unpack(m): type(c) for m, c in f.terms.items()}
 
     def test_parse(self):
         vs = VariableSet(["x", "y", "z"])
@@ -213,6 +301,18 @@ class TestCoefficientRule:
         assert f / 2 == parse("-1/2*x + y", vs)
         assert type((f / 2).coefficient((1, 0))) is Fraction
         assert type(parse("2*x + 3*y", vs).monic().coefficient((0, 1))) is Fraction
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, "1/3"])
+    def test_inexact_rejected(self, value):
+        vs = VariableSet(["x"])
+        x = Polynomial.variable(vs, "x")
+        for make in (
+            lambda: Polynomial.constant(vs, value),
+            lambda: x.scale(value),
+            lambda: Polynomial(vs, {(1,): value}),
+        ):
+            with pytest.raises(TypeError):
+                make()
 
     def test_bool_still_rejected(self):
         vs = VariableSet(["x"])
@@ -246,8 +346,11 @@ class TestTermOrderKey:
 
     @staticmethod
     def explicit_key(order, exps):
+        """The exponents, unpacked first if packed, permuted into priority order and packed."""
+        if isinstance(exps, int):
+            exps = order.varset.unpack(exps)
         perm = [order.varset.index(name) for name in order.priority]
-        return tuple(exps[i] for i in perm)
+        return order.varset.pack(tuple(exps[i] for i in perm))
 
     @pytest.mark.parametrize("priority", PRIORITIES)
     def test_key_is_the_explicit_permutation(self, abcd, priority):
@@ -256,7 +359,7 @@ class TestTermOrderKey:
         for _ in range(300):
             exps = tuple(rng.randint(0, 4) for _ in range(4))
             key = order.key(exps)
-            assert type(key) is tuple
+            assert type(key) is int
             assert key == self.explicit_key(order, exps)
         assert order.key([1, 2, 3, 4]) == self.explicit_key(order, (1, 2, 3, 4))
 
@@ -322,7 +425,7 @@ class TestLeadingTerm:
             ef, cf = f.leading_term(order)
             eg, cg = g.leading_term(order)
             ep, cp = (f * g).leading_term(order)
-            assert ep == tuple(x + y for x, y in zip(ef, eg))
+            assert ep == abcd.pack(tuple(x + y for x, y in zip(abcd.unpack(ef), abcd.unpack(eg))))
             assert cp == cf * cg
             checked += 1
 

@@ -44,7 +44,7 @@ TWO_SCREW_CUBIC = (
 def _reference_tete_a_tetes(basis, degree_bound):
     """The recursive enumeration and all-pairs minimality filter that
     `tete_a_tetes` replaced, kept as the reference its output must equal."""
-    lms = [list(lm) for lm in basis.leading_monomials()]
+    lms = [list(basis.order.varset.unpack(lm)) for lm in basis.leading_monomials()]
     degs = [sum(lm) for lm in lms]
     nvars = len(basis.order.varset)
     ngens = len(lms)
@@ -207,12 +207,15 @@ def _reference_factor_monomial(target, lms, order_idx):
 
 
 def _assert_factorizations_match(targets, lms, order):
-    """The search and its reference agree on every target, None included;
-    returns how many targets factor."""
+    """The search, on packed monomials, and its reference, on exponent
+    tuples, agree on every target, None included; returns how many targets
+    factor."""
     idx = sorted(range(len(lms)), key=lambda i: order.key(lms[i]), reverse=True)
+    pack = order.varset.pack
+    packed_lms = [pack(lm) for lm in lms]
     factored = 0
     for target in targets:
-        got = _factor_monomial(target, lms, order.key)
+        got = _factor_monomial(pack(target), packed_lms, order)
         assert got == _reference_factor_monomial(target, lms, idx), (target, lms)
         factored += got is not None
     return factored
@@ -244,6 +247,15 @@ class TestGeneratorSet:
             GeneratorSet([parse("7", vs)], vs.default_order())
         # plain zero generators are silently dropped
         assert len(GeneratorSet([Polynomial.zero(vs), parse("x", vs)], vs.default_order())) == 1
+
+    def test_attributes_cannot_be_reassigned(self):
+        vs = VariableSet(["x", "y"])
+        g = GeneratorSet([parse("x", vs), parse("y", vs)], vs.default_order())
+        for name, value in (("gens", ()), ("order", TermOrder(vs, ["y", "x"])), ("_lms", ())):
+            with pytest.raises(AttributeError):
+                setattr(g, name, value)
+        assert len(g) == 2 and g.order == vs.default_order()
+        assert subduct(parse("x*y", vs), g).remainder.is_zero()
 
     def test_merge_residue_constants_dropped(self):
         # x and x+1 generate the same algebra as x alone
@@ -372,7 +384,7 @@ class TestSubduction:
                 from screwinv.sagbi import _factor_monomial
 
                 lms = basis.leading_monomials()
-                assert _factor_monomial(lm, lms, order.key) is None
+                assert _factor_monomial(lm, lms, order) is None
 
     def test_two_screw_cubic_remainder(self):
         vs = screw_varset(2)
@@ -420,7 +432,7 @@ class TestFactorMonomial:
         seed = pullback(ActionKind.TRANSLATION_SUB, m).seed_generators()
         res = sagbi_construct(seed, degree_bound=4)
         assert res.complete
-        lms = res.basis.leading_monomials()
+        lms = list(map(res.basis.order.varset.unpack, res.basis.leading_monomials()))
         products = set()
         for vec in _vectors_up_to(len(lms), 2):
             mono = [0] * len(res.basis.order.varset)
@@ -479,6 +491,9 @@ class TestTeteATetes:
         basis = GeneratorSet([parse("x", vs)], vs.default_order())
         with pytest.raises(ValueError):
             tete_a_tetes(basis, 0)
+        # a larger bound could build a product exponent past 2^31 - 1
+        with pytest.raises(ValueError, match="below 2\\^31"):
+            tete_a_tetes(basis, 2**31)
 
     def test_bound_beyond_recursion_limit(self):
         # one product per degree, 3000 deep: a recursive search would overflow
