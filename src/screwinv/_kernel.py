@@ -11,9 +11,12 @@ next field, and it reaches 2^31 exactly when the guard bit comes up.  With
 variable 0 first, comparing two ints compares the exponent vectors
 lexicographically.  `poly.VariableSet` packs and unpacks.
 
-Coefficients are treated as opaque field elements: anything supporting
-`+`, `*` and truthiness (`Fraction`, `int`).  These functions are the inner
-loops of every polynomial operation in the library.
+Coefficients are ints: a `poly.Polynomial` holds its term map over one
+int denominator, so every loop here runs on int arithmetic and the
+denominator is handled once per result, outside these loops.  The loops
+use nothing but `+`, `-`, `*` and truthiness, so the tests run them on
+`Fraction` maps as a reference.  These functions are the inner loops of
+every polynomial operation in the library.
 
 All functions but `terms_add_into` return fresh dicts, and none stores a
 zero coefficient.
@@ -79,7 +82,7 @@ def terms_sub(a, b):
 
 
 def terms_scale(a, c):
-    """Term map scaled by a coefficient (caller guarantees c != 0)."""
+    """Term map scaled by an int (caller guarantees c != 0)."""
     return {e: c * v for e, v in a.items()}
 
 

@@ -16,6 +16,7 @@ suppressed except on the unit monomial.  `parse(format(f)) == f` always.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -57,8 +58,9 @@ def parse(text: str, varset: VariableSet) -> Polynomial:
     """Parse `text` into a polynomial over `varset`.
 
     Per term, the factor exponents add into one exponent list (`x*x` and
-    `x^2` give the same list) and `sign * coeff` accumulates into the term
-    dict; `Polynomial` then drops zeros and stores integral values as ints.
+    `x^2` give the same list) and the signed coefficient accumulates into
+    the term dict; `Polynomial` then drops zeros and clears the fractions to
+    one denominator.
     """
     tokens = _tokenize(text)
     terms: dict = {}
@@ -71,10 +73,10 @@ def parse(text: str, varset: VariableSet) -> Polynomial:
             sign = -1 if tokens[i][1] == "-" else 1
             i += 1
         exps = [0] * len(varset)
-        coeff = 1
+        coeff = sign
         kind, tok, pos = tokens[i]
         if kind == "nat":
-            coeff = int(tok)
+            coeff = sign * int(tok)
             i += 1
             if tokens[i][:2] == ("op", "/"):
                 kind, tok, pos = tokens[i + 1]
@@ -108,7 +110,8 @@ def parse(text: str, varset: VariableSet) -> Polynomial:
             more = tokens[i][:2] == ("op", "*")
             i += more
         key = tuple(exps)
-        terms[key] = terms.get(key, 0) + sign * coeff
+        prev = terms.get(key)
+        terms[key] = coeff if prev is None else prev + coeff
         kind, tok, pos = tokens[i]
         if kind == "end":
             return Polynomial(varset, terms)
@@ -143,16 +146,18 @@ def format_poly(f: Polynomial, order: TermOrder | None = None) -> str:
     if order is None:
         order = f.varset.default_order()
     names, unpack = f.varset.names, f.varset.unpack
+    den = f.den
     pieces = []
-    for m, coeff in order.sorted_terms(f.terms):
+    # the int numerators over den; each |c|/den is printed in lowest terms
+    for m, coeff in order.sorted_terms(f._num):
         mono = _format_monomial(unpack(m), names)
         mag = abs(coeff)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
+        if mono and mag == den:
             body = mono
         else:
-            body = f"{mag}*{mono}"
+            g = math.gcd(mag, den)
+            text = str(mag // g) if g == den else f"{mag // g}/{den // g}"
+            body = f"{text}*{mono}" if mono else text
         if not pieces:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:

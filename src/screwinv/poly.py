@@ -1,15 +1,17 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is a dict mapping packed monomials (one int per exponent
-vector over an immutable :class:`VariableSet`, which packs and unpacks
-them; see `_kernel` for the layout) to nonzero rational coefficients.  A
-coefficient enters a term map as an ``int`` when it is integral and as a
-``Fraction`` otherwise, so integral polynomials (every pullback, catalog
-and translation basis) run on int arithmetic.  Kernel arithmetic on real
-fractions may still leave an integral ``Fraction``; it compares equal to
-the ``int`` and prints the same.  The zero polynomial has an empty term
-map.  Everything here is exact: no floats, no tolerances, and all values
-are immutable after construction, so they are safe to share across
+A polynomial is an int term map over one int denominator: a dict mapping
+packed monomials (one int per exponent vector over an immutable
+:class:`VariableSet`, which packs and unpacks them; see `_kernel` for the
+layout) to nonzero int numerators, and one int ``den`` > 0 with
+gcd(den, numerators) = 1.  Every operation runs the kernel loops on ints
+and takes that gcd once per result, and not at all when ``den`` is 1, as
+it is for every pullback, catalog and translation basis.  The zero
+polynomial has an empty map and ``den`` 1.  Readers see rationals:
+``terms`` is a read-only mapping, and it, `coefficient` and `leading_term`
+give an ``int`` when a coefficient is integral and a ``Fraction``
+otherwise.  Everything here is exact: no floats, no tolerances, and all
+values are immutable after construction, so they are safe to share across
 threads.
 
 Term orders are pure lexicographic with an explicit variable priority; a
@@ -25,6 +27,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import compress
 from operator import itemgetter, or_
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._kernel import (
@@ -227,23 +230,44 @@ def _cleared(values) -> tuple:
     return tuple(v.numerator * (d // v.denominator) for v in values), d
 
 
-def _coeff(value) -> int | Fraction:
-    """A polynomial coefficient: an int as it is, else `_coerce`, then an int when integral."""
+def _ratio(value) -> tuple[int, int]:
+    """(p, q) with q > 0 and value = p/q in lowest terms, by `_coerce`'s rule."""
     if type(value) is int:
-        return value
+        return value, 1
     value = _coerce(value)
-    return value.numerator if value.denominator == 1 else value
+    return value.numerator, value.denominator
+
+
+def _value(c: int, den: int) -> int | Fraction:
+    """The rational c/den: an int when integral, else a Fraction."""
+    if den == 1:
+        return c
+    q, r = divmod(c, den)
+    return Fraction(c, den) if r else q
+
+
+def _times(num: dict, k: int) -> dict:
+    """Int term map `num` times the int k != 0.  It brings two maps to one
+    den; it is not `terms_scale`, so that the kernel's traced calls count
+    each operation's own arithmetic, whatever the dens of its operands."""
+    return {e: k * c for e, c in num.items()}
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.
 
-    __slots__ = ("varset", "terms")
+    The value is ``_num / den``: `_num` maps packed monomials to nonzero
+    ints, ``den`` > 0 and gcd(den, *_num.values()) = 1.
+    """
+
+    __slots__ = ("varset", "_num", "den")
 
     def __init__(self, varset: VariableSet, terms: Mapping | None = None):
         """`terms` maps exponent vectors, which are packed, or packed
-        monomials, such as another polynomial's `terms` keys, to coefficients."""
+        monomials, such as another polynomial's `terms` keys, to ints or
+        Fractions; the Fractions are cleared to one denominator once."""
         clean = {}
+        fractional = False
         if terms:
             width = FIELD_BITS * len(varset)
             for exps, coeff in terms.items():
@@ -253,20 +277,42 @@ class Polynomial:
                     m = exps
                 else:
                     m = varset.pack(exps)
-                coeff = _coeff(coeff)
-                if coeff:
-                    clean[m] = clean.get(m, 0) + coeff
-                    if not clean[m]:
+                if type(coeff) is not int:
+                    coeff = _coerce(coeff)
+                    fractional = True
+                if not coeff:
+                    continue
+                prev = clean.get(m)
+                if prev is not None:
+                    coeff = prev + coeff
+                    if not coeff:
                         del clean[m]
-        object.__setattr__(self, "varset", varset)
-        object.__setattr__(self, "terms", clean)
+                        continue
+                clean[m] = coeff
+        den = 1
+        if fractional:
+            # reduced values over their least common denominator: the
+            # numerators then share no factor with it
+            numerators, den = _cleared(clean.values())
+            clean = dict(zip(clean, numerators))
+        _set_varset(self, varset)
+        _set_num(self, clean)
+        _set_den(self, den)
 
     @classmethod
-    def _raw(cls, varset: VariableSet, terms: dict) -> "Polynomial":
-        """Internal fast path: terms already canonical (packed keys, no zeros)."""
+    def _raw(cls, varset: VariableSet, num: dict, den: int = 1) -> "Polynomial":
+        """Internal fast path: `num` has packed keys, int values and no
+        zeros, and `den` > 0.  Their common factor is divided out here; with
+        `den` 1 there is none, and no gcd is taken."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
         self = object.__new__(cls)
         _set_varset(self, varset)
-        _set_terms(self, terms)
+        _set_num(self, num)
+        _set_den(self, den)
         return self
 
     def __setattr__(self, name, value):
@@ -281,10 +327,10 @@ class Polynomial:
 
     @classmethod
     def constant(cls, varset: VariableSet, value) -> "Polynomial":
-        value = _coeff(value)
-        if not value:
+        p, q = _ratio(value)
+        if not p:
             return cls._raw(varset, {})
-        return cls._raw(varset, {varset.unit(): value})
+        return cls._raw(varset, {varset.unit(): p}, q)
 
     @classmethod
     def variable(cls, varset: VariableSet, name: str) -> "Polynomial":
@@ -294,32 +340,52 @@ class Polynomial:
     # ------------------------------------------------------------------
     # basic queries
 
+    @property
+    def terms(self) -> Mapping[Monomial, int | Fraction]:
+        """Read-only map from packed monomials to the rational coefficients:
+        a view of the int map when `den` is 1, else built on each request."""
+        den = self.den
+        if den == 1:
+            return MappingProxyType(self._num)
+        return MappingProxyType({m: _value(c, den) for m, c in self._num.items()})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._num)
 
     def coefficient(self, monomial: Monomial | Exponents) -> int | Fraction:
         """Coefficient of a packed monomial or an exponent vector."""
         if not isinstance(monomial, int):
             monomial = self.varset.pack(monomial)
-        return self.terms.get(monomial, 0)
+        return _value(self._num.get(monomial, 0), self.den)
 
     def used_variables(self) -> list[str]:
         """Names appearing with a positive exponent in some term."""
-        used = self.varset.unpack(reduce(or_, self.terms, 0))
+        used = self.varset.unpack(reduce(or_, self._num, 0))
         return [name for name, e in zip(self.varset.names, used) if e]
 
     # ------------------------------------------------------------------
     # ring operations
 
     def _check_same(self, other: "Polynomial") -> None:
-        if self.varset != other.varset:
+        if self.varset is not other.varset and self.varset != other.varset:
             raise ValueError("mismatched variable sets")
+
+    def _over_lcm(self, other: "Polynomial") -> tuple[dict, dict, int]:
+        """Both int maps over the least common multiple of two unequal dens."""
+        a, b = self.den, other.den
+        g = math.gcd(a, b)
+        ka, kb = b // g, a // g
+        return (
+            self._num if ka == 1 else _times(self._num, ka),
+            other._num if kb == 1 else _times(other._num, kb),
+            a * ka,
+        )
 
     def __add__(self, other):
         if isinstance(other, Scalar):
@@ -327,7 +393,11 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same(other)
-        return Polynomial._raw(self.varset, terms_add(self.terms, other.terms))
+        if self.den == other.den:
+            a, b, den = self._num, other._num, self.den
+        else:
+            a, b, den = self._over_lcm(other)
+        return Polynomial._raw(self.varset, terms_add(a, b), den)
 
     __radd__ = __add__
 
@@ -337,13 +407,17 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same(other)
-        return Polynomial._raw(self.varset, terms_sub(self.terms, other.terms))
+        if self.den == other.den:
+            a, b, den = self._num, other._num, self.den
+        else:
+            a, b, den = self._over_lcm(other)
+        return Polynomial._raw(self.varset, terms_sub(a, b), den)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Polynomial._raw(self.varset, {e: -c for e, c in self.terms.items()})
+        return Polynomial._raw(self.varset, {e: -c for e, c in self._num.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
@@ -351,7 +425,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same(other)
-        return Polynomial._raw(self.varset, terms_mul(self.terms, other.terms))
+        return Polynomial._raw(self.varset, terms_mul(self._num, other._num), self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, Scalar):
@@ -363,7 +437,7 @@ class Polynomial:
             c = _coerce(other)
             if not c:
                 raise ZeroDivisionError("division of a polynomial by zero")
-            return self.scale(Fraction(1) / c)
+            return self.scale(1 / c)
         return NotImplemented
 
     def __pow__(self, k: int):
@@ -380,19 +454,21 @@ class Polynomial:
         return result
 
     def scale(self, c) -> "Polynomial":
-        c = _coeff(c)
-        if not c:
+        """This polynomial times c = p/q: the int map times p over den * q."""
+        p, q = _ratio(c)
+        if not p:
             return Polynomial.zero(self.varset)
-        return Polynomial._raw(self.varset, terms_scale(self.terms, c))
+        return Polynomial._raw(self.varset, terms_scale(self._num, p), self.den * q)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
             other = Polynomial.constant(self.varset, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.varset == other.varset and self.terms == other.terms
+        # both are in lowest terms, so equal values have equal pairs
+        return self.varset == other.varset and self.den == other.den and self._num == other._num
 
-    __hash__ = None  # mutable-dict payload; equality is structural
+    __hash__ = None  # equality is structural; polynomials are not hashable
 
     # ------------------------------------------------------------------
     # term-order-dependent operations
@@ -402,25 +478,27 @@ class Polynomial:
 
         Raises ValueError on the zero polynomial, which has no leading term.
         """
-        if not self.terms:
+        num = self._num
+        if not num:
             raise ValueError("zero polynomial has no leading term")
         if order is None:
             order = self.varset.default_order()
         if order._perm is None:
-            m = max(self.terms)
+            m = max(num)
         else:
-            m = max(self.terms, key=order.key)
-        return m, self.terms[m]
+            m = max(num, key=order.key)
+        c = num[m]
+        return m, c if self.den == 1 else _value(c, self.den)
 
     def leading_monomial(self, order: TermOrder | None = None) -> Monomial:
         return self.leading_term(order)[0]
 
     def monic(self, order: TermOrder | None = None) -> "Polynomial":
         """Scaled so the leading coefficient is 1."""
-        _, lc = self.leading_term(order)
+        m, lc = self.leading_term(order)
         if lc == 1:
             return self
-        return self.scale(Fraction(1) / lc)
+        return self.scale(Fraction(self.den, self._num[m]))  # 1/lc
 
     # ------------------------------------------------------------------
     # substitution and evaluation
@@ -429,13 +507,16 @@ class Polynomial:
         """Ring homomorphism sending each variable to its image polynomial.
 
         Every variable actually used in `self` must have an image; the
-        images must share a single target variable set.
+        images must share a single target variable set.  Images over a
+        denominator d_i are lifted to one: with E_i the largest exponent of
+        variable i, each term is multiplied by prod d_i^(E_i - e_i) and the
+        result's den by prod d_i^E_i.
         """
         used = self.used_variables()
         if not used:
             # constant: nothing to substitute
             target = next(iter(images.values())).varset if images else self.varset
-            return Polynomial.constant(target, self.terms.get(self.varset.unit(), 0))
+            return Polynomial._raw(target, self._num, self.den)
         target = None
         for name in used:
             if name not in images:
@@ -448,11 +529,24 @@ class Polynomial:
         unit = {target.unit(): 1}
         # cache of image powers, keyed by (variable index, exponent)
         powers: dict[int, list[dict]] = {}
+        lifts: dict[int, int] = {}  # variable index -> its image's den, when not 1
         for name in used:
-            powers[self.varset.index(name)] = [unit, dict(images[name].terms)]
+            i, img = self.varset.index(name), images[name]
+            powers[i] = [unit, img._num]
+            if img.den != 1:
+                lifts[i] = img.den
         unpack = self.varset.unpack
+        den = self.den
+        if lifts:
+            tops = {i: max(unpack(m)[i] for m in self._num) for i in lifts}
+            for i, d in lifts.items():
+                den *= d ** tops[i]
         result: dict = {}
-        for m, coeff in self.terms.items():
+        for m, coeff in self._num.items():
+            if lifts:
+                exps = unpack(m)
+                for i, d in lifts.items():
+                    coeff *= d ** (tops[i] - exps[i])
             acc = {target.unit(): coeff}
             for i, e in enumerate(unpack(m)):
                 if not e:
@@ -462,14 +556,14 @@ class Polynomial:
                     plist.append(terms_mul(plist[-1], plist[1]))
                 acc = terms_mul(acc, plist[e])
             terms_add_into(result, acc)
-        return Polynomial._raw(target, result)
+        return Polynomial._raw(target, result, den)
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
         """Exact value at a point, as a Fraction; every used variable must be assigned.
 
         Computed in ints: the used variables' values are P_i/D over one
-        denominator D and the coefficients C_t/C over one denominator C, so
-        the value is sum(C_t * prod(P_i^e_i) * D^(top - deg_t)) / (C * D^top),
+        denominator D and the coefficients are the int map over `den`, C_t/C,
+        so the value is sum(C_t * prod(P_i^e_i) * D^(top - deg_t)) / (C * D^top),
         with top the largest term degree, and one Fraction is built.
         """
         index = self.varset._index
@@ -477,8 +571,8 @@ class Polynomial:
             raise ValueError(f"unknown variable {next(k for k in point if k not in index)!r}")
         values = {index[name]: _coerce(val) for name, val in point.items()}
         n = len(self.varset)
-        monomials = list(map(self.varset.unpack, self.terms))
-        used = list(compress(range(n), self.varset.unpack(reduce(or_, self.terms, 0))))
+        monomials = list(map(self.varset.unpack, self._num))
+        used = list(compress(range(n), self.varset.unpack(reduce(or_, self._num, 0))))
         if not all(i in values for i in used):
             # name the first unassigned variable in term order
             for exps in monomials:
@@ -487,17 +581,16 @@ class Polynomial:
                         raise ValueError(f"missing assignment for variable {self.varset.names[i]!r}")
         numerators, d = _cleared([values[i] for i in used])
         p = dict(zip(used, numerators))
-        coeffs, c = _cleared(self.terms.values())
         degrees = list(map(sum, monomials))
         top = max(degrees, default=0)
         scales = {k: d ** (top - k) for k in set(degrees)}
         total = 0
-        for exps, coeff, k in zip(monomials, coeffs, degrees):
+        for exps, coeff, k in zip(monomials, self._num.values(), degrees):
             term = coeff * scales[k]
             for i in compress(range(n), exps):
                 term *= p[i] ** exps[i]
             total += term
-        return Fraction(total, c * d**top)
+        return Fraction(total, self.den * d**top)
 
     def rename(self, target: VariableSet, mapping: Mapping[str, str] | None = None) -> "Polynomial":
         """Re-index into `target`, optionally renaming variables.
@@ -513,20 +606,20 @@ class Polynomial:
             raise ValueError("rename mapping must be injective on used variables")
         n = len(target)
         out = {}
-        for m, coeff in self.terms.items():
+        for m, coeff in self._num.items():
             new_exps = [0] * n
             for i, e in enumerate(self.varset.unpack(m)):
                 if e:
                     new_exps[take[i]] = e
             out[target.pack(new_exps)] = coeff
-        return Polynomial._raw(target, out)
+        return Polynomial._raw(target, out, self.den)
 
     def degree_components(self) -> dict[int, "Polynomial"]:
         """Split into homogeneous components keyed by total degree."""
         buckets: dict[int, dict] = {}
-        for m, coeff in self.terms.items():
+        for m, coeff in self._num.items():
             buckets.setdefault(self.varset.degree(m), {})[m] = coeff
-        return {d: Polynomial._raw(self.varset, t) for d, t in buckets.items()}
+        return {d: Polynomial._raw(self.varset, t, self.den) for d, t in buckets.items()}
 
     # ------------------------------------------------------------------
 
@@ -538,8 +631,9 @@ class Polynomial:
     __str__ = __repr__
 
 
-# The slots' own setters, which `_raw` calls past the refusing __setattr__;
-# on CPython 3.11 they take about two thirds of object.__setattr__'s time,
-# and `_raw` builds every intermediate polynomial.
+# The slots' own setters, which `_raw` and the constructor call past the
+# refusing __setattr__; on CPython 3.11 they take about two thirds of
+# object.__setattr__'s time, and `_raw` builds every intermediate polynomial.
 _set_varset = Polynomial.varset.__set__
-_set_terms = Polynomial.terms.__set__
+_set_num = Polynomial._num.__set__
+_set_den = Polynomial.den.__set__

@@ -275,8 +275,9 @@ def _random_poly(rng: random.Random, vs: VariableSet, max_terms: int = 5, max_de
         exps = [0] * len(vs)
         for _ in range(rng.randint(0, max_deg)):
             exps[rng.randrange(len(vs))] += 1
-        coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + coeff
+        key, coeff = tuple(exps), Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        prev = terms.get(key)
+        terms[key] = coeff if prev is None else prev + coeff
     return Polynomial(vs, terms)
 
 
@@ -297,10 +298,11 @@ def check_property_suites() -> VerifyItem:
         if f * g != g * f or f + g != g + f:
             return VerifyItem("property suites", False, "commutativity failed")
         n += 1
-    # coefficients always reduced with positive denominator
-    for poly in (_random_poly(rng, vs) for _ in range(200)):
-        for coeff in poly.terms.values():
-            if coeff.denominator <= 0 or math.gcd(coeff.numerator, coeff.denominator) != 1:
+    # every stored pair, the int map over one den, in lowest terms with den > 0,
+    # as built and after arithmetic
+    for f in (_random_poly(rng, vs) for _ in range(200)):
+        for poly in (f, -f, f * f, f + f / 3):
+            if poly.den <= 0 or math.gcd(poly.den, *poly._num.values()) != 1:
                 return VerifyItem("property suites", False, "unreduced rational stored")
     # order multiplicativity: a < b implies a*c < b*c
     for _ in range(1000):

@@ -22,6 +22,13 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CHAIN_SEED = "order: lex x y\nx + y\nx*y\nx*y^2\n"
 
+# Generators whose leading coefficients are not 1: insertion makes them
+# monic with fractional coefficients (x^2 + 3/2*y, x*y - 2/3*y^2,
+# y^2 + 2/5*y), completion adds a fourth, and subducting FRACTIONAL_POLY
+# against the seed leaves a fractional certificate and remainder.
+FRACTIONAL_SEED = "order: lex x y\n2*x^2 + 3*y\n3*x*y - 2*y^2\n5*y^2 + 2*y\n"
+FRACTIONAL_POLY = "1/2*x^4 + 5*x^3*y - 7/3"
+
 # Screw pair files for `dh`: the README example pair (cos alpha = 4/5, d = 2)
 # and a pair with antiparallel axes, whose displacement is undefined.
 DH_PAIRS = {
@@ -82,8 +89,8 @@ POLY_INPUTS = {
 
 
 def _cli_cases() -> dict:
-    """Golden name -> argv; `{pullback_m}`, `{chain}`, `{eliminated_2}` and
-    `{dh_*}` name seed files."""
+    """Golden name -> argv; `{pullback_m}`, `{chain}`, `{fractional}`,
+    `{eliminated_2}` and `{dh_*}` name seed files."""
     cases = {}
     for which in ("se3", "t3", "so3", "pullback"):
         for m in (1, 2, 3):
@@ -101,6 +108,12 @@ def _cli_cases() -> dict:
         cases[f"sagbi_pullback_3_bound_5{label}"] = [*argv, *extra]
         cases[f"sagbi_pullback_3_bound_5{label}_json"] = ["--json", *argv, *extra]
     cases["sagbi_chain_max_iter_1"] = ["sagbi", "{chain}", "--max-iter", "1"]
+    for label, argv in (
+        ("sagbi_fractional", ["sagbi", "{fractional}"]),
+        ("subduct_fractional", ["subduct", "--basis", "{fractional}", "--poly", FRACTIONAL_POLY]),
+    ):
+        cases[label] = argv
+        cases[f"{label}_json"] = ["--json", *argv]
     for label, poly in SUBDUCT_INPUTS.items():
         argv = ["subduct", "--basis", "{eliminated_2}", "--poly", poly]
         cases[f"subduct_2_{label}"] = argv
@@ -134,6 +147,8 @@ def run_cli(argv) -> str:
 def _seed_text(seed: str) -> str:
     if seed == "chain":
         return CHAIN_SEED
+    if seed == "fractional":
+        return FRACTIONAL_SEED
     if seed in DH_PAIRS:
         return DH_PAIRS[seed]
     if seed == "eliminated_2":

@@ -1,12 +1,13 @@
 """Term-map kernels against a naive reference on seeded random corpora."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from screwinv import _kernel
-from screwinv.poly import VariableSet
+from screwinv.poly import Polynomial, VariableSet
 
 
 def varset(nvars: int) -> VariableSet:
@@ -140,6 +141,46 @@ def test_int_and_fraction_coefficients_agree_in_order(nvars, corpus):
             # (the scaled map is left out: the scalar may be a fraction)
             for _, ints in pairs[:-1]:
                 assert all(type(v) is int for v in ints.values())
+
+
+def _cleared(terms: dict) -> tuple[dict, int]:
+    """(int map, den): the Fraction map over its least common denominator."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+def _over(num: dict, den: int) -> dict:
+    return {e: Fraction(c, den) for e, c in num.items()}
+
+
+@pytest.mark.parametrize("nvars, corpus", CORPORA)
+def test_int_maps_over_one_den_match_the_fraction_reference(nvars, corpus):
+    # polynomials hold an int map over one den: the kernels on int maps,
+    # with the dens multiplied (or brought to their lcm for + and -), give
+    # the Fraction reference, and so does Polynomial, built from Fractions
+    vs = varset(nvars)
+    for a, b, c in corpus_cases(nvars, corpus):
+        (ia, da), (ib, db) = _cleared(a), _cleared(b)
+        den = math.lcm(da, db)
+        sa, sb = {e: v * (den // da) for e, v in ia.items()}, {e: v * (den // db) for e, v in ib.items()}
+        results = [
+            (_kernel.terms_add(sa, sb), den, reference_add(a, b)),
+            (_kernel.terms_sub(sa, sb), den, reference_sub(a, b)),
+            (_kernel.terms_mul(ia, ib), da * db, reference_mul(vs, a, b)),
+            (_kernel.terms_scale(ia, c.numerator), da * c.denominator, reference_scale(a, c)),
+        ]
+        for num, num_den, reference in results:
+            assert all(type(v) is int for v in num.values())
+            assert _over(num, num_den) == reference
+        f, g = Polynomial(vs, a), Polynomial(vs, b)
+        for poly, reference in (
+            (f + g, reference_add(a, b)),
+            (f - g, reference_sub(a, b)),
+            (f * g, reference_mul(vs, a, b)),
+            (f.scale(c), reference_scale(a, c)),
+        ):
+            assert poly.terms == reference
+            assert poly.den > 0 and math.gcd(poly.den, *poly._num.values()) == 1
 
 
 @pytest.mark.parametrize("nvars", [2, 3])

@@ -333,6 +333,83 @@ class TestCoefficientRule:
         assert type(zero) is Fraction and str(zero) == "0"
 
 
+def _lowest_terms(f: Polynomial) -> bool:
+    """The stored pair: den > 0 and gcd(den, *numerators) = 1."""
+    return f.den > 0 and math.gcd(f.den, *f._num.values()) == 1
+
+
+class TestOneDenominator:
+    """A polynomial stores an int map over one den, in lowest terms."""
+
+    def test_halving_a_double(self):
+        vs = VariableSet(["x", "y"])
+        x = Polynomial.variable(vs, "x")
+        half = (2 * x) / 2
+        assert half == x and half.den == 1
+        assert type(half.coefficient((1, 0))) is int and dict(half.terms) == {vs.pack((1, 0)): 1}
+        assert parse("1/2*x + 1/2*x", vs).den == 1
+        assert (parse("1/3*x + y", vs) * 3).den == 1
+
+    def test_den_never_negative(self, abcd):
+        rng = random.Random(11)
+        for _ in range(200):
+            f, g = random_poly(rng, abcd), random_poly(rng, abcd)
+            c = Fraction(-rng.randint(1, 9), rng.randint(1, 9))
+            results = [-f, f - g, g - f, f.scale(c), f * c, f / c, c - f]
+            if f:
+                results.append((-f).monic())
+            for poly in results:
+                assert _lowest_terms(poly)
+        f = parse("-3*a + 2/5*b", abcd)
+        assert f.monic() == parse("a - 2/15*b", abcd) and f.monic().den == 15
+        assert (-f).den == 5 and f.scale(Fraction(-5, 7)).den == 7
+
+    def test_every_result_in_lowest_terms(self, abcd):
+        rng = random.Random(12)
+        images = {name: random_poly(rng, abcd, max_deg=2) for name in abcd}
+        for _ in range(200):
+            f, g = random_poly(rng, abcd), random_poly(rng, abcd)
+            results = [f + g, f * g, f**2, f.substitute(images), *f.degree_components().values()]
+            assert all(map(_lowest_terms, results))
+
+    def test_fractional_images_substitute_like_arithmetic(self, abcd):
+        # every image over its own den: the lifted sum equals the value
+        # built term by term with Polynomial arithmetic
+        rng = random.Random(13)
+        for _ in range(50):
+            f = random_poly(rng, abcd)
+            images = {name: random_poly(rng, abcd, max_deg=2) for name in abcd}
+            expected = Polynomial.zero(abcd)
+            for m, coeff in f.terms.items():
+                term = Polynomial.constant(abcd, coeff)
+                for name, e in zip(abcd.names, abcd.unpack(m)):
+                    term = term * images[name] ** e
+                expected = expected + term
+            assert f.substitute(images) == expected
+
+    def test_constructor_takes_back_its_terms(self, abcd):
+        rng = random.Random(14)
+        for _ in range(100):
+            f = random_poly(rng, abcd)
+            assert Polynomial(abcd, f.terms) == f
+        f = parse("1/2*a + 3*b - 7/6", abcd)
+        assert f.den == 6 and Polynomial(abcd, f.terms) == f
+        assert f.terms == {abcd.pack((1, 0, 0, 0)): Fraction(1, 2), abcd.pack((0, 1, 0, 0)): 3, 0: Fraction(-7, 6)}
+
+    def test_terms_are_read_only(self, abcd):
+        # a mappingproxy refuses a key above sys.maxsize, as `a` packs over
+        # four variables, with IndexError rather than TypeError
+        for text in ("a + 2*b", "1/2*a + 2*b"):
+            f = parse(text, abcd)
+            with pytest.raises(TypeError):
+                f.terms[0] = 1
+            with pytest.raises(TypeError):
+                del f.terms[abcd.pack((0, 0, 0, 1))]
+            with pytest.raises((TypeError, IndexError)):
+                del f.terms[abcd.pack((1, 0, 0, 0))]
+            assert f == parse(text, abcd)
+
+
 class TestTermOrderKey:
     """`TermOrder.key` skips the permutation when the priority is the
     variable order; every observable result must be as if it did not."""

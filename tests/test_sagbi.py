@@ -302,6 +302,22 @@ class TestPowerCache:
         assert basis.gens is gens
         assert [dict(g.terms) for g in basis.gens] == before
 
+    def test_cached_powers_cannot_be_mutated(self):
+        # `terms` is a read-only view: a caller cannot clear a cached power
+        # and so change every later subduction against the basis
+        vs = VariableSet(["x", "y"])
+        basis = GeneratorSet([parse("x + y", vs)], vs.default_order())
+        square = parse("x^2 + 2*x*y + y^2", vs)
+        terms = basis.power_product((2,)).terms
+        with pytest.raises(TypeError):
+            terms[vs.pack((2, 0))] = 5
+        with pytest.raises(TypeError):
+            del terms[vs.pack((2, 0))]
+        with pytest.raises(AttributeError):
+            terms.clear()
+        assert basis.power_product((2,)) == square
+        assert subduct(square, basis).remainder.is_zero()
+
     def test_factorizations_not_carried_across_with_added(self):
         vs = VariableSet(["x", "y"])
         x, y = parse("x", vs), parse("y", vs)
