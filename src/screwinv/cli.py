@@ -56,25 +56,25 @@ EXIT_INVARIANCE = 3
 MAX_SO3_VECTORS = 9
 
 # Caps --screws for invariance and the pullback catalog.  Every pullback
-# image carries an exponent tuple over all 6M screw variables and up to 7
-# group variables, so memory grows with M: the 3-term Klein form took 3.6 s
-# and 254 MiB to check symbolically at M = 400, and the pullback catalog
-# 0.74 s and 39 MiB at M = 200.  At the cap (Intel Xeon, 2 cores, CPython
-# 3.11) the Klein form takes 0.03 s symbolically, the 96-term sum of all 32
-# Klein forms 0.07 s symbolically and ~4 s per 1,000 samples, so ~40 s at
-# MAX_SAMPLES, and the pullback catalog 0.03 s within the interpreter's own
-# 17 MiB.
+# image is a polynomial over all 6M screw variables and up to 7 group
+# variables, so time and memory grow with M.  In-process with the cap
+# lifted (Intel Xeon, 2 cores, CPython 3.11), the 3-term Klein form takes
+# 0.6 s and 145 MiB to check symbolically at M = 400, and the pullback
+# catalog 0.3 s and 25 MiB at M = 200.  At the cap the Klein form takes
+# 0.02 s symbolically, the 96-term sum of all 32 Klein forms 0.05 s
+# symbolically and ~3 s per 1,000 samples, so ~30 s at MAX_SAMPLES, and
+# the pullback catalog 0.01 s within the interpreter's own 17 MiB.
 MAX_SCREWS = 32
 
-# SAGBI cost grows steeply with the degree bound: three screws take ~6.6 s
-# at bound 7 and ~5x more per further degree (Intel Xeon, CPython 3.11), and
-# even the three-generator seed x + y, x*y, x*y^2 takes 0.1 s at 16 but
-# ~39 s at 32.  16 is twice the paper's largest bound.
+# SAGBI cost grows steeply with the degree bound: three screws take ~4.2 s
+# at bound 7 and ~26 s at bound 8 (Intel Xeon, 2 cores, CPython 3.11), and
+# even the three-generator seed x + y, x*y, x*y^2 takes 0.07 s at 16 but
+# ~7.5 s at 32.  16 is twice the paper's largest bound.
 MAX_DEGREE_BOUND = 16
 
-# One sample costs ~0.2 ms on one screw and ~0.25-0.5 ms on three-screw
+# One sample costs ~0.2 ms on one screw and ~0.2-0.26 ms on three-screw
 # SE(3) catalog elements (Intel Xeon, 2 cores, CPython 3.11), so the cap
-# bounds a passing sampled check to ~2-5 s on such inputs; the default is
+# bounds a passing sampled check to ~2-3 s on such inputs; the default is
 # 32.
 MAX_SAMPLES = 10_000
 
@@ -82,15 +82,16 @@ MAX_SAMPLES = 10_000
 # for, and sampling and `poly --eval` evaluate the input at exact rationals
 # whose size grows with the degree (w11^1000000 would run for seconds and
 # print a value too long to convert); `poly` without --eval only parses and
-# prints, so it is not capped.  On three screws over se3 (Intel Xeon,
-# CPython 3.11), a degree-32 monomial spread over all 18 coordinates takes
-# ~3.5 s to fail symbolically, and the expanded (w11^2 + w12^2 + w13^2)^16,
-# 153 terms, ~4.7 s to pass symbolically and ~1.5 s per 1,000 samples, so
-# ~15 s at MAX_SAMPLES.  `subduct` takes one step per degree against the
-# basis x + 1, each expanding a power: x^32 takes ~0.005 s there, x^200
-# 0.46 s, x^400 4.3 s and x^800 ~42 s.  At the cap, the expanded mixed form
-# of screws 1 and 2 to the 16th, 20,349 terms, takes ~1.6 s against the
-# recorded two-screw translation basis; the term count stays uncapped.
+# prints, so it is not capped.  On three screws over se3 (Intel Xeon, 2
+# cores, CPython 3.11), a degree-32 monomial spread over all 18 coordinates
+# takes ~1.7 s to fail symbolically, and the expanded
+# (w11^2 + w12^2 + w13^2)^16, 153 terms, ~1.0 s to pass symbolically and
+# ~1.2 s per 1,000 samples, so ~12 s at MAX_SAMPLES.  `subduct` takes one
+# step per degree against the basis x + 1, each expanding a power: x^32
+# takes ~0.003 s there, x^200 0.2 s, x^400 1.5 s and x^800 ~20 s.  At the
+# cap, the expanded mixed form of screws 1 and 2 to the 16th, 20,349 terms,
+# takes ~0.5 s against the two-screw translation basis; the term count
+# stays uncapped.
 # Catalog elements have degree at most 4.
 MAX_POLY_DEGREE = 32
 

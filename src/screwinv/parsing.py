@@ -119,10 +119,30 @@ def parse(text: str, varset: VariableSet) -> Polynomial:
             raise ParseError(f"unexpected token {tok!r}", pos)
 
 
+# `Fraction` expands a decimal exponent n into 10**n, so "1e100000000000"
+# would run for hours.  4300 is also the interpreter's int <-> str digit
+# limit, and 10**4300 already has one digit more, so a value with a larger
+# exponent could not be printed anyway.
+MAX_DECIMAL_EXPONENT = 4300
+
+# A decimal with an exponent, in a form loose enough to cover every one that
+# `Fraction` accepts; group 1 holds the exponent's digits.
+_EXPONENT_RE = re.compile(r"\s*[-+]?[\d_]*(?:\.[\d_]*)?[eE][-+]?([\d_]+)\s*")
+
+
 def parse_rational(text: str) -> Fraction:
     """Read `text` as an exact rational, in any form `Fraction` accepts
-    (``3``, ``-1/2``, ``0.25``); otherwise raise
-    ``ValueError("'<text>' is not a rational number")``."""
+    (``3``, ``-1/2``, ``0.25``, ``1e-3``); otherwise raise
+    ``ValueError("'<text>' is not a rational number")``.  A decimal exponent
+    above MAX_DECIMAL_EXPONENT in magnitude is refused with a ValueError
+    that names the limit, before any power of ten is computed."""
+    m = _EXPONENT_RE.fullmatch(text)
+    if m:
+        digits = m[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(
+                f"{text!r} has a decimal exponent above {MAX_DECIMAL_EXPONENT} in magnitude"
+            )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -246,13 +246,6 @@ def _value(c: int, den: int) -> int | Fraction:
     return Fraction(c, den) if r else q
 
 
-def _times(num: dict, k: int) -> dict:
-    """Int term map `num` times the int k != 0.  It brings two maps to one
-    den; it is not `terms_scale`, so that the kernel's traced calls count
-    each operation's own arithmetic, whatever the dens of its operands."""
-    return {e: k * c for e, c in num.items()}
-
-
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients.
 
@@ -382,8 +375,8 @@ class Polynomial:
         g = math.gcd(a, b)
         ka, kb = b // g, a // g
         return (
-            self._num if ka == 1 else _times(self._num, ka),
-            other._num if kb == 1 else _times(other._num, kb),
+            self._num if ka == 1 else terms_scale(self._num, ka),
+            other._num if kb == 1 else terms_scale(other._num, kb),
             a * ka,
         )
 

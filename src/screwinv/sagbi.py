@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, product as product_of
-from operator import le, or_
+from itertools import compress
+from operator import or_
 from typing import IO, Iterable, Sequence
 
 from .parsing import format_poly, parse
@@ -236,24 +236,23 @@ def tete_a_tetes(basis: GeneratorSet, degree_bound: int) -> list[TeteATete]:
 
     Enumerates every generator power product whose leading-monomial product
     has total degree within the bound, buckets its index path by that
-    product monomial, and pairs up the exponent vectors with disjoint
-    support within each bucket of two or more.  The products are found by
-    an extension search: each product is extended only by generators of
-    index at least its last one whose degree fits the remaining bound, so
-    every product is visited exactly once; the fitting generators are
-    listed once per (last index, remaining degree).  The search keeps its
-    own stack, so a large bound is limited by time, not by the
-    interpreter's recursion limit.  A bound below 2^31 keeps every
-    exponent of a product below 2^31, so packed products never overflow.
+    product monomial, and pairs up the paths with disjoint support within
+    each bucket of two or more.  The products are found by an extension
+    search: each product is extended only by generators of index at least
+    its last one whose degree fits the remaining bound, so every product is
+    visited exactly once; the fitting generators are listed once per (last
+    index, remaining degree).  The search keeps its own stack, so a large
+    bound is limited by time, not by the interpreter's recursion limit.  A
+    bound below 2^31 keeps every exponent of a product below 2^31, so
+    packed products never overflow.
 
-    A relation ``(a, b)`` is kept unless another found relation fits
-    inside it: some found ``(x, y)`` with ``0 < x < a`` and ``y <= b``.
-    The leftover ``(a - x, b - y)`` is then nonzero (no generator is
-    constant), disjoint and in one bucket, hence itself found, so ``(a, b)``
-    is the componentwise sum of two found relations.  The search runs over
-    the proper sub-vectors ``x`` of ``a`` (at most ``2**D`` of them at
-    degree bound ``D``, since every generator has degree at least one) and,
-    through an index, over the vectors ``y`` that ``x`` is paired with.
+    A disjoint pair ``(a, b)`` is minimal exactly when no leading monomial
+    of a product ``x`` with ``0 < x < a`` equals one of a ``y`` with
+    ``0 < y < b``.  A shared one, ``LM(x) = LM(y)``, makes ``(x, y)`` and
+    ``(a - x, b - y)`` two smaller relations that sum to ``(a, b)``, both
+    within the bound and disjoint; conversely, a smaller relation
+    ``(x, y)`` with ``0 < x < a`` and ``y <= b`` has
+    ``LM(y) = LM(x) != LM(b)`` (no generator is constant), so ``y < b``.
     The result is sorted by product monomial, then by relation.
     """
     if degree_bound < 1:
@@ -288,41 +287,35 @@ def tete_a_tetes(basis: GeneratorSet, degree_bound: int) -> list[TeteATete]:
             vec[i] += 1
         return tuple(vec)
 
-    found: dict[tuple, Monomial] = {}  # relation -> its product monomial
+    def proper_lms(path: tuple, product: Monomial) -> set:
+        """The leading monomials of the products strictly inside `path`."""
+        sums = {0}
+        for i in path:
+            lm = lms[i]
+            sums |= {s + lm for s in sums}
+        sums -= {0, product}
+        return sums
+
+    key = basis.order.key
+    minimal = []
     for product, paths in buckets.items():
         if len(paths) < 2:
             continue
-        vecs = [dense(path) for path in paths]
         supports = [reduce(or_, map(bits.__getitem__, path)) for path in paths]
-        for i, (a, support) in enumerate(zip(vecs, supports)):
-            for b, other in zip(vecs[i + 1:], supports[i + 1:]):
-                if support & other:
+        inner: list = [None] * len(paths)  # each path's proper_lms, on first need
+        for i, (a, support) in enumerate(zip(paths, supports)):
+            for j in range(i + 1, len(paths)):
+                if support & supports[j]:
                     continue  # common factor; the reduced pair has its own bucket
-                found[min(a, b), max(a, b)] = product
-
-    partners: dict[tuple, list[tuple]] = {}
-    for a, b in found:
-        partners.setdefault(a, []).append(b)
-        partners.setdefault(b, []).append(a)
-
-    def proper_parts(v: tuple):
-        """Every sub-vector x with 0 < x < v componentwise."""
-        support = [i for i, e in enumerate(v) if e]
-        x = list(v)
-        for choice in product_of(*(range(v[i] + 1) for i in support)):
-            for i, e in zip(support, choice):
-                x[i] = e
-            part = tuple(x)
-            if part != v and any(choice):
-                yield part
-
-    def decomposable(a: tuple, b: tuple) -> bool:
-        return any(all(map(le, y, b)) for x in proper_parts(a) for y in partners.get(x, ()))
-
-    key = basis.order.key
-    minimal = [rel for rel in found if not decomposable(*rel)]
-    minimal.sort(key=lambda rel: (key(found[rel]), rel))
-    return [TeteATete(a, b) for a, b in minimal]
+                if inner[i] is None:
+                    inner[i] = proper_lms(a, product)
+                if inner[j] is None:
+                    inner[j] = proper_lms(paths[j], product)
+                if inner[i].isdisjoint(inner[j]):
+                    va, vb = dense(a), dense(paths[j])
+                    minimal.append((key(product), min(va, vb), max(va, vb)))
+    minimal.sort()
+    return [TeteATete(a, b) for _, a, b in minimal]
 
 
 @dataclass(frozen=True)

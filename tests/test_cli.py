@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from screwinv import cli
+from screwinv import cli, parsing
 from screwinv.parsing import format_poly, parse
 from screwinv.screw import screw_varset
 
@@ -56,6 +56,18 @@ class TestPoly:
         code, out, err = run(capsys, "poly", "x", "--vars", "x", "--eval", "x=abc")
         assert code == 1 and out == ""
         assert err == "error: bad assignment 'x=abc', 'abc' is not a rational number\n"
+
+    @pytest.mark.parametrize("value", ["1e-100000000000", "1e100000000000"])
+    def test_huge_decimal_exponent_in_eval_exits_1(self, capsys, value):
+        cap = parsing.MAX_DECIMAL_EXPONENT
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "poly", "x", "--vars", "x", "--eval", f"x={value}")
+        assert time.monotonic() - t0 < 1.0
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: bad assignment 'x={value}', "
+            f"{value!r} has a decimal exponent above {cap} in magnitude\n"
+        )
 
     def test_eval_degree_capped(self, capsys):
         cap = cli.MAX_POLY_DEGREE
@@ -392,6 +404,17 @@ class TestDh:
         code, out, err = run(capsys, "dh", "--pair", str(pair))
         assert code == 1 and out == ""
         assert err == f"error: line 2: {field!r} is not a rational number\n"
+
+    @pytest.mark.parametrize("field", ["1e100000000000", "-1E-100000000000"])
+    def test_huge_decimal_exponent_exits_1(self, capsys, tmp_path, field):
+        pair = tmp_path / "pair.txt"
+        pair.write_text(f"0 0 1 0 0 0\n0 3/5 4/5 0 -8/5 {field}\n")
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "dh", "--pair", str(pair))
+        assert time.monotonic() - t0 < 1.0
+        assert code == 1 and out == ""
+        cap = parsing.MAX_DECIMAL_EXPONENT
+        assert err == f"error: line 2: {field!r} has a decimal exponent above {cap} in magnitude\n"
 
     def test_huge_coordinates_with_small_quotients(self, capsys, tmp_path):
         # w1.w1 = w2.w2 = 1e400: each float view is a quotient of numbers

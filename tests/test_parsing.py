@@ -1,12 +1,20 @@
 """Grammar, error reporting, and canonical round-trip printing."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_poly
-from screwinv.parsing import ParseError, UnknownVariableError, format_poly, parse, parse_rational
+from screwinv.parsing import (
+    MAX_DECIMAL_EXPONENT,
+    ParseError,
+    UnknownVariableError,
+    format_poly,
+    parse,
+    parse_rational,
+)
 from screwinv.poly import Polynomial, TermOrder, VariableSet
 from screwinv.sagbi import read_basis_file
 from screwinv.screw import screw_varset
@@ -120,10 +128,22 @@ def test_integral_coefficients_are_ints(vs1, tmp_path):
 def test_parse_rational():
     assert parse_rational("-3/4") == Fraction(-3, 4)
     assert parse_rational("0.25") == Fraction(1, 4)
-    for bad in ("1/0", "abc", ""):
+    for bad in ("1/0", "abc", "", "1e_"):
         with pytest.raises(ValueError) as info:
             parse_rational(bad)
         assert str(info.value) == f"{bad!r} is not a rational number"
+    # exponents up to the limit are exact; beyond it, refused at once
+    cap = MAX_DECIMAL_EXPONENT
+    assert parse_rational(f"1e{cap}") == 10**cap
+    assert parse_rational(f"-2.5E-{cap}") == Fraction(-5, 2 * 10**cap)
+    assert parse_rational(f" 1e+000{cap} ") == 10**cap
+    for huge in (f"1e{cap + 1}", f"1e-{cap + 1}", "1e100000000000", "-.5E-100000000000",
+                 "1e" + "9" * 5000):
+        t0 = time.monotonic()
+        with pytest.raises(ValueError) as info:
+            parse_rational(huge)
+        assert time.monotonic() - t0 < 1.0
+        assert str(info.value) == f"{huge!r} has a decimal exponent above {cap} in magnitude"
 
 
 def test_trailing_garbage(vs1):

@@ -536,7 +536,7 @@ class TestTeteATetes:
     @pytest.mark.parametrize("bound", [3, 4, 5, 6])
     @pytest.mark.parametrize(
         "text",
-        ["x y z x*y y*z x*z x^2 y^2 z^2", "x y x*y+z x^2*y y^2"],
+        ["x y z x*y y*z x*z x^2 y^2 z^2", "x y x*y+z x^2*y y^2", "x y x*y"],
     )
     def test_matches_reference_on_dense_sets(self, text, bound):
         # many relations share a side here, so a minimality check that
@@ -546,9 +546,27 @@ class TestTeteATetes:
         pairs = [(p.a, p.b) for p in tete_a_tetes(basis, bound)]
         assert pairs == _reference_tete_a_tetes(basis, bound)
 
-    @pytest.mark.parametrize("bound", [4, 5, 6])
+    def test_sum_of_two_relations_is_not_minimal(self):
+        # x*y = (xy) is minimal; x^2*y^2 = (xy)^2 is that relation twice,
+        # since x and (xy) share the proper sub-product monomial x*y
+        vs = VariableSet(["x", "y"])
+        basis = GeneratorSet([parse(t, vs) for t in ("x", "y", "x*y")], vs.default_order())
+        for bound in (2, 4, 6):
+            pairs = [(p.a, p.b) for p in tete_a_tetes(basis, bound)]
+            assert pairs == [((0, 0, 1), (1, 1, 0))]
+
+    # the bases of the benchmark's translation jobs
+    @pytest.mark.parametrize("bound", [4, 5, 6, 7])
     def test_matches_reference_on_two_screw_translation_basis(self, bound):
-        seed = pullback(ActionKind.TRANSLATION_SUB, 2).seed_generators()
+        self._assert_matches_on_translation_basis(2, bound)
+
+    @pytest.mark.parametrize("bound", [4, 5])
+    def test_matches_reference_on_three_screw_translation_basis(self, bound):
+        self._assert_matches_on_translation_basis(3, bound)
+
+    @staticmethod
+    def _assert_matches_on_translation_basis(m, bound):
+        seed = pullback(ActionKind.TRANSLATION_SUB, m).seed_generators()
         basis = sagbi_construct(seed, degree_bound=bound).basis
         pairs = [(p.a, p.b) for p in tete_a_tetes(basis, bound)]
         assert pairs
