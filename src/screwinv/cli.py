@@ -123,6 +123,17 @@ def _float15(x: float) -> str:
     return f"{x:.15g}"
 
 
+def _printed(value) -> str:
+    """`str(value)` for an exact number, refused with a ValueError that says
+    so when the interpreter's int-to-text digit limit (4,300 by default)
+    forbids printing it."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a value has more than {limit:,} digits, too many to print") from None
+
+
 def _resolve_varset(args) -> VariableSet:
     if getattr(args, "vars", None):
         names = args.vars.replace(",", " ").split()
@@ -151,8 +162,8 @@ def cmd_poly(args) -> tuple[int, list[str], dict]:
             except ValueError as exc:
                 raise ValueError(f"bad assignment {piece!r}, {exc}") from None
         _cap_degree(f, "--eval supports polynomials")
-        value = f.evaluate(point)
-        return EXIT_OK, [str(value)], {"value": str(value)}
+        value = _printed(f.evaluate(point))
+        return EXIT_OK, [value], {"value": value}
     text = format_poly(f, order)
     return EXIT_OK, [text], {"formatted": text}
 
@@ -295,29 +306,30 @@ def cmd_dh(args) -> tuple[int, list[str], dict]:
     if len(pair) != 2:
         raise ValueError("the DH pair file must hold exactly two screws")
     report = dh_invariants(pair)
-    w11, w12, w22 = report.dots
+    dots = [_printed(v) for v in report.dots]
+    klein_cross = _printed(report.klein_cross)
+    cos_alpha = {"num": _printed(report.cos_alpha.num), "radicand": _printed(report.cos_alpha.radicand)}
+    d_sin_alpha = {
+        "num": _printed(report.d_sin_alpha.num),
+        "radicand": _printed(report.d_sin_alpha.radicand),
+    }
     lines = [
-        f"dots: w1.w1 = {w11}, w1.w2 = {w12}, w2.w2 = {w22}",
-        f"klein_cross: {report.klein_cross}",
-        f"cos_alpha: {report.cos_alpha.num} / sqrt({report.cos_alpha.radicand})",
-        f"d_sin_alpha: {report.d_sin_alpha.num} / sqrt({report.d_sin_alpha.radicand})",
+        "dots: w1.w1 = {}, w1.w2 = {}, w2.w2 = {}".format(*dots),
+        f"klein_cross: {klein_cross}",
+        f"cos_alpha: {cos_alpha['num']} / sqrt({cos_alpha['radicand']})",
+        f"d_sin_alpha: {d_sin_alpha['num']} / sqrt({d_sin_alpha['radicand']})",
         f"alpha: {_float15(report.alpha_float)} rad",
     ]
     if report.parallel_axes:
         lines.append("displacement: undefined (parallel axes, sin alpha = 0)")
     else:
-        lines.append(
-            f"displacement: {report.displacement.num} / sqrt({report.displacement.radicand})"
-            f" = {_float15(report.d_float)}"
-        )
+        num, radicand = _printed(report.displacement.num), _printed(report.displacement.radicand)
+        lines.append(f"displacement: {num} / sqrt({radicand}) = {_float15(report.d_float)}")
     payload = {
-        "dots": [str(v) for v in report.dots],
-        "klein_cross": str(report.klein_cross),
-        "cos_alpha": {"num": str(report.cos_alpha.num), "radicand": str(report.cos_alpha.radicand)},
-        "d_sin_alpha": {
-            "num": str(report.d_sin_alpha.num),
-            "radicand": str(report.d_sin_alpha.radicand),
-        },
+        "dots": dots,
+        "klein_cross": klein_cross,
+        "cos_alpha": cos_alpha,
+        "d_sin_alpha": d_sin_alpha,
         "alpha_float": _float15(report.alpha_float),
         "parallel_axes": report.parallel_axes,
         "d_float": None if report.d_float is None else _float15(report.d_float),

@@ -120,9 +120,10 @@ def parse(text: str, varset: VariableSet) -> Polynomial:
 
 
 # `Fraction` expands a decimal exponent n into 10**n, so "1e100000000000"
-# would run for hours.  4300 is also the interpreter's int <-> str digit
-# limit, and 10**4300 already has one digit more, so a value with a larger
-# exponent could not be printed anyway.
+# would run for hours.  4300 is also the interpreter's default int <-> str
+# digit limit.  10**n has n + 1 digits, so 10**4300 (4,301 digits) is
+# already too long to print: the bound keeps the arithmetic short, and the
+# CLI refuses to print a longer value with a message of its own.
 MAX_DECIMAL_EXPONENT = 4300
 
 # A decimal with an exponent, in a form loose enough to cover every one that

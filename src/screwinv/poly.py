@@ -23,12 +23,12 @@ from __future__ import annotations
 import math
 import re
 import struct
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
 from operator import itemgetter, or_
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._kernel import (
     FIELD_BITS,
@@ -47,6 +47,38 @@ Monomial = int  # a packed exponent vector, see VariableSet.pack
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
 Scalar = (int, Fraction)
+
+
+class _TermsView(Mapping):
+    """A read-only view of a term map; every write raises TypeError.
+
+    `types.MappingProxyType` would refuse a write whose packed key is above
+    `sys.maxsize` with IndexError: it falls back to the sequence protocol,
+    which cannot fit such an int into an index.
+    """
+
+    __slots__ = ("_map",)
+
+    def __init__(self, terms: dict):
+        self._map = terms
+
+    def __getitem__(self, mono):
+        return self._map[mono]
+
+    def __iter__(self):
+        return iter(self._map)
+
+    def __len__(self) -> int:
+        return len(self._map)
+
+    def __setitem__(self, mono, value):
+        raise TypeError("polynomial terms are read-only")
+
+    def __delitem__(self, mono):
+        raise TypeError("polynomial terms are read-only")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._map!r})"
 
 
 class VariableSet:
@@ -339,8 +371,8 @@ class Polynomial:
         a view of the int map when `den` is 1, else built on each request."""
         den = self.den
         if den == 1:
-            return MappingProxyType(self._num)
-        return MappingProxyType({m: _value(c, den) for m, c in self._num.items()})
+            return _TermsView(self._num)
+        return _TermsView({m: _value(c, den) for m, c in self._num.items()})
 
     def is_zero(self) -> bool:
         return not self._num

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import mul, or_
 from typing import IO, Iterable, Sequence
 
 from .parsing import format_poly, parse
@@ -337,6 +337,15 @@ DEFAULT_DEGREE_BOUND = 4
 DEFAULT_MAX_ITERATIONS = 16
 
 
+def _targets(certificate: Certificate, lms: Sequence[Monomial]) -> list[Monomial]:
+    """The leading monomials a subduction factored, one per step."""
+    return [sum(map(mul, exps, lms)) for exps in certificate.terms]
+
+
+def _divides_any(lms: Iterable[Monomial], targets: Sequence[Monomial], guard: int) -> bool:
+    return any(not (t - lm) & guard for lm in lms for t in targets)
+
+
 def sagbi_construct(
     seed: GeneratorSet,
     degree_bound: int = DEFAULT_DEGREE_BOUND,
@@ -349,29 +358,80 @@ def sagbi_construct(
     inserts the monic nonzero remainders in increasing leading-monomial
     order (re-subducting each against the partially extended basis, so ties
     resolve deterministically).  Stops when a pass adds nothing (complete)
-    or when a bound is exhausted (incomplete, never an error).
+    or when a bound is exhausted (incomplete, never an error).  `complete`
+    means that every tete-a-tete within the bound subducts to zero against
+    the final basis.
+
+    A pair of the last pass is replayed, not subducted, when its record
+    proves that subduction would take the same steps and reach zero.  The
+    record holds the steps' targets (the leading monomials they factored)
+    and the basis length at which the steps reached zero.  Replay is exact:
+
+    - `with_added` keeps the old generators, unchanged, at the same indices;
+    - a step's factorization depends only on the generators whose leading
+      monomial divides its target;
+    - so when no generator added since divides a target, every step
+      subtracts the same power product and the remainder is again zero.
+
+    A zero remainder is recorded at once.  A nonzero remainder `r` is
+    recorded after its re-subduction `rr` in the insert phase, with the
+    targets of both, when no generator inserted earlier in the phase divides
+    `r`'s targets and, if `rr` becomes a generator `g`, `LM(g)` divides none
+    of the targets either.  The last step, on `LM(rr) = LM(g)`, needs no
+    record: `LM(g)` is its largest divisor, so it factors as `g` alone in
+    every later basis and leaves zero.  The last pass's pairs are exactly
+    this pass's pairs over the last pass's generators, in the same order
+    (their products, degrees and minimality do not change), so the records
+    are a list aligned with them.
     """
     if len(seed) == 0:
         raise ValueError("seed generator set is empty")
     if degree_bound < 1 or max_iterations < 1:
         raise ValueError("bounds must be at least 1")
+    order = seed.order
+    guard = order.varset.guard
     basis = seed
+    known = 0  # the last pass's generators
+    last_records: list = []  # per pair of the last pass: (targets, basis length) or None
     for iterations in range(1, max_iterations + 1):
-        remainders = []
-        for pair in tete_a_tetes(basis, degree_bound):
+        lms = basis.leading_monomials()
+        records: list = []
+        # bound before enumerating, so that the last pass's remainders are freed
+        pending = []  # (remainder, pair index, targets)
+        last = 0
+        for index, pair in enumerate(tete_a_tetes(basis, degree_bound)):
+            if not (any(pair.a[known:]) or any(pair.b[known:])):
+                record = last_records[last]
+                last += 1
+                if record is not None and not _divides_any(lms[record[1]:], record[0], guard):
+                    records.append(record)
+                    continue
             diff = basis.power_product(pair.a) - basis.power_product(pair.b)
-            r = subduct(diff, basis).remainder
-            if not r.is_zero():
-                remainders.append(r)
-        remainders.sort(key=lambda p: basis.order.key(p.leading_monomial(basis.order)))
+            res = subduct(diff, basis)
+            targets = _targets(res.certificate, lms)
+            if res.remainder.is_zero():
+                records.append((targets, len(basis)))
+            else:
+                records.append(None)
+                pending.append((res.remainder, index, targets))
+        if last != len(last_records):
+            raise RuntimeError("the last pass's tete-a-tetes must all recur")
+        pending.sort(key=lambda item: order.key(item[0].leading_monomial(order)))
         current = basis
-        for r in remainders:
-            rr = subduct(r, current).remainder
-            if not rr.is_zero():
-                current = current.with_added(rr.monic(basis.order))
+        for r, index, targets in pending:
+            replayable = not _divides_any(current.leading_monomials()[len(basis):], targets, guard)
+            res = subduct(r, current)
+            if replayable:
+                targets += _targets(res.certificate, current.leading_monomials())
+            if not res.remainder.is_zero():
+                current = current.with_added(res.remainder.monic(order))
+                new_lm = current.leading_monomials()[-1:]
+                replayable = replayable and not _divides_any(new_lm, targets, guard)
+            if replayable:
+                records[index] = (targets, len(current))
         if current is basis:
             return SagbiResult(basis, True, degree_bound, iterations)
-        basis = current
+        basis, known, last_records = current, len(basis), records
     return SagbiResult(basis, False, degree_bound, max_iterations)
 
 

@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, output shapes, --json, mutation sanity."""
 
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -17,6 +18,18 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+TOO_LONG = "error: a value has more than 4,300 digits, too many to print\n"
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default int-to-text limit of 4,300 digits."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
 
 
 class TestPoly:
@@ -68,6 +81,23 @@ class TestPoly:
             f"error: bad assignment 'x={value}', "
             f"{value!r} has a decimal exponent above {cap} in magnitude\n"
         )
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    @pytest.mark.parametrize(
+        "expr, value", [("x", "1e4300"), ("x^2", "1e4299"), ("x", "1e-4300"), ("x^2", "1e2150")]
+    )
+    def test_value_too_long_to_print_exits_1(self, capsys, default_digit_limit, json_flag, expr, value):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, *json_flag, "poly", expr, "--vars", "x", "--eval", f"x={value}")
+        assert time.monotonic() - t0 < 1.0
+        assert code == 1 and out == ""
+        assert err == TOO_LONG
+
+    def test_longest_printable_value(self, capsys, default_digit_limit):
+        # 10**4299 has 4,300 digits, exactly the limit
+        code, out, err = run(capsys, "poly", "x", "--vars", "x", "--eval", "x=1e4299")
+        assert code == 0 and err == ""
+        assert out == "1" + "0" * 4299 + "\n"
 
     def test_eval_degree_capped(self, capsys):
         cap = cli.MAX_POLY_DEGREE
@@ -415,6 +445,24 @@ class TestDh:
         assert code == 1 and out == ""
         cap = parsing.MAX_DECIMAL_EXPONENT
         assert err == f"error: line 2: {field!r} has a decimal exponent above {cap} in magnitude\n"
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1e4300 0 0 0 0 0\n0 1 0 0 0 1\n",
+            "1e4300 0 0 0 0 0\n0 1e4300 0 0 0 1\n",
+            "1e2200 0 0 0 0 0\n0 1 0 0 0 1\n",
+        ],
+    )
+    def test_value_too_long_to_print_exits_1(self, capsys, tmp_path, default_digit_limit, json_flag, text):
+        pair = tmp_path / "pair.txt"
+        pair.write_text(text)
+        t0 = time.monotonic()
+        code, out, err = run(capsys, *json_flag, "dh", "--pair", str(pair))
+        assert time.monotonic() - t0 < 1.0
+        assert code == 1 and out == ""
+        assert err == TOO_LONG
 
     def test_huge_coordinates_with_small_quotients(self, capsys, tmp_path):
         # w1.w1 = w2.w2 = 1e400: each float view is a quotient of numbers

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -397,17 +398,26 @@ class TestOneDenominator:
         assert f.terms == {abcd.pack((1, 0, 0, 0)): Fraction(1, 2), abcd.pack((0, 1, 0, 0)): 3, 0: Fraction(-7, 6)}
 
     def test_terms_are_read_only(self, abcd):
-        # a mappingproxy refuses a key above sys.maxsize, as `a` packs over
-        # four variables, with IndexError rather than TypeError
-        for text in ("a + 2*b", "1/2*a + 2*b"):
+        # `a` packs above sys.maxsize over four variables, `d` far below it;
+        # every write is refused with TypeError whatever the key
+        small, large = abcd.pack((0, 0, 0, 1)), abcd.pack((1, 0, 0, 0))
+        assert small < sys.maxsize < large
+        for text in ("a + 2*d", "1/2*a + 2*d"):
             f = parse(text, abcd)
-            with pytest.raises(TypeError):
-                f.terms[0] = 1
-            with pytest.raises(TypeError):
-                del f.terms[abcd.pack((0, 0, 0, 1))]
-            with pytest.raises((TypeError, IndexError)):
-                del f.terms[abcd.pack((1, 0, 0, 0))]
+            for key in (0, small, large, large + 1):
+                with pytest.raises(TypeError):
+                    f.terms[key] = 1
+                with pytest.raises(TypeError):
+                    del f.terms[key]
             assert f == parse(text, abcd)
+
+    def test_large_key_write_refused_with_type_error(self):
+        p = parse("w11*v21 + w32", screw_varset(3))
+        key = next(iter(p.terms))
+        assert key > sys.maxsize
+        with pytest.raises(TypeError):
+            p.terms[key] = 5
+        assert p == parse("w11*v21 + w32", screw_varset(3))
 
 
 class TestTermOrderKey:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import screwinv.sagbi as sagbi_module
 from conftest import random_poly
 from screwinv.group import ActionKind, pullback
 from screwinv.parsing import format_poly, parse
@@ -642,6 +643,185 @@ class TestConstruction:
         vs = VariableSet(["x"])
         with pytest.raises(ValueError):
             sagbi_construct(GeneratorSet([], vs.default_order()))
+
+
+def _reference_construct(seed, degree_bound, max_iterations=16):
+    """The pass loop `sagbi_construct` ran before it replayed the last
+    pass's pairs: every tete-a-tete is subducted afresh on every pass.  Kept
+    as the reference its result must equal; it subducts through the module
+    attribute, so a patched `subduct` sees its calls too."""
+    basis = seed
+    for iterations in range(1, max_iterations + 1):
+        remainders = []
+        for pair in sagbi_module.tete_a_tetes(basis, degree_bound):
+            diff = basis.power_product(pair.a) - basis.power_product(pair.b)
+            r = sagbi_module.subduct(diff, basis).remainder
+            if not r.is_zero():
+                remainders.append(r)
+        remainders.sort(key=lambda p: basis.order.key(p.leading_monomial(basis.order)))
+        current = basis
+        for r in remainders:
+            rr = sagbi_module.subduct(r, current).remainder
+            if not rr.is_zero():
+                current = current.with_added(rr.monic(basis.order))
+        if current is basis:
+            return current.gens, True, iterations
+        basis = current
+    return basis.gens, False, max_iterations
+
+
+def _random_seed(rng, homogeneous):
+    """Four to six generators of degree 1-3 over x, y, z under a shuffled
+    lex priority: mostly binomials, each one's second term of the same
+    degree when `homogeneous`, and some monomials."""
+    vs = VariableSet(["x", "y", "z"])
+    priority = list(vs.names)
+    rng.shuffle(priority)
+
+    def monomial(degree):
+        exps = [0] * len(vs)
+        for _ in range(degree):
+            exps[rng.randrange(len(vs))] += 1
+        return Polynomial(vs, {tuple(exps): 1})
+
+    gens = []
+    for _ in range(rng.randint(4, 6)):
+        degree = rng.randint(1, 3)
+        g = monomial(degree)
+        if rng.random() < 0.9:
+            other = monomial(degree if homogeneous else rng.randint(1, 3))
+            g = g + other.scale(Fraction(rng.choice([-3, -2, 1, 2]), rng.randint(1, 2)))
+        gens.append(g)
+    return GeneratorSet(gens, TermOrder(vs, priority))
+
+
+def _nonhomogeneous_seed():
+    vs = VariableSet(["x", "y", "z", "u"])
+    return GeneratorSet([parse(g, vs) for g in NONHOMOGENEOUS_SEED], TermOrder(vs, ["y", "u", "z", "x"]))
+
+
+class TestReplay:
+    """`sagbi_construct` skips a pair of the last pass only when it would
+    subduct to zero by the same steps, so its result equals the reference's."""
+
+    @staticmethod
+    def _compare(monkeypatch, cases):
+        """Run both loops on every (seed, bound, max_iterations); return the
+        subduct calls of (construction, reference)."""
+        calls = [0, 0]
+        side = [0]
+        original = sagbi_module.subduct
+
+        def counted(f, basis):
+            calls[side[0]] += 1
+            return original(f, basis)
+
+        monkeypatch.setattr(sagbi_module, "subduct", counted)
+        for seed, bound, max_iterations in cases:
+            side[0] = 0
+            res = sagbi_construct(seed, degree_bound=bound, max_iterations=max_iterations)
+            side[0] = 1
+            expected = _reference_construct(seed, bound, max_iterations)
+            assert (res.basis.gens, res.complete, res.iterations) == expected, (seed.gens, bound)
+        return calls
+
+    def test_matches_reference_on_random_seeds(self, monkeypatch):
+        rng = random.Random(19)
+        cases = []
+        for k in range(200):
+            seed = _random_seed(rng, homogeneous=k % 2 == 0)
+            if len(seed):
+                cases.append((seed, rng.randint(3, 5), 6))
+        replay, reference = self._compare(monkeypatch, cases)
+        assert replay < reference  # the replay fired
+
+    def test_replayed_pairs_repeat_their_last_subduction(self, monkeypatch):
+        # A pair the construction leaves out must, subducted now, take
+        # exactly the steps of its last subduction (the first stage, the
+        # insert-phase stage, and one step on the generator the remainder
+        # became, if it became one) and reach zero.  The construction
+        # subducts a pair right after building its two power products, so
+        # the spies tell a subducted pair by the identity of `pair.a`.
+        passes, events = [], []
+        enumerate_pairs, original = sagbi_module.tete_a_tetes, sagbi_module.subduct
+        power_product = GeneratorSet.power_product
+
+        def spy_pairs(basis, bound):
+            pairs = enumerate_pairs(basis, bound)
+            passes.append((basis, pairs))
+            return pairs
+
+        def spy_power_product(self, exps):
+            events.append(exps)
+            return power_product(self, exps)
+
+        def spy_subduct(f, basis):
+            call = [f, basis, None]
+            events.append(call)
+            call[2] = original(f, basis)
+            return call[2]
+
+        def strip(vec):
+            vec = list(vec)
+            while vec and not vec[-1]:
+                vec.pop()
+            return tuple(vec)
+
+        def steps(res):
+            return {strip(exps) for exps in res.certificate.terms}
+
+        monkeypatch.setattr(sagbi_module, "tete_a_tetes", spy_pairs)
+        monkeypatch.setattr(sagbi_module, "subduct", spy_subduct)
+        monkeypatch.setattr(GeneratorSet, "power_product", spy_power_product)
+        rng = random.Random(19)
+        cases = [(_random_seed(rng, homogeneous=k % 2 == 0), rng.randint(3, 5)) for k in range(200)]
+        cases += [(_nonhomogeneous_seed(), bound) for bound in (3, 4, 5)]
+        cases += [(pullback(ActionKind.TRANSLATION_SUB, 2).seed_generators(), 6)]
+        replayed = 0
+        for seed, bound in cases:
+            if not len(seed):
+                continue
+            passes.clear()
+            events.clear()
+            sagbi_construct(seed, degree_bound=bound, max_iterations=6)
+            owner = {id(pair.a): pair for _, pairs in passes for pair in pairs}
+            subducted, follow, pair = {}, {}, None  # pair -> its call; input id -> call
+            for event in events:
+                if isinstance(event, tuple):
+                    pair = owner.get(id(event), pair)
+                elif pair is not None:
+                    subducted[id(pair)], pair = event, None
+                else:
+                    follow[id(event[0])] = event
+            last = {}  # pair, trailing zeros stripped -> steps of its last subduction
+            for basis, pairs in passes:
+                for pair in pairs:
+                    key = (strip(pair.a), strip(pair.b))
+                    call = subducted.get(id(pair))
+                    if call is not None:
+                        res = call[2]
+                        last[key] = steps(res)
+                        if not res.remainder.is_zero():
+                            _, current, res = follow[id(res.remainder)]
+                            last[key] |= steps(res)
+                            if not res.remainder.is_zero():
+                                last[key].add((0,) * len(current) + (1,))
+                        continue
+                    replayed += 1
+                    res = original(basis.power_product(pair.a) - basis.power_product(pair.b), basis)
+                    assert res.remainder.is_zero()
+                    assert steps(res) == last[key], (seed.gens, bound, pair)
+        assert replayed > 100
+
+    @pytest.mark.parametrize("bound", [3, 4, 5])
+    def test_matches_reference_on_nonhomogeneous_seed(self, monkeypatch, bound):
+        self._compare(monkeypatch, [(_nonhomogeneous_seed(), bound, 16)])
+
+    @pytest.mark.parametrize("m, bound", [(m, bound) for m in (1, 2, 3) for bound in (4, 5, 6)])
+    def test_matches_reference_on_translation_seeds(self, monkeypatch, m, bound):
+        seed = pullback(ActionKind.TRANSLATION_SUB, m).seed_generators()
+        replay, reference = self._compare(monkeypatch, [(seed, bound, 16)])
+        assert replay < reference
 
 
 class TestEliminate:
