@@ -18,8 +18,8 @@ use nothing but `+`, `-`, `*` and truthiness, so the tests run them on
 `Fraction` maps as a reference.  These functions are the inner loops of
 every polynomial operation in the library.
 
-All functions but `terms_add_into` return fresh dicts, and none stores a
-zero coefficient.
+All functions but `terms_add_into` and `terms_sub_into` return fresh
+dicts, and none stores a zero coefficient.
 """
 
 from __future__ import annotations
@@ -50,6 +50,20 @@ def terms_add_into(out, b):
             out[e] = c
         else:
             s = s + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+
+
+def terms_sub_into(out, b, c):
+    """Subtract `c` times term map `b` from `out` in place (c != 0)."""
+    for e, v in b.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = -c * v
+        else:
+            s = s - c * v
             if s:
                 out[e] = s
             else:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .poly import Polynomial, TermOrder, VariableSet
@@ -54,6 +55,19 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+def _int(tok: str, pos: int) -> int:
+    """A token of digits as an int.  One longer than the interpreter's
+    text-to-int digit limit (4,300 by default) is a ParseError that names
+    the limit."""
+    try:
+        return int(tok)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(
+            f"an integer of {len(tok):,} digits is longer than the interpreter's limit of {limit:,} digits", pos
+        ) from None
+
+
 def parse(text: str, varset: VariableSet) -> Polynomial:
     """Parse `text` into a polynomial over `varset`.
 
@@ -76,15 +90,16 @@ def parse(text: str, varset: VariableSet) -> Polynomial:
         coeff = sign
         kind, tok, pos = tokens[i]
         if kind == "nat":
-            coeff = sign * int(tok)
+            coeff = sign * _int(tok, pos)
             i += 1
             if tokens[i][:2] == ("op", "/"):
                 kind, tok, pos = tokens[i + 1]
                 if kind != "nat":
                     raise ParseError("expected a denominator", pos)
-                if int(tok) == 0:
+                den = _int(tok, pos)
+                if den == 0:
                     raise ParseError("zero denominator", pos)
-                coeff = Fraction(coeff, int(tok))
+                coeff = Fraction(coeff, den)
                 i += 2
             more = tokens[i][:2] == ("op", "*")
             i += more  # step over the '*'
@@ -104,7 +119,7 @@ def parse(text: str, varset: VariableSet) -> Polynomial:
                 kind, tok, pos = tokens[i + 1]
                 if kind != "nat":
                     raise ParseError("expected a natural number", pos)
-                e = int(tok)
+                e = _int(tok, pos)
                 i += 2
             exps[varset.index(name)] += e
             more = tokens[i][:2] == ("op", "*")
@@ -136,7 +151,10 @@ def parse_rational(text: str) -> Fraction:
     (``3``, ``-1/2``, ``0.25``, ``1e-3``); otherwise raise
     ``ValueError("'<text>' is not a rational number")``.  A decimal exponent
     above MAX_DECIMAL_EXPONENT in magnitude is refused with a ValueError
-    that names the limit, before any power of ten is computed."""
+    that names the limit, before any power of ten is computed.  A run of
+    digits longer than the interpreter's text-to-int digit limit is refused
+    with a ValueError that names that limit and quotes only the start of
+    `text`."""
     m = _EXPONENT_RE.fullmatch(text)
     if m:
         digits = m[1].replace("_", "").lstrip("0")
@@ -147,6 +165,13 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
+        limit = sys.get_int_max_str_digits()
+        longest = max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
+        if limit and longest > limit:
+            raise ValueError(
+                f"a field starting {text.strip()[:12]!r} has a run of {longest:,} digits,"
+                f" longer than the interpreter's limit of {limit:,} digits"
+            ) from None
         raise ValueError(f"{text!r} is not a rational number") from None
 
 

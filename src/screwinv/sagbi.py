@@ -16,14 +16,16 @@ result carries a `complete` flag instead of promising a basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import mul, or_
 from typing import IO, Iterable, Sequence
 
+from ._kernel import terms_sub_into
 from .parsing import format_poly, parse
-from .poly import Monomial, Polynomial, TermOrder, VariableSet
+from .poly import Monomial, Polynomial, TermOrder, VariableSet, _value
 
 
 class GeneratorSet:
@@ -193,6 +195,13 @@ def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
     leading monomial strictly decreases at every step, so the loop
     terminates; the remainder's leading monomial (if any) admits no such
     factorization.  Exactness contract: f == remainder + certificate.
+
+    The running remainder is one int term map `num` over one `den`, and
+    each step subtracts its scaled power product from `num` in place, so a
+    step costs the product's terms, not a copy of the remainder (Monagan &
+    Pearce, CASC 2007).  A product over a den k != 1 first scales `num`
+    and `den` by k, then the common factor is divided out, so the
+    numbers stay as small as a fresh polynomial's.  `f` is not changed.
     """
     order = basis.order
     if f.varset != order.varset:
@@ -200,10 +209,11 @@ def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
     lms = basis.leading_monomials()
     factors = basis._factors
     cert_terms: dict = {}
-    g = f
+    num, den = dict(f._num), f.den
+    by_key = None if order._perm is None else order.key
     prev_key = None
-    while not g.is_zero():
-        lt_mono, lt_coeff = g.leading_term(order)
+    while num:
+        lt_mono = max(num, key=by_key)
         key = order.key(lt_mono)
         if prev_key is not None and not key < prev_key:
             unpack = order.varset.unpack  # the key's exponents, in priority order
@@ -218,9 +228,23 @@ def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
             exps = factors[lt_mono] = _factor_monomial(lt_mono, lms, order)
         if exps is None:
             break
-        cert_terms[exps] = lt_coeff
-        g = g - basis.power_product(exps).scale(lt_coeff)
-    return SubductionResult(g, Certificate(cert_terms, basis))
+        c = num[lt_mono]
+        cert_terms[exps] = _value(c, den)
+        # num/den - (c/den) * p: both over den * p.den, then num -= c * p's map
+        product = basis.power_product(exps)
+        k = product.den
+        if k != 1:
+            for e in num:
+                num[e] *= k
+            den *= k
+        terms_sub_into(num, product._num, c)
+        if k != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                for e in num:
+                    num[e] //= g
+                den //= g
+    return SubductionResult(Polynomial._raw(order.varset, num, den), Certificate(cert_terms, basis))
 
 
 @dataclass(frozen=True)
@@ -231,7 +255,30 @@ class TeteATete:
     b: tuple
 
 
-def tete_a_tetes(basis: GeneratorSet, degree_bound: int) -> list[TeteATete]:
+class _Enumeration:
+    """What `tete_a_tetes` leaves for its next call on a grown basis.
+
+    The term order, degree bound and leading monomials it covered; every
+    index path within the bound, bucketed by product monomial; the product
+    monomials listed by degree; and the minimal pairs as ``(sort key, a,
+    b)``, sorted.  An empty one (no leading monomials yet) makes the next
+    call enumerate from scratch.
+    """
+
+    __slots__ = ("order", "degree_bound", "lms", "buckets", "levels", "minimal")
+
+    def __init__(self):
+        self.order = None
+        self.degree_bound = None
+        self.lms: tuple[Monomial, ...] = ()
+        self.buckets: dict[Monomial, list[tuple]] = {}
+        self.levels: dict[int, list[Monomial]] = {}
+        self.minimal: list[tuple] = []
+
+
+def tete_a_tetes(
+    basis: GeneratorSet, degree_bound: int, carried: _Enumeration | None = None
+) -> list[TeteATete]:
     """All minimal tete-a-tetes with product degree at most `degree_bound`.
 
     Enumerates every generator power product whose leading-monomial product
@@ -254,30 +301,64 @@ def tete_a_tetes(basis: GeneratorSet, degree_bound: int) -> list[TeteATete]:
     ``(x, y)`` with ``0 < x < a`` and ``y <= b`` has
     ``LM(y) = LM(x) != LM(b)`` (no generator is constant), so ``y < b``.
     The result is sorted by product monomial, then by relation.
+
+    `carried` is the enumeration a previous call left, for a basis whose
+    leading monomials are a prefix of this one's (as `with_added` keeps
+    them), under the same order and bound; the call extends it in place to
+    this basis.  Only paths whose last index is a new generator are added,
+    grown from the empty path and from the old paths whose remaining
+    degree fits the smallest new generator, and minimality is tested only
+    for pairs with a new path.  An old pair keeps its minimality: the test
+    above reads only the leading monomials of its own generators, which
+    are unchanged, so the old pairs are merged in with their vectors
+    zero-padded.  The result equals a from-scratch enumeration.  Carried
+    state that does not match the basis raises ValueError; with nothing
+    carried (None or a fresh `_Enumeration`) the call starts from scratch.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be at least 1")
     if degree_bound >= 2**31:
         raise ValueError("degree bound must be below 2^31")
+    state = _Enumeration() if carried is None else carried
+    order = basis.order
     lms = basis.leading_monomials()
-    degs = list(map(basis.order.varset.degree, lms))
+    known = len(state.lms)
+    if known:
+        if state.order != order or state.degree_bound != degree_bound:
+            raise ValueError("carried tete-a-tetes were enumerated under another term order or degree bound")
+        if lms[:known] != state.lms:
+            raise ValueError("carried tete-a-tetes are over leading monomials that do not begin this basis")
+    degs = list(map(order.varset.degree, lms))
     ngens = len(lms)
-    buckets: dict[Monomial, list[tuple]] = {}
-    fitting: dict[tuple[int, int], list[tuple]] = {}  # (last, remaining) -> [(i, lm, degree)]
+    buckets, levels = state.buckets, state.levels
 
-    stack = [(0, (), 0, degree_bound)]
-    while stack:
-        last, path, mono, remaining = stack.pop()
-        walk = fitting.get((last, remaining))
-        if walk is None:
-            walk = fitting[last, remaining] = [
-                (i, lms[i], degs[i]) for i in range(last, ngens) if degs[i] <= remaining
-            ]
-        for i, lm, d in walk:
-            longer = path + (i,)
-            product = mono + lm
-            buckets.setdefault(product, []).append(longer)
-            stack.append((i, longer, product, remaining - d))
+    if known < ngens:
+        # (product, its paths, how many of them are old, remaining degree);
+        # the empty path first, then the old products the new generators fit
+        starts = [(0, [()], 1, degree_bound)]
+        for degree in range(1, degree_bound - min(degs[known:]) + 1):
+            starts += [(p, buckets[p], len(buckets[p]), degree_bound - degree) for p in levels.get(degree, ())]
+        fitting: dict[tuple[int, int], list[tuple]] = {}  # (last, remaining) -> [(i, lm, degree)]
+        for start, paths, count, left in starts:
+            stack = [(known, path, start, left) for path in paths[:count]]
+            while stack:
+                last, path, mono, remaining = stack.pop()
+                walk = fitting.get((last, remaining))
+                if walk is None:
+                    walk = fitting[last, remaining] = [
+                        (i, lms[i], degs[i]) for i in range(last, ngens) if degs[i] <= remaining
+                    ]
+                for i, lm, d in walk:
+                    longer = path + (i,)
+                    product = mono + lm
+                    rest = remaining - d
+                    bucket = buckets.get(product)
+                    if bucket is None:
+                        buckets[product] = [longer]
+                        levels.setdefault(degree_bound - rest, []).append(product)
+                    else:
+                        bucket.append(longer)
+                    stack.append((i, longer, product, rest))
 
     bits = [1 << i for i in range(ngens)]  # a path's generators as a bit set
 
@@ -296,25 +377,33 @@ def tete_a_tetes(basis: GeneratorSet, degree_bound: int) -> list[TeteATete]:
         sums -= {0, product}
         return sums
 
-    key = basis.order.key
-    minimal = []
+    key = order.key
+    pad = (0,) * (ngens - known)
+    minimal = [(k, a + pad, b + pad) for k, a, b in state.minimal] if pad else state.minimal
     for product, paths in buckets.items():
-        if len(paths) < 2:
+        n = len(paths)
+        # new paths are appended after the old ones; a bucket without one has no new pair
+        if n < 2 or paths[-1][-1] < known:
             continue
+        first = n - 1
+        while first and paths[first - 1][-1] >= known:
+            first -= 1
         supports = [reduce(or_, map(bits.__getitem__, path)) for path in paths]
-        inner: list = [None] * len(paths)  # each path's proper_lms, on first need
-        for i, (a, support) in enumerate(zip(paths, supports)):
-            for j in range(i + 1, len(paths)):
-                if support & supports[j]:
+        inner: list = [None] * n  # each path's proper_lms, on first need
+        for j in range(max(first, 1), n):
+            b, support = paths[j], supports[j]
+            for i in range(j):
+                if support & supports[i]:
                     continue  # common factor; the reduced pair has its own bucket
                 if inner[i] is None:
-                    inner[i] = proper_lms(a, product)
+                    inner[i] = proper_lms(paths[i], product)
                 if inner[j] is None:
-                    inner[j] = proper_lms(paths[j], product)
+                    inner[j] = proper_lms(b, product)
                 if inner[i].isdisjoint(inner[j]):
-                    va, vb = dense(a), dense(paths[j])
+                    va, vb = dense(paths[i]), dense(b)
                     minimal.append((key(product), min(va, vb), max(va, vb)))
     minimal.sort()
+    state.order, state.degree_bound, state.lms, state.minimal = order, degree_bound, lms, minimal
     return [TeteATete(a, b) for _, a, b in minimal]
 
 
@@ -379,10 +468,15 @@ def sagbi_construct(
     `r`'s targets and, if `rr` becomes a generator `g`, `LM(g)` divides none
     of the targets either.  The last step, on `LM(rr) = LM(g)`, needs no
     record: `LM(g)` is its largest divisor, so it factors as `g` alone in
-    every later basis and leaves zero.  The last pass's pairs are exactly
-    this pass's pairs over the last pass's generators, in the same order
-    (their products, degrees and minimality do not change), so the records
-    are a list aligned with them.
+    every later basis and leaves zero.
+
+    The enumeration is carried too: each pass hands `tete_a_tetes` what the
+    last pass's call left, and the call adds only the products through a
+    generator added since.  The last pass's pairs come back as they were,
+    zero-padded and in the same order (their products, degrees and
+    minimality depend only on their own generators, which `with_added`
+    keeps), so the records are a list aligned with them.  The carried
+    enumeration is local to the call and freed when it returns.
     """
     if len(seed) == 0:
         raise ValueError("seed generator set is empty")
@@ -393,13 +487,14 @@ def sagbi_construct(
     basis = seed
     known = 0  # the last pass's generators
     last_records: list = []  # per pair of the last pass: (targets, basis length) or None
+    enumeration = _Enumeration()  # the last pass's tete-a-tetes, carried into this one
     for iterations in range(1, max_iterations + 1):
         lms = basis.leading_monomials()
         records: list = []
         # bound before enumerating, so that the last pass's remainders are freed
         pending = []  # (remainder, pair index, targets)
         last = 0
-        for index, pair in enumerate(tete_a_tetes(basis, degree_bound)):
+        for index, pair in enumerate(tete_a_tetes(basis, degree_bound, enumeration)):
             if not (any(pair.a[known:]) or any(pair.b[known:])):
                 record = last_records[last]
                 last += 1

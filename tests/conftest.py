@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,15 @@ def random_poly(rng: random.Random, vs: VariableSet, max_terms: int = 5, max_deg
         coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + coeff
     return Polynomial(vs, terms)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default int-to-text limit of 4,300 digits."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
 
 
 @pytest.fixture

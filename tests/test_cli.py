@@ -1,7 +1,6 @@
 """CLI behaviour: exit codes, output shapes, --json, mutation sanity."""
 
 import json
-import sys
 import time
 from pathlib import Path
 
@@ -21,15 +20,7 @@ def run(capsys, *argv):
 
 
 TOO_LONG = "error: a value has more than 4,300 digits, too many to print\n"
-
-
-@pytest.fixture
-def default_digit_limit():
-    """The interpreter's default int-to-text limit of 4,300 digits."""
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(saved)
+LONG_LITERAL = "9" * 4301  # one digit more than the interpreter's default limit
 
 
 class TestPoly:
@@ -92,6 +83,19 @@ class TestPoly:
         assert time.monotonic() - t0 < 1.0
         assert code == 1 and out == ""
         assert err == TOO_LONG
+
+    @pytest.mark.parametrize(
+        "expr, position", [(f"{LONG_LITERAL}*x", 0), (f"x^{LONG_LITERAL}", 2), (f"1/{LONG_LITERAL}*x", 2)]
+    )
+    def test_literal_longer_than_the_digit_limit_exits_1(self, capsys, default_digit_limit, expr, position):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "poly", expr, "--vars", "x")
+        assert time.monotonic() - t0 < 1.0
+        assert code == 1 and out == ""
+        assert err == (
+            "error: an integer of 4,301 digits is longer than the interpreter's limit"
+            f" of 4,300 digits (at position {position})\n"
+        )
 
     def test_longest_printable_value(self, capsys, default_digit_limit):
         # 10**4299 has 4,300 digits, exactly the limit
@@ -463,6 +467,19 @@ class TestDh:
         assert time.monotonic() - t0 < 1.0
         assert code == 1 and out == ""
         assert err == TOO_LONG
+
+    @pytest.mark.parametrize("field", [LONG_LITERAL, f"-{LONG_LITERAL}", f"1/{LONG_LITERAL}", f"0.{LONG_LITERAL}"])
+    def test_field_longer_than_the_digit_limit_exits_1(self, capsys, tmp_path, default_digit_limit, field):
+        pair = tmp_path / "pair.txt"
+        pair.write_text(f"{field} 0 0 0 0 0\n0 1 0 0 0 1\n")
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "dh", "--pair", str(pair))
+        assert time.monotonic() - t0 < 1.0
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: line 1: a field starting {field[:12]!r} has a run of 4,301 digits,"
+            " longer than the interpreter's limit of 4,300 digits\n"
+        )
 
     def test_huge_coordinates_with_small_quotients(self, capsys, tmp_path):
         # w1.w1 = w2.w2 = 1e400: each float view is a quotient of numbers

@@ -109,6 +109,19 @@ def test_add_into_matches_fresh_sum_in_order(nvars, corpus):
         assert b == snapshot_b
 
 
+@pytest.mark.parametrize("nvars, corpus", CORPORA)
+def test_sub_into_matches_fresh_difference_in_order(nvars, corpus):
+    # subtracting c * b in place leaves the same dict, insertion order
+    # included, as the fresh difference with the scaled map, and reads `b` only
+    for a, b, c in corpus_cases(nvars, corpus):
+        for scalar in (c, -1, 3):
+            out, snapshot_b = dict(a), dict(b)
+            _kernel.terms_sub_into(out, b, scalar)
+            assert list(out.items()) == list(_kernel.terms_sub(a, _kernel.terms_scale(b, scalar)).items())
+            assert out == reference_sub(a, reference_scale(b, scalar))
+            assert b == snapshot_b
+
+
 def _integral_as_int(c):
     return c.numerator if c.denominator == 1 else c
 

@@ -146,6 +146,34 @@ def test_parse_rational():
         assert str(info.value) == f"{huge!r} has a decimal exponent above {cap} in magnitude"
 
 
+def test_integer_longer_than_the_digit_limit(default_digit_limit):
+    # a ParseError at the literal that names the limit, not the interpreter's own text
+    vs = VariableSet(["x"])
+    long = "9" * 4301
+    for text, position in ((f"{long}*x", 0), (f"x^{long}", 2), (f"1/{long}*x", 2), (f"x - {long}", 4)):
+        with pytest.raises(ParseError) as info:
+            parse(text, vs)
+        assert info.value.position == position
+        assert str(info.value) == (
+            "an integer of 4,301 digits is longer than the interpreter's limit"
+            f" of 4,300 digits (at position {position})"
+        )
+    assert parse("9" * 4300 + "*x", vs).coefficient((1,)) == 10**4300 - 1
+
+
+def test_parse_rational_digit_limit(default_digit_limit):
+    # the message names the limit and quotes only the start of the field
+    long = "9" * 4301
+    for field in (long, f" -{long} ", f"1.{long}", f"{long}/7", f"1/{long}", f"{long}e5", "1_" + "0" * 4300):
+        with pytest.raises(ValueError) as info:
+            parse_rational(field)
+        assert str(info.value) == (
+            f"a field starting {field.strip()[:12]!r} has a run of 4,301 digits,"
+            " longer than the interpreter's limit of 4,300 digits"
+        )
+    assert parse_rational("9" * 4300) == 10**4300 - 1
+
+
 def test_trailing_garbage(vs1):
     with pytest.raises(ParseError):
         parse("w11 w12", vs1)

@@ -222,6 +222,26 @@ def _assert_factorizations_match(targets, lms, order):
     return factored
 
 
+def _reference_subduct(f, basis):
+    """The subduction loop `subduct` ran before it kept one mutable
+    remainder: each step builds a new polynomial by subtracting the scaled
+    power product.  Kept as the reference its result must equal; returns
+    (remainder, certificate terms, steps)."""
+    order = basis.order
+    cert_terms = {}
+    g = f
+    steps = 0
+    while not g.is_zero():
+        lt_mono, lt_coeff = g.leading_term(order)
+        exps = _factor_monomial(lt_mono, basis.leading_monomials(), order)
+        if exps is None:
+            break
+        cert_terms[exps] = lt_coeff
+        g = g - basis.power_product(exps).scale(lt_coeff)
+        steps += 1
+    return g, cert_terms, steps
+
+
 class TestGeneratorSet:
     def test_monic_normalization(self):
         vs = VariableSet(["x", "y"])
@@ -412,6 +432,75 @@ class TestSubduction:
         assert res.remainder == parse(TWO_SCREW_CUBIC, vs)
         # and the catalog's cubic is exactly this remainder, made monic
         assert dict(catalog.entries)["cubic_12"] == res.remainder.monic(vs.default_order())
+
+
+    @staticmethod
+    def _assert_matches_reference(monkeypatch, f, basis):
+        """`subduct` equals `_reference_subduct` on remainder, certificate
+        and power products taken, and leaves `f` as it was."""
+        steps = [0]
+        power_product = GeneratorSet.power_product
+
+        def counted(self, exps):
+            steps[0] += 1
+            return power_product(self, exps)
+
+        before = (dict(f.terms), f.den)
+        monkeypatch.setattr(GeneratorSet, "power_product", counted)
+        res = subduct(f, basis)
+        monkeypatch.setattr(GeneratorSet, "power_product", power_product)
+        remainder, cert_terms, reference_steps = _reference_subduct(f, basis)
+        assert res.remainder == remainder and res.remainder.den == remainder.den
+        assert res.certificate.terms == cert_terms
+        assert [type(c) for c in res.certificate.terms.values()] == [type(c) for c in cert_terms.values()]
+        assert steps[0] == reference_steps
+        assert (dict(f.terms), f.den) == before
+        return reference_steps
+
+    @staticmethod
+    def _products_plus_noise(rng, basis):
+        """A few scaled power products of `basis` plus a random polynomial,
+        so that subduction takes several steps before it stops."""
+        f = random_poly(rng, basis.order.varset, max_terms=3, max_deg=3)
+        for _ in range(rng.randint(1, 3)):
+            exps = tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(len(basis)))
+            f = f + basis.power_product(exps).scale(Fraction(rng.randint(-7, 7), rng.randint(1, 5)))
+        return f
+
+    def test_fractional_generators_match_reference(self, monkeypatch):
+        # every generator is over a den != 1, so each step scales the remainder
+        vs = VariableSet(["x", "y", "z"])
+        basis = GeneratorSet(
+            [parse(t, vs) for t in ("x + 1/2*y", "y^2 - 2/3*z", "x*z + 3/7*y*z + 1/5*z")],
+            vs.default_order(),
+        )
+        assert all(g.den != 1 for g in basis)
+        rng = random.Random(20)
+        steps = 0
+        for _ in range(60):
+            steps += self._assert_matches_reference(monkeypatch, self._products_plus_noise(rng, basis), basis)
+        assert steps > 80
+
+    def test_permuted_priorities_match_reference(self, monkeypatch):
+        vs = VariableSet(["x", "y", "z", "u"])
+        gens = [parse(t, vs) for t in ("x*y + z", "y*u - 1/3*x", "z^2 + x*u", "u + 2*y", "x*z*u - y^3")]
+        rng = random.Random(21)
+        steps = 0
+        for priority in (["u", "z", "y", "x"], ["y", "u", "x", "z"], ["z", "x", "u", "y"]):
+            basis = GeneratorSet(gens, TermOrder(vs, priority))
+            for _ in range(30):
+                steps += self._assert_matches_reference(monkeypatch, self._products_plus_noise(rng, basis), basis)
+        assert steps > 90
+
+    def test_random_corpus_matches_reference(self, monkeypatch):
+        # random generator sets: shuffled priorities, fractional coefficients
+        steps = 0
+        for seed in range(40):
+            rng = random.Random(2000 + seed)
+            basis = _random_generator_set(rng)
+            for _ in range(5):
+                steps += self._assert_matches_reference(monkeypatch, self._products_plus_noise(rng, basis), basis)
+        assert steps > 300
 
 
 class TestFactorMonomial:
@@ -746,8 +835,8 @@ class TestReplay:
         enumerate_pairs, original = sagbi_module.tete_a_tetes, sagbi_module.subduct
         power_product = GeneratorSet.power_product
 
-        def spy_pairs(basis, bound):
-            pairs = enumerate_pairs(basis, bound)
+        def spy_pairs(basis, bound, carried):
+            pairs = enumerate_pairs(basis, bound, carried)
             passes.append((basis, pairs))
             return pairs
 
@@ -822,6 +911,94 @@ class TestReplay:
         seed = pullback(ActionKind.TRANSLATION_SUB, m).seed_generators()
         replay, reference = self._compare(monkeypatch, [(seed, bound, 16)])
         assert replay < reference
+
+
+class TestCarriedEnumeration:
+    """`tete_a_tetes` extended across `with_added` equals a from-scratch
+    enumeration and the reference, and refuses state that does not fit."""
+
+    @staticmethod
+    def _assert_carried_matches(bases, bound):
+        carried = sagbi_module._Enumeration()
+        total = 0
+        for basis in bases:
+            pairs = tete_a_tetes(basis, bound, carried)
+            assert pairs == tete_a_tetes(basis, bound)
+            assert [(p.a, p.b) for p in pairs] == _reference_tete_a_tetes(basis, bound), (basis.gens, bound)
+            total += len(pairs)
+        return total
+
+    @staticmethod
+    def _grown(gens, order):
+        """`gens` joined one at a time by `with_added`, as a list of bases."""
+        bases = [GeneratorSet(gens[:1], order)]
+        for g in gens[1:]:
+            bases.append(bases[-1].with_added(g))
+        assert bases[-1].gens == tuple(gens)
+        return bases
+
+    def test_random_seeds_grown_one_at_a_time(self):
+        # the constructed bases, in their own order and reversed, so that a
+        # later generator often has a lower degree than the earlier ones
+        rng = random.Random(20)
+        total = 0
+        for k in range(40):
+            seed = _random_seed(rng, homogeneous=k % 2 == 0)
+            if not len(seed):
+                continue
+            bound = rng.randint(3, 5)
+            gens = list(sagbi_construct(seed, degree_bound=bound, max_iterations=6).basis.gens)
+            for ordered in (gens, gens[::-1]):
+                total += self._assert_carried_matches(self._grown(ordered, seed.order), bound)
+        assert total > 500
+
+    def test_nonhomogeneous_seed_grown_one_at_a_time(self):
+        seed = _nonhomogeneous_seed()
+        gens = list(sagbi_construct(seed, degree_bound=4).basis.gens)
+        assert self._assert_carried_matches(self._grown(gens, seed.order), 4)
+
+    @pytest.mark.parametrize("m, bound", [(m, bound) for m in (1, 2, 3) for bound in (4, 5, 6)])
+    def test_translation_passes(self, monkeypatch, m, bound):
+        # the bases the construction enumerates, pass by pass, carried as it carries them
+        bases = []
+        enumerate_pairs = sagbi_module.tete_a_tetes
+
+        def spy_pairs(basis, degree_bound, carried):
+            bases.append(basis)
+            return enumerate_pairs(basis, degree_bound, carried)
+
+        monkeypatch.setattr(sagbi_module, "tete_a_tetes", spy_pairs)
+        seed = pullback(ActionKind.TRANSLATION_SUB, m).seed_generators()
+        sagbi_construct(seed, degree_bound=bound)
+        monkeypatch.undo()
+        assert len(bases) >= 2
+        assert self._assert_carried_matches(bases, bound)
+
+    def test_lower_degree_generator_added(self):
+        # the new generators' degrees lie below every old one's, so old
+        # products of every degree are extended
+        vs = VariableSet(["x", "y"])
+        gens = [parse(t, vs) for t in ("x^3", "y^3", "x*y^2", "x^2*y", "x*y", "x", "y")]
+        bases = self._grown(gens, vs.default_order())
+        for bound in (3, 4, 6):
+            assert self._assert_carried_matches(bases, bound)
+
+    def test_mismatched_state_refused(self):
+        vs = VariableSet(["x", "y"])
+        x, y, xy = parse("x", vs), parse("y", vs), parse("x*y", vs)
+        basis = GeneratorSet([x, y, xy], vs.default_order())
+        carried = sagbi_module._Enumeration()
+        tete_a_tetes(basis, 4, carried)
+        with pytest.raises(ValueError, match="degree bound"):
+            tete_a_tetes(basis, 5, carried)
+        with pytest.raises(ValueError, match="term order"):
+            tete_a_tetes(GeneratorSet([x, y, xy], TermOrder(vs, ["y", "x"])), 4, carried)
+        for gens in ([x, y], [y, x, xy], [x, xy, y]):
+            with pytest.raises(ValueError, match="do not begin this basis"):
+                tete_a_tetes(GeneratorSet(gens, vs.default_order()), 4, carried)
+        # a refusal leaves the state as it was
+        grown = basis.with_added(parse("x^2", vs))
+        assert tete_a_tetes(grown, 4, carried) == tete_a_tetes(grown, 4)
 
 
 class TestEliminate:
