@@ -18,8 +18,10 @@ use nothing but `+`, `-`, `*` and truthiness, so the tests run them on
 `Fraction` maps as a reference.  These functions are the inner loops of
 every polynomial operation in the library.
 
-All functions but `terms_add_into` and `terms_sub_into` return fresh
-dicts, and none stores a zero coefficient.
+All functions but `terms_add_into` return fresh dicts, and none stores a
+zero coefficient.  `terms_add_into` is the one accumulate loop: `terms_add`
+and `terms_sub` run it on a copy, and subduction and substitution run it in
+place.
 """
 
 from __future__ import annotations
@@ -42,28 +44,14 @@ def _guards_of(x: int) -> int:
     return x & guard_mask(-(-x.bit_length() // FIELD_BITS))
 
 
-def terms_add_into(out, b):
-    """Add term map `b` into `out` in place."""
-    for e, c in b.items():
-        s = out.get(e)
-        if s is None:
-            out[e] = c
-        else:
-            s = s + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-
-
-def terms_sub_into(out, b, c):
-    """Subtract `c` times term map `b` from `out` in place (c != 0)."""
+def terms_add_into(out, b, c):
+    """Add `c` times term map `b` into `out` in place (c != 0)."""
     for e, v in b.items():
         s = out.get(e)
         if s is None:
-            out[e] = -c * v
+            out[e] = c * v
         else:
-            s = s - c * v
+            s = s + c * v
             if s:
                 out[e] = s
             else:
@@ -72,26 +60,15 @@ def terms_sub_into(out, b, c):
 
 def terms_add(a, b):
     """Sum of two term maps."""
-    if not a:
-        return dict(b)
     out = dict(a)
-    terms_add_into(out, b)
+    terms_add_into(out, b, 1)
     return out
 
 
 def terms_sub(a, b):
     """Difference of two term maps."""
     out = dict(a)
-    for e, c in b.items():
-        s = out.get(e)
-        if s is None:
-            out[e] = -c
-        else:
-            s = s - c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
+    terms_add_into(out, b, -1)
     return out
 
 

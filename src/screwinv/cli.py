@@ -24,7 +24,7 @@ from .group import (
     format_group_sample,
     pullback,
 )
-from .parsing import format_poly, parse, parse_rational
+from .parsing import format_poly, parse, parse_rational, quoted
 from .poly import TermOrder, VariableSet
 from .sagbi import (
     DEFAULT_DEGREE_BOUND,
@@ -66,10 +66,10 @@ MAX_SO3_VECTORS = 9
 # the pullback catalog 0.01 s within the interpreter's own 17 MiB.
 MAX_SCREWS = 32
 
-# SAGBI cost grows steeply with the degree bound: three screws take ~4.2 s
-# at bound 7 and ~26 s at bound 8 (Intel Xeon, 2 cores, CPython 3.11), and
-# even the three-generator seed x + y, x*y, x*y^2 takes 0.07 s at 16 but
-# ~7.5 s at 32.  16 is twice the paper's largest bound.
+# SAGBI cost grows steeply with the degree bound: three screws take ~1.3 s
+# at bound 7 and ~10 s at bound 8 (Intel Xeon, 2 cores, CPython 3.11), and
+# even the three-generator seed x + y, x*y, x*y^2 takes 0.03 s at 16 but
+# ~3.9 s at 32.  16 is twice the paper's largest bound.
 MAX_DEGREE_BOUND = 16
 
 # One sample costs ~0.2 ms on one screw and ~0.2-0.26 ms on three-screw
@@ -155,12 +155,13 @@ def cmd_poly(args) -> tuple[int, list[str], dict]:
             if not piece.strip():
                 continue
             name, _, value = piece.partition("=")
+            shown = quoted(piece, "starting")
             if not _:
-                raise ValueError(f"bad assignment {piece!r}, expected name=value")
+                raise ValueError(f"bad assignment {shown}, expected name=value")
             try:
                 point[name.strip()] = parse_rational(value.strip())
             except ValueError as exc:
-                raise ValueError(f"bad assignment {piece!r}, {exc}") from None
+                raise ValueError(f"bad assignment {shown}, {exc}") from None
         _cap_degree(f, "--eval supports polynomials")
         value = _printed(f.evaluate(point))
         return EXIT_OK, [value], {"value": value}

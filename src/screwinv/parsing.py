@@ -141,6 +141,20 @@ def parse(text: str, varset: VariableSet) -> Polynomial:
 # CLI refuses to print a longer value with a message of its own.
 MAX_DECIMAL_EXPONENT = 4300
 
+# An error message quotes a field of up to this many characters whole, and a
+# longer one by its first 12, so that it stays one short line.
+QUOTE_WIDTH = 32
+
+
+def quoted(text: str, lead: str) -> str:
+    """`text` as an error message quotes it: ``repr(text)`` when it is at
+    most QUOTE_WIDTH characters long, else `lead` and the repr of its first
+    12 non-blank characters, as in ``a field starting '999999999999'``."""
+    if len(text) <= QUOTE_WIDTH:
+        return repr(text)
+    return f"{lead} {text.strip()[:12]!r}"
+
+
 # A decimal with an exponent, in a form loose enough to cover every one that
 # `Fraction` accepts; group 1 holds the exponent's digits.
 _EXPONENT_RE = re.compile(r"\s*[-+]?[\d_]*(?:\.[\d_]*)?[eE][-+]?([\d_]+)\s*")
@@ -153,15 +167,14 @@ def parse_rational(text: str) -> Fraction:
     above MAX_DECIMAL_EXPONENT in magnitude is refused with a ValueError
     that names the limit, before any power of ten is computed.  A run of
     digits longer than the interpreter's text-to-int digit limit is refused
-    with a ValueError that names that limit and quotes only the start of
-    `text`."""
+    with a ValueError that names that limit.  Each message quotes `text` as
+    `quoted` does, so a long one only by its start."""
+    shown = quoted(text, "a field starting")
     m = _EXPONENT_RE.fullmatch(text)
     if m:
         digits = m[1].replace("_", "").lstrip("0")
         if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-            raise ValueError(
-                f"{text!r} has a decimal exponent above {MAX_DECIMAL_EXPONENT} in magnitude"
-            )
+            raise ValueError(f"{shown} has a decimal exponent above {MAX_DECIMAL_EXPONENT} in magnitude")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -169,10 +182,10 @@ def parse_rational(text: str) -> Fraction:
         longest = max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
         if limit and longest > limit:
             raise ValueError(
-                f"a field starting {text.strip()[:12]!r} has a run of {longest:,} digits,"
+                f"{shown} has a run of {longest:,} digits,"
                 f" longer than the interpreter's limit of {limit:,} digits"
             ) from None
-        raise ValueError(f"{text!r} is not a rational number") from None
+        raise ValueError(f"{shown} is not a rational number") from None
 
 
 def _format_monomial(exps, names) -> str:

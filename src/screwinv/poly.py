@@ -580,7 +580,7 @@ class Polynomial:
                 while len(plist) <= e:
                     plist.append(terms_mul(plist[-1], plist[1]))
                 acc = terms_mul(acc, plist[e])
-            terms_add_into(result, acc)
+            terms_add_into(result, acc, 1)
         return Polynomial._raw(target, result, den)
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:

@@ -20,10 +20,10 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
-from operator import mul, or_
+from operator import or_
 from typing import IO, Iterable, Sequence
 
-from ._kernel import terms_sub_into
+from ._kernel import terms_add_into
 from .parsing import format_poly, parse
 from .poly import Monomial, Polynomial, TermOrder, VariableSet, _value
 
@@ -144,8 +144,12 @@ class Certificate:
 
 @dataclass(frozen=True)
 class SubductionResult:
+    """`targets` holds the leading monomial each step factored, in step
+    order, so strictly descending under the term order."""
+
     remainder: Polynomial
     certificate: Certificate
+    targets: tuple[Monomial, ...]
 
 
 def _factor_monomial(target: Monomial, lms: Sequence[Monomial], order: TermOrder):
@@ -209,6 +213,7 @@ def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
     lms = basis.leading_monomials()
     factors = basis._factors
     cert_terms: dict = {}
+    targets: list[Monomial] = []
     num, den = dict(f._num), f.den
     by_key = None if order._perm is None else order.key
     prev_key = None
@@ -228,6 +233,7 @@ def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
             exps = factors[lt_mono] = _factor_monomial(lt_mono, lms, order)
         if exps is None:
             break
+        targets.append(lt_mono)
         c = num[lt_mono]
         cert_terms[exps] = _value(c, den)
         # num/den - (c/den) * p: both over den * p.den, then num -= c * p's map
@@ -237,14 +243,15 @@ def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
             for e in num:
                 num[e] *= k
             den *= k
-        terms_sub_into(num, product._num, c)
+        terms_add_into(num, product._num, -c)
         if k != 1:
             g = math.gcd(den, *num.values())
             if g != 1:
                 for e in num:
                     num[e] //= g
                 den //= g
-    return SubductionResult(Polynomial._raw(order.varset, num, den), Certificate(cert_terms, basis))
+    remainder = Polynomial._raw(order.varset, num, den)
+    return SubductionResult(remainder, Certificate(cert_terms, basis), tuple(targets))
 
 
 @dataclass(frozen=True)
@@ -426,11 +433,6 @@ DEFAULT_DEGREE_BOUND = 4
 DEFAULT_MAX_ITERATIONS = 16
 
 
-def _targets(certificate: Certificate, lms: Sequence[Monomial]) -> list[Monomial]:
-    """The leading monomials a subduction factored, one per step."""
-    return [sum(map(mul, exps, lms)) for exps in certificate.terms]
-
-
 def _divides_any(lms: Iterable[Monomial], targets: Sequence[Monomial], guard: int) -> bool:
     return any(not (t - lm) & guard for lm in lms for t in targets)
 
@@ -463,10 +465,11 @@ def sagbi_construct(
       subtracts the same power product and the remainder is again zero.
 
     A zero remainder is recorded at once.  A nonzero remainder `r` is
-    recorded after its re-subduction `rr` in the insert phase, with the
-    targets of both, when no generator inserted earlier in the phase divides
-    `r`'s targets and, if `rr` becomes a generator `g`, `LM(g)` divides none
-    of the targets either.  The last step, on `LM(rr) = LM(g)`, needs no
+    recorded at its re-subduction `rr` in the insert phase, with the targets
+    of both and the basis length before `rr` can become a generator `g`,
+    when no generator inserted earlier in the phase divides `r`'s targets.
+    So the next pass tests `LM(g)` against the targets with every other
+    generator added since.  The last step, on `LM(rr) = LM(g)`, needs no
     record: `LM(g)` is its largest divisor, so it factors as `g` alone in
     every later basis and leaves zero.
 
@@ -503,12 +506,11 @@ def sagbi_construct(
                     continue
             diff = basis.power_product(pair.a) - basis.power_product(pair.b)
             res = subduct(diff, basis)
-            targets = _targets(res.certificate, lms)
             if res.remainder.is_zero():
-                records.append((targets, len(basis)))
+                records.append((res.targets, len(basis)))
             else:
                 records.append(None)
-                pending.append((res.remainder, index, targets))
+                pending.append((res.remainder, index, res.targets))
         if last != len(last_records):
             raise RuntimeError("the last pass's tete-a-tetes must all recur")
         pending.sort(key=lambda item: order.key(item[0].leading_monomial(order)))
@@ -517,13 +519,9 @@ def sagbi_construct(
             replayable = not _divides_any(current.leading_monomials()[len(basis):], targets, guard)
             res = subduct(r, current)
             if replayable:
-                targets += _targets(res.certificate, current.leading_monomials())
+                records[index] = (targets + res.targets, len(current))
             if not res.remainder.is_zero():
                 current = current.with_added(res.remainder.monic(order))
-                new_lm = current.leading_monomials()[-1:]
-                replayable = replayable and not _divides_any(new_lm, targets, guard)
-            if replayable:
-                records[index] = (targets, len(current))
         if current is basis:
             return SagbiResult(basis, True, degree_bound, iterations)
         basis, known, last_records = current, len(basis), records

@@ -21,6 +21,19 @@ def run(capsys, *argv):
 
 TOO_LONG = "error: a value has more than 4,300 digits, too many to print\n"
 LONG_LITERAL = "9" * 4301  # one digit more than the interpreter's default limit
+LONG_WORD = "a" * 3000
+LONG_EXPONENT = "1e" + "9" * 3000
+
+
+def shown(text, lead="a field starting"):
+    """`text` as an error message quotes it: whole up to 32 characters,
+    else by its first 12 after `lead`."""
+    return repr(text) if len(text) <= 32 else f"{lead} {text[:12]!r}"
+
+
+def assert_one_short_error_line(out, err):
+    assert out == "" and err.startswith("error: ")
+    assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 200
 
 
 class TestPoly:
@@ -61,17 +74,39 @@ class TestPoly:
         assert code == 1 and out == ""
         assert err == "error: bad assignment 'x=abc', 'abc' is not a rational number\n"
 
-    @pytest.mark.parametrize("value", ["1e-100000000000", "1e100000000000"])
+    @pytest.mark.parametrize(
+        "value", ["1e-100000000000", "1e100000000000", pytest.param(LONG_EXPONENT, id="long")]
+    )
     def test_huge_decimal_exponent_in_eval_exits_1(self, capsys, value):
         cap = parsing.MAX_DECIMAL_EXPONENT
         t0 = time.monotonic()
         code, out, err = run(capsys, "poly", "x", "--vars", "x", "--eval", f"x={value}")
         assert time.monotonic() - t0 < 1.0
-        assert code == 1 and out == ""
+        assert code == 1
+        assert_one_short_error_line(out, err)
         assert err == (
-            f"error: bad assignment 'x={value}', "
-            f"{value!r} has a decimal exponent above {cap} in magnitude\n"
+            f"error: bad assignment {shown(f'x={value}', 'starting')}, "
+            f"{shown(value)} has a decimal exponent above {cap} in magnitude\n"
         )
+
+    @pytest.mark.parametrize(
+        "piece, reason",
+        [
+            pytest.param(f"x={LONG_WORD}", "a field starting 'aaaaaaaaaaaa' is not a rational number", id="word"),
+            pytest.param(
+                f"x={LONG_LITERAL}",
+                "a field starting '999999999999' has a run of 4,301 digits,"
+                " longer than the interpreter's limit of 4,300 digits",
+                id="digits",
+            ),
+            pytest.param(LONG_WORD, "expected name=value", id="no-equals"),
+        ],
+    )
+    def test_long_assignment_is_quoted_by_its_start(self, capsys, default_digit_limit, piece, reason):
+        code, out, err = run(capsys, "poly", "x", "--vars", "x", "--eval", piece)
+        assert code == 1
+        assert_one_short_error_line(out, err)
+        assert err == f"error: bad assignment starting {piece[:12]!r}, {reason}\n"
 
     @pytest.mark.parametrize("json_flag", [(), ("--json",)])
     @pytest.mark.parametrize(
@@ -431,24 +466,28 @@ class TestDh:
         code, _, err = run(capsys, "dh", "--pair", str(pair))
         assert code == 1
 
-    @pytest.mark.parametrize("field", ["1/0", "abc"])
+    @pytest.mark.parametrize("field", ["1/0", "abc", pytest.param(LONG_WORD, id="long")])
     def test_bad_field_exits_1_with_line(self, capsys, tmp_path, field):
         pair = tmp_path / "pair.txt"
         pair.write_text(f"0 0 1 0 0 0\n0 3/5 4/5 0 -8/5 {field}\n")
         code, out, err = run(capsys, "dh", "--pair", str(pair))
-        assert code == 1 and out == ""
-        assert err == f"error: line 2: {field!r} is not a rational number\n"
+        assert code == 1
+        assert_one_short_error_line(out, err)
+        assert err == f"error: line 2: {shown(field)} is not a rational number\n"
 
-    @pytest.mark.parametrize("field", ["1e100000000000", "-1E-100000000000"])
+    @pytest.mark.parametrize(
+        "field", ["1e100000000000", "-1E-100000000000", pytest.param(LONG_EXPONENT, id="long")]
+    )
     def test_huge_decimal_exponent_exits_1(self, capsys, tmp_path, field):
         pair = tmp_path / "pair.txt"
         pair.write_text(f"0 0 1 0 0 0\n0 3/5 4/5 0 -8/5 {field}\n")
         t0 = time.monotonic()
         code, out, err = run(capsys, "dh", "--pair", str(pair))
         assert time.monotonic() - t0 < 1.0
-        assert code == 1 and out == ""
+        assert code == 1
+        assert_one_short_error_line(out, err)
         cap = parsing.MAX_DECIMAL_EXPONENT
-        assert err == f"error: line 2: {field!r} has a decimal exponent above {cap} in magnitude\n"
+        assert err == f"error: line 2: {shown(field)} has a decimal exponent above {cap} in magnitude\n"
 
     @pytest.mark.parametrize("json_flag", [(), ("--json",)])
     @pytest.mark.parametrize(

@@ -100,26 +100,28 @@ def test_matches_reference_on_random_corpora(nvars, corpus):
 
 @pytest.mark.parametrize("nvars, corpus", CORPORA)
 def test_add_into_matches_fresh_sum_in_order(nvars, corpus):
-    # accumulating in place leaves the same dict, insertion order included,
-    # as the fresh sum, and reads `b` only
-    for a, b, _ in corpus_cases(nvars, corpus):
-        out, snapshot_b = dict(a), dict(b)
-        _kernel.terms_add_into(out, b)
-        assert list(out.items()) == list(_kernel.terms_add(a, b).items())
-        assert b == snapshot_b
+    # adding c * b in place leaves the reference sum with the scaled map,
+    # insertion order included (a's keys, then b's new ones), and reads `b` only
+    for a, b, c in corpus_cases(nvars, corpus):
+        for scalar in (1, -1, c):
+            out, snapshot_b = dict(a), dict(b)
+            _kernel.terms_add_into(out, b, scalar)
+            assert list(out.items()) == list(reference_add(a, reference_scale(b, scalar)).items())
+            assert b == snapshot_b
 
 
 @pytest.mark.parametrize("nvars, corpus", CORPORA)
 def test_sub_into_matches_fresh_difference_in_order(nvars, corpus):
-    # subtracting c * b in place leaves the same dict, insertion order
-    # included, as the fresh difference with the scaled map, and reads `b` only
+    # subtracting c * b in place, as subduction does by adding -c * b,
+    # leaves the reference difference with the scaled map, insertion order
+    # included, and so do the fresh sum and difference for c = 1
     for a, b, c in corpus_cases(nvars, corpus):
-        for scalar in (c, -1, 3):
-            out, snapshot_b = dict(a), dict(b)
-            _kernel.terms_sub_into(out, b, scalar)
-            assert list(out.items()) == list(_kernel.terms_sub(a, _kernel.terms_scale(b, scalar)).items())
-            assert out == reference_sub(a, reference_scale(b, scalar))
-            assert b == snapshot_b
+        for scalar in (1, -1, c, 3):
+            out = dict(a)
+            _kernel.terms_add_into(out, b, -scalar)
+            assert list(out.items()) == list(reference_sub(a, reference_scale(b, scalar)).items())
+        assert list(_kernel.terms_add(a, b).items()) == list(reference_add(a, b).items())
+        assert list(_kernel.terms_sub(a, b).items()) == list(reference_sub(a, b).items())
 
 
 def _integral_as_int(c):
@@ -137,11 +139,14 @@ def test_int_and_fraction_coefficients_agree_in_order(nvars, corpus):
     # map, insertion order included, and int inputs give int outputs
     for a, b, c in corpus_cases(nvars, corpus):
         ia, ib, ic = _ints(a), _ints(b), _integral_as_int(c)
-        out, int_out = dict(a), dict(ia)
-        _kernel.terms_add_into(out, b)
-        _kernel.terms_add_into(int_out, ib)
+        out, int_out, out_neg, int_out_neg = dict(a), dict(ia), dict(a), dict(ia)
+        _kernel.terms_add_into(out, b, 1)
+        _kernel.terms_add_into(int_out, ib, 1)
+        _kernel.terms_add_into(out_neg, b, -1)
+        _kernel.terms_add_into(int_out_neg, ib, -1)
         pairs = [
             (out, int_out),
+            (out_neg, int_out_neg),
             (_kernel.terms_add(a, b), _kernel.terms_add(ia, ib)),
             (_kernel.terms_sub(a, b), _kernel.terms_sub(ia, ib)),
             (_kernel.terms_mul(a, b), _kernel.terms_mul(ia, ib)),

@@ -132,18 +132,27 @@ def test_parse_rational():
         with pytest.raises(ValueError) as info:
             parse_rational(bad)
         assert str(info.value) == f"{bad!r} is not a rational number"
+    # a field longer than QUOTE_WIDTH is quoted by its start only
+    with pytest.raises(ValueError) as info:
+        parse_rational(" " + "a" * 3000)
+    assert str(info.value) == "a field starting 'aaaaaaaaaaaa' is not a rational number"
     # exponents up to the limit are exact; beyond it, refused at once
     cap = MAX_DECIMAL_EXPONENT
     assert parse_rational(f"1e{cap}") == 10**cap
     assert parse_rational(f"-2.5E-{cap}") == Fraction(-5, 2 * 10**cap)
     assert parse_rational(f" 1e+000{cap} ") == 10**cap
-    for huge in (f"1e{cap + 1}", f"1e-{cap + 1}", "1e100000000000", "-.5E-100000000000",
-                 "1e" + "9" * 5000):
+    for huge, shown in (
+        (f"1e{cap + 1}", repr(f"1e{cap + 1}")),
+        (f"1e-{cap + 1}", repr(f"1e-{cap + 1}")),
+        ("1e100000000000", "'1e100000000000'"),
+        ("-.5E-100000000000", "'-.5E-100000000000'"),
+        ("1e" + "9" * 5000, "a field starting '1e9999999999'"),
+    ):
         t0 = time.monotonic()
         with pytest.raises(ValueError) as info:
             parse_rational(huge)
         assert time.monotonic() - t0 < 1.0
-        assert str(info.value) == f"{huge!r} has a decimal exponent above {cap} in magnitude"
+        assert str(info.value) == f"{shown} has a decimal exponent above {cap} in magnitude"
 
 
 def test_integer_longer_than_the_digit_limit(default_digit_limit):

@@ -226,11 +226,11 @@ def _reference_subduct(f, basis):
     """The subduction loop `subduct` ran before it kept one mutable
     remainder: each step builds a new polynomial by subtracting the scaled
     power product.  Kept as the reference its result must equal; returns
-    (remainder, certificate terms, steps)."""
+    (remainder, certificate terms, the leading monomial of each step)."""
     order = basis.order
     cert_terms = {}
     g = f
-    steps = 0
+    targets = []
     while not g.is_zero():
         lt_mono, lt_coeff = g.leading_term(order)
         exps = _factor_monomial(lt_mono, basis.leading_monomials(), order)
@@ -238,8 +238,8 @@ def _reference_subduct(f, basis):
             break
         cert_terms[exps] = lt_coeff
         g = g - basis.power_product(exps).scale(lt_coeff)
-        steps += 1
-    return g, cert_terms, steps
+        targets.append(lt_mono)
+    return g, cert_terms, targets
 
 
 class TestGeneratorSet:
@@ -436,8 +436,8 @@ class TestSubduction:
 
     @staticmethod
     def _assert_matches_reference(monkeypatch, f, basis):
-        """`subduct` equals `_reference_subduct` on remainder, certificate
-        and power products taken, and leaves `f` as it was."""
+        """`subduct` equals `_reference_subduct` on remainder, certificate,
+        power products taken and step targets, and leaves `f` as it was."""
         steps = [0]
         power_product = GeneratorSet.power_product
 
@@ -449,13 +449,14 @@ class TestSubduction:
         monkeypatch.setattr(GeneratorSet, "power_product", counted)
         res = subduct(f, basis)
         monkeypatch.setattr(GeneratorSet, "power_product", power_product)
-        remainder, cert_terms, reference_steps = _reference_subduct(f, basis)
+        remainder, cert_terms, targets = _reference_subduct(f, basis)
         assert res.remainder == remainder and res.remainder.den == remainder.den
         assert res.certificate.terms == cert_terms
         assert [type(c) for c in res.certificate.terms.values()] == [type(c) for c in cert_terms.values()]
-        assert steps[0] == reference_steps
+        assert steps[0] == len(targets)
+        assert res.targets == tuple(targets)
         assert (dict(f.terms), f.den) == before
-        return reference_steps
+        return len(targets)
 
     @staticmethod
     def _products_plus_noise(rng, basis):
