@@ -34,7 +34,7 @@ class ParseError(ValueError):
 
 class UnknownVariableError(ParseError):
     def __init__(self, name: str, position: int):
-        super().__init__(f"unknown variable {name!r}", position)
+        super().__init__(f"unknown variable {quoted(name, 'starting')}", position)
         self.name = name
 
 

@@ -17,7 +17,8 @@ result carries a `complete` flag instead of promising a basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import insort
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import compress
 from operator import or_
@@ -37,36 +38,38 @@ class GeneratorSet:
     candidate is re-inserted; an exact duplicate melts away to zero and is
     dropped.
 
-    Two memos live on a set: generator powers, keyed by (index, exponent),
-    which `with_added` carries over, and leading-monomial factorizations,
-    keyed by target monomial, which it does not: a new generator can make a
-    target factor, or change which factorization the search returns.
+    A set holds its leading monomials in index order, the divisor index
+    `_ranked` that `_factor_monomial` reads (``(index, lm)`` pairs, largest
+    ``order.key`` first), generator powers keyed by (index, exponent), and
+    factorizations keyed by target monomial.  `with_added` copies the
+    first three and inserts only the new generators, so the old ones keep
+    their indices and cached powers; it starts the factorizations afresh:
+    a new generator can make a target factor or change the one found.
     """
 
-    __slots__ = ("gens", "order", "_lms", "_powers", "_factors")
+    __slots__ = ("gens", "order", "_lms", "_ranked", "_powers", "_factors")
 
     def __init__(self, gens: Iterable[Polynomial], order: TermOrder):
-        object.__setattr__(self, "order", order)
-        store: list[Polynomial] = []
-        lms: list[Monomial] = []
-        for g in gens:
-            self._insert(g, store, lms)
-        object.__setattr__(self, "gens", tuple(store))
-        object.__setattr__(self, "_lms", tuple(lms))
-        # (generator index, exponent) -> power; target monomial -> factorization
-        object.__setattr__(self, "_powers", {})
-        object.__setattr__(self, "_factors", {})
+        self._fill(order, [], [], [], gens, {})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"GeneratorSet is immutable; cannot set {name!r}")
 
-    def _insert(self, g: Polynomial, store: list[Polynomial], lms: list[Monomial]) -> None:
+    def _fill(self, order: TermOrder, store: list, lms: list, ranked: list, gens: Iterable, powers: dict) -> None:
+        object.__setattr__(self, "order", order)
+        for g in gens:
+            self._insert(g, store, lms, ranked)
+        object.__setattr__(self, "gens", tuple(store))
+        object.__setattr__(self, "_lms", tuple(lms))
+        object.__setattr__(self, "_ranked", tuple(ranked))
+        object.__setattr__(self, "_powers", powers)
+        object.__setattr__(self, "_factors", {})
+
+    def _insert(self, g: Polynomial, store: list, lms: list, ranked: list) -> None:
         if g.varset != self.order.varset:
             raise ValueError("generator over the wrong variable set")
         first = True
-        while True:
-            if g.is_zero():
-                return
+        while not g.is_zero():
             lm, _ = g.leading_term(self.order)
             if lm == 0:
                 if first:
@@ -74,6 +77,7 @@ class GeneratorSet:
                 return  # merge residue in the ground field; adds nothing
             g = g.monic(self.order)
             if lm not in lms:
+                insort(ranked, (len(lms), lm), key=lambda entry: -self.order.key(entry[1]))
                 store.append(g)
                 lms.append(lm)
                 return
@@ -84,11 +88,8 @@ class GeneratorSet:
         return self._lms
 
     def with_added(self, *new_gens: Polynomial) -> "GeneratorSet":
-        grown = GeneratorSet(list(self.gens) + list(new_gens), self.order)
-        # The old generators are monic with distinct leading monomials, so
-        # they are re-inserted unchanged at the same indices and their
-        # cached powers stay valid.
-        grown._powers.update(self._powers)
+        grown = object.__new__(GeneratorSet)
+        grown._fill(self.order, list(self.gens), list(self._lms), list(self._ranked), new_gens, dict(self._powers))
         return grown
 
     def power_product(self, exps: Sequence[int]) -> Polynomial:
@@ -152,35 +153,40 @@ class SubductionResult:
     targets: tuple[Monomial, ...]
 
 
-def _factor_monomial(target: Monomial, lms: Sequence[Monomial], order: TermOrder):
-    """Write `target` as a product of generator leading monomials.
+def _factor_monomial(target: Monomial, basis: GeneratorSet):
+    """Write `target` as a product of the leading monomials of `basis`.
 
     Returns an exponent vector over the generators, or None when no exact
     factorization exists.  Complete depth-first search over the generators
     whose leading monomial divides `target` (no other can take part),
-    largest leading monomial under `order` first, so the answer is
+    largest leading monomial under the order first, so the answer is
     deterministic.  On packed monomials, `lm` divides `target` exactly
     when ``target - lm`` has no guard bit set: a field of `lm` above
     `target`'s borrows into its own guard bit.
+
+    The candidates come ranked off the set's divisor index, and nothing is
+    unpacked: each level finds the largest e with ``e * lm`` dividing what
+    is left by subtracting ``lm, 2 lm, 4 lm, ...`` while they fit, then the
+    halved multiples (O(log e) steps), and tries e from there down to 0.
     """
-    varset = order.varset
-    guard, unpack = varset.guard, varset.unpack
-    divisors = [i for i, lm in enumerate(lms) if not (target - lm) & guard]
-    divisors.sort(key=lambda i: order.key(lms[i]), reverse=True)
-    steps = [(i, lms[i], unpack(lms[i])) for i in divisors]
+    guard = basis.order.varset.guard
+    steps = [(i, lm) for i, lm in basis._ranked if not (target - lm) & guard]
     n = len(steps)
-    result = [0] * len(lms)
+    result = [0] * len(basis)
 
     def rec(pos: int, remaining: Monomial) -> bool:
         if not remaining:
             return True
         if pos == n:
             return False
-        i, lm, exps = steps[pos]
-        if (remaining - lm) & guard:
-            emax = 0
-        else:
-            emax = min(r // l for r, l in zip(unpack(remaining), exps) if l)
+        i, lm = steps[pos]
+        emax, rest, k, step = 0, remaining, 1, lm  # step = k * lm, k a power of 2
+        while not (step & guard or (rest - step) & guard):  # fields < 2^32: no carry out
+            rest, emax, k, step = rest - step, emax + k, k << 1, step << 1
+        while k > 1:
+            k, step = k >> 1, step >> 1  # exact: every field of step is even
+            if not (rest - step) & guard:
+                rest, emax = rest - step, emax + k
         for e in range(emax, -1, -1):
             result[i] = e
             if rec(pos + 1, remaining - e * lm):
@@ -210,7 +216,6 @@ def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
     order = basis.order
     if f.varset != order.varset:
         raise ValueError("polynomial over the wrong variable set")
-    lms = basis.leading_monomials()
     factors = basis._factors
     cert_terms: dict = {}
     targets: list[Monomial] = []
@@ -230,7 +235,7 @@ def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
         if lt_mono in factors:
             exps = factors[lt_mono]
         else:
-            exps = factors[lt_mono] = _factor_monomial(lt_mono, lms, order)
+            exps = factors[lt_mono] = _factor_monomial(lt_mono, basis)
         if exps is None:
             break
         targets.append(lt_mono)
@@ -551,12 +556,7 @@ def eliminate(result: SagbiResult, block: Sequence[str]) -> SagbiResult:
         for g in result.basis
         if not any(name in blocked for name in g.used_variables())
     ]
-    return SagbiResult(
-        basis=GeneratorSet(kept, new_order),
-        complete=result.complete,
-        degree_bound=result.degree_bound,
-        iterations=result.iterations,
-    )
+    return replace(result, basis=GeneratorSet(kept, new_order))
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,12 @@ class TestPoly:
         code, _, err = run(capsys, "poly", "bogus", "--screws", "1")
         assert code == 1 and "bogus" in err
 
+    def test_long_unknown_variable_is_quoted_by_its_start(self, capsys):
+        code, out, err = run(capsys, "poly", LONG_WORD, "--vars", "x")
+        assert code == 1
+        assert_one_short_error_line(out, err)
+        assert err == "error: unknown variable starting 'aaaaaaaaaaaa' (at position 0)\n"
+
     def test_division_by_zero_in_eval_exits_1(self, capsys):
         code, out, err = run(capsys, "poly", "x", "--vars", "x", "--eval", "x=1/0")
         assert code == 1 and out == ""
@@ -295,16 +301,23 @@ class TestInvariance:
         code, out, _ = run(capsys, "--json", *argv, "--mode", "sample", "--seed", seed)
         assert code == 0 and json.loads(out)["items"][0]["seed"] == expected
 
-    @pytest.mark.parametrize("seed", ["abc", "1.5", "0x", ""])
+    @pytest.mark.parametrize("seed", ["abc", "1.5", "0x", "", "9" * 3000 + "x"])
     def test_bad_seed_names_an_integer(self, capsys, seed):
         argv = ["invariance", "--poly", "w11", "--group", "se3", "--screws", "1"]
         code, out, err = run(capsys, *argv, "--mode", "sample", "--seed", seed)
         assert code == 1 and out == ""
         assert err == (
             "error: argument --seed: expected an integer (decimal, or prefixed 0x, 0o or 0b),"
-            f" got {seed!r}\n"
+            f" got {shown(seed, 'a value starting')}\n"
         )
         assert "lambda" not in err
+
+    def test_long_bad_seed_is_quoted_by_its_start(self, capsys):
+        argv = ["invariance", "--poly", "w11", "--group", "se3", "--screws", "1", "--seed"]
+        code, out, err = run(capsys, *argv, "9" * 3000 + "x")
+        assert code == 1
+        assert_one_short_error_line(out, err)
+        assert err.endswith("got a value starting '999999999999'\n")
 
     def test_sample_fail_shows_counterexample(self, capsys):
         code, out, _ = run(

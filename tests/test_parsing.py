@@ -66,6 +66,9 @@ def test_unknown_variable(vs1):
         parse("w11 + bogus", vs1)
     assert exc.value.name == "bogus"
     assert exc.value.position == 6
+    with pytest.raises(UnknownVariableError) as exc:
+        parse("w11 + " + "b" * 3000, vs1)
+    assert exc.value.name == "b" * 3000
 
 
 def test_zero_denominator(vs1):
@@ -92,6 +95,8 @@ ERRORS = {
     "w11^2^3": (ParseError, "unexpected token '^'", 5),
     "w11)": (ParseError, "unexpected token ')'", 3),
     "w11 + bogus": (UnknownVariableError, "unknown variable 'bogus'", 6),
+    # a name longer than 32 characters is quoted by its first 12
+    "w11 + " + "b" * 40: (UnknownVariableError, "unknown variable starting 'bbbbbbbbbbbb'", 6),
     # a bad character is reported before any syntax error ahead of it
     "w11 w12 + $": (ParseError, "unexpected character '$'", 10),
 }

@@ -2,6 +2,7 @@
 
 import io
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -208,15 +209,17 @@ def _reference_factor_monomial(target, lms, order_idx):
 
 
 def _assert_factorizations_match(targets, lms, order):
-    """The search, on packed monomials, and its reference, on exponent
-    tuples, agree on every target, None included; returns how many targets
-    factor."""
+    """The search, on the divisor index of the set of monomial generators
+    `lms`, and its reference, on exponent tuples, agree on every target,
+    None included; returns how many targets factor."""
     idx = sorted(range(len(lms)), key=lambda i: order.key(lms[i]), reverse=True)
     pack = order.varset.pack
-    packed_lms = [pack(lm) for lm in lms]
+    basis = GeneratorSet([Polynomial(order.varset, {lm: 1}) for lm in lms], order)
+    assert basis.leading_monomials() == tuple(map(pack, lms))
+    assert basis._ranked == tuple((i, pack(lms[i])) for i in idx)
     factored = 0
     for target in targets:
-        got = _factor_monomial(pack(target), packed_lms, order)
+        got = _factor_monomial(pack(target), basis)
         assert got == _reference_factor_monomial(target, lms, idx), (target, lms)
         factored += got is not None
     return factored
@@ -233,7 +236,7 @@ def _reference_subduct(f, basis):
     targets = []
     while not g.is_zero():
         lt_mono, lt_coeff = g.leading_term(order)
-        exps = _factor_monomial(lt_mono, basis.leading_monomials(), order)
+        exps = _factor_monomial(lt_mono, basis)
         if exps is None:
             break
         cert_terms[exps] = lt_coeff
@@ -283,6 +286,83 @@ class TestGeneratorSet:
         vs = VariableSet(["x"])
         g = GeneratorSet([parse("x", vs), parse("x + 1", vs)], vs.default_order())
         assert [str(p) for p in g] == ["x"]
+
+
+class TestWithAdded:
+    """`with_added` grows a set into what `GeneratorSet(gens + new)` builds
+    from scratch, inserting only the new generators, and keeps the old
+    set's cached powers."""
+
+    @staticmethod
+    def _assert_grows_like_scratch(basis, *new):
+        for exps in _vectors_up_to(len(basis), 2):
+            basis.power_product(exps)
+        gens, ranked, powers = basis.gens, basis._ranked, dict(basis._powers)
+        grown = basis.with_added(*new)
+        scratch = GeneratorSet(list(gens) + list(new), basis.order)
+        assert grown.gens == scratch.gens and grown.gens[: len(gens)] == gens
+        assert grown.leading_monomials() == scratch.leading_monomials()
+        assert grown._ranked == scratch._ranked
+        # the index lists every generator once, largest leading monomial first
+        key = basis.order.key
+        assert sorted(i for i, _ in grown._ranked) == list(range(len(grown)))
+        assert all(grown.leading_monomials()[i] == lm for i, lm in grown._ranked)
+        keys = [key(lm) for _, lm in grown._ranked]
+        assert keys == sorted(keys, reverse=True)
+        # the old powers are carried, the old set is left as it was
+        assert grown._powers == powers and grown._powers is not basis._powers
+        assert (basis.gens, basis._ranked, basis._powers) == (gens, ranked, powers)
+        for exps in _vectors_up_to(len(grown), 2):
+            assert grown.power_product(exps) == scratch.power_product(exps)
+        assert basis._powers == powers
+        return grown
+
+    def test_collision_duplicate_and_residue(self):
+        vs = VariableSet(["x", "y", "z"])
+        basis = GeneratorSet([parse("x + y", vs), parse("y^2 - z", vs)], vs.default_order())
+        # x + z^2 collides with x + y and joins reduced, as y - z^2
+        grown = self._assert_grows_like_scratch(basis, parse("x + z^2", vs))
+        assert grown.gens[2] == parse("y - z^2", vs)
+        # an exact duplicate melts away; a merge residue in the ground field too
+        for dropped in (parse("3*y^2 - 3*z", vs), parse("x + y + 5", vs)):
+            assert self._assert_grows_like_scratch(basis, dropped).gens == basis.gens
+        # several at once, in order, one colliding with another new one
+        new = [parse(text, vs) for text in ("z^3", "z^3 + 2*z", "z", "z^2")]
+        grown = self._assert_grows_like_scratch(basis, *new)
+        assert grown.gens[2:] == (new[0], new[2], new[3])
+
+    def test_refusals_leave_the_set_unchanged(self):
+        vs, other = VariableSet(["x", "y"]), VariableSet(["x", "y", "z"])
+        basis = GeneratorSet([parse("x", vs), parse("x*y + y", vs)], vs.default_order())
+        state = (basis.gens, basis._lms, basis._ranked)
+        with pytest.raises(ValueError, match="constant"):
+            basis.with_added(parse("y", vs), parse("7", vs))
+        with pytest.raises(ValueError, match="wrong variable set"):
+            basis.with_added(parse("y", other))
+        assert (basis.gens, basis._lms, basis._ranked) == state
+        for new in ([parse("7", vs)], [parse("y", other)]):
+            with pytest.raises(ValueError):
+                GeneratorSet(list(basis.gens) + new, basis.order)
+
+    def test_random_sets_grown_one_at_a_time(self):
+        rng = random.Random(22)
+        grown_by = 0
+        for _ in range(40):
+            basis = _random_generator_set(rng)
+            vs = basis.order.varset
+            candidates = list(basis.gens[1:])
+            # random polynomials over so few variables often collide
+            for _ in range(6):
+                f = random_poly(rng, vs, max_terms=4, max_deg=2)
+                if f.is_zero() or f.leading_monomial(basis.order):
+                    candidates.append(f)
+            rng.shuffle(candidates)
+            current = GeneratorSet(basis.gens[:1], basis.order)
+            for f in candidates:
+                before = len(current)
+                current = self._assert_grows_like_scratch(current, f)
+                grown_by += len(current) - before
+        assert grown_by > 200
 
 
 class TestPowerCache:
@@ -418,10 +498,7 @@ class TestSubduction:
             assert res.certificate.evaluate() + res.remainder == f
             if not res.remainder.is_zero():
                 lm = res.remainder.leading_monomial(order)
-                from screwinv.sagbi import _factor_monomial
-
-                lms = basis.leading_monomials()
-                assert _factor_monomial(lm, lms, order) is None
+                assert _factor_monomial(lm, basis) is None
 
     def test_two_screw_cubic_remainder(self):
         vs = screw_varset(2)
@@ -533,6 +610,32 @@ class TestFactorMonomial:
             cases += len(targets)
         # both answers occur often: the comparison is not all None
         assert 0.3 * cases < factored < cases
+
+    def test_exponents_near_the_limit(self):
+        # the largest exponent is found by doubling, so these take a few
+        # dozen steps each.  Doubling 2^30 or more reaches a field's guard
+        # bit, and that multiple is never taken for a fit: (5, 2^30 + 1)
+        # less 3 * (1, 2^30 + 1) has no guard bit set
+        order = VariableSet(["x", "y"]).default_order()
+        big = 2**31 - 1
+        lms = [(2**30, 1), (1, 2**30), (1, 2**30 + 1), (0, 2**30), (1, 0), (0, 1)]
+        targets = [(0, big), (big, big), (5, big), (big, 5), (2**30, big), (big, 0), (0, 0), (5, 2**30 + 1)]
+        assert _assert_factorizations_match(targets, lms, order) == len(targets)
+        # one step back from the largest exponent, and no factorization
+        assert _assert_factorizations_match([(0, big), (0, 1)], [(0, 2), (0, 3)], order) == 1
+
+    def test_huge_exponent_in_subduction(self):
+        # a generator's lower term reaches y^(32 n); the step that factors
+        # it finds the exponent 32 n by doubling (one unit at a time, this
+        # took seconds)
+        vs = VariableSet(["x", "y"])
+        n = 100_000
+        basis = GeneratorSet([parse(f"x + y^{n}", vs), parse("y", vs)], vs.default_order())
+        t0 = time.monotonic()
+        res = subduct(parse("x^32", vs), basis)
+        assert time.monotonic() - t0 < 1.0
+        assert res.remainder.is_zero() and len(res.certificate) == 33
+        assert res.certificate.terms[(0, 32 * n)] == 1
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_matches_reference_on_translation_bases(self, m):
