@@ -24,8 +24,8 @@ from .group import (
     format_group_sample,
     pullback,
 )
-from .parsing import format_poly, parse, parse_rational, quoted
-from .poly import TermOrder, VariableSet
+from .parsing import format_poly, parse, parse_rational
+from .poly import TermOrder, VariableSet, quoted
 from .sagbi import (
     DEFAULT_DEGREE_BOUND,
     DEFAULT_MAX_ITERATIONS,
@@ -101,6 +101,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValueError(message)
+
+    def _check_value(self, action, value):
+        """argparse's own check, with a bad choice quoted as `quoted` does."""
+        try:
+            super()._check_value(action, value)
+        except argparse.ArgumentError as exc:
+            message = exc.message.replace(repr(value), quoted(value, "a value starting"), 1)
+            raise argparse.ArgumentError(action, message) from None
 
 
 def _cap_degree(f, what: str) -> None:
@@ -340,7 +348,7 @@ def cmd_dh(args) -> tuple[int, list[str], dict]:
 
 def cmd_verify(args) -> tuple[int, list[str], dict]:
     if args.suite != "paper":
-        raise ValueError(f"unknown suite {args.suite!r}")
+        raise ValueError(f"unknown suite {quoted(args.suite, 'starting')}")
     items = run_paper_suite()
     width = max(len(item.name) for item in items)
     lines = [f"{'PASS' if i.passed else 'FAIL'}  {i.name:<{width}}  {i.detail}" for i in items]

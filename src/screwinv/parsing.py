@@ -21,7 +21,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .poly import Polynomial, TermOrder, VariableSet
+from .poly import Polynomial, TermOrder, VariableSet, quoted
 
 
 class ParseError(ValueError):
@@ -140,20 +140,6 @@ def parse(text: str, varset: VariableSet) -> Polynomial:
 # already too long to print: the bound keeps the arithmetic short, and the
 # CLI refuses to print a longer value with a message of its own.
 MAX_DECIMAL_EXPONENT = 4300
-
-# An error message quotes a field of up to this many characters whole, and a
-# longer one by its first 12, so that it stays one short line.
-QUOTE_WIDTH = 32
-
-
-def quoted(text: str, lead: str) -> str:
-    """`text` as an error message quotes it: ``repr(text)`` when it is at
-    most QUOTE_WIDTH characters long, else `lead` and the repr of its first
-    12 non-blank characters, as in ``a field starting '999999999999'``."""
-    if len(text) <= QUOTE_WIDTH:
-        return repr(text)
-    return f"{lead} {text.strip()[:12]!r}"
-
 
 # A decimal with an exponent, in a form loose enough to cover every one that
 # `Fraction` accepts; group 1 holds the exponent's digits.

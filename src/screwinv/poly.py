@@ -48,6 +48,19 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
 Scalar = (int, Fraction)
 
+# An error message quotes a field of up to this many characters whole, and a
+# longer one by its first 12, so that it stays one short line.
+QUOTE_WIDTH = 32
+
+
+def quoted(text: str, lead: str) -> str:
+    """`text` as an error message quotes it: ``repr(text)`` when it is at
+    most QUOTE_WIDTH characters long, else `lead` and the repr of its first
+    12 non-blank characters, as in ``a field starting '999999999999'``."""
+    if len(text) <= QUOTE_WIDTH:
+        return repr(text)
+    return f"{lead} {text.strip()[:12]!r}"
+
 
 class _TermsView(Mapping):
     """A read-only view of a term map; every write raises TypeError.
@@ -98,9 +111,9 @@ class VariableSet:
         seen = set()
         for name in names:
             if not _IDENT_RE.match(name):
-                raise ValueError(f"invalid variable name {name!r}")
+                raise ValueError(f"invalid variable name {quoted(name, 'starting')}")
             if name in seen:
-                raise ValueError(f"duplicate variable name {name!r}")
+                raise ValueError(f"duplicate variable name {quoted(name, 'starting')}")
             seen.add(name)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "guard", guard_mask(len(names)))
@@ -116,7 +129,7 @@ class VariableSet:
         try:
             return self._index[name]
         except KeyError:
-            raise ValueError(f"unknown variable {name!r}") from None
+            raise ValueError(f"unknown variable {quoted(name, 'starting')}") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -219,6 +232,10 @@ class TermOrder:
         if perm is None:
             return monomial
         return int.from_bytes(varset._layout.pack(*perm(varset.unpack(monomial))), "big")
+
+    def largest(self, monomials: Iterable[Monomial]) -> Monomial:
+        """The largest of some packed monomials, such as a term map's keys."""
+        return max(monomials, key=None if self._perm is None else self.key)
 
     def sorted_terms(self, terms: Mapping):
         """Terms as (monomial, coefficient) pairs in decreasing order."""
@@ -412,7 +429,8 @@ class Polynomial:
             a * ka,
         )
 
-    def __add__(self, other):
+    def _add_or_sub(self, other, kernel):
+        """``self + other`` with `kernel` terms_add, ``self - other`` with terms_sub."""
         if isinstance(other, Scalar):
             other = Polynomial.constant(self.varset, other)
         if not isinstance(other, Polynomial):
@@ -422,21 +440,16 @@ class Polynomial:
             a, b, den = self._num, other._num, self.den
         else:
             a, b, den = self._over_lcm(other)
-        return Polynomial._raw(self.varset, terms_add(a, b), den)
+        return Polynomial._raw(self.varset, kernel(a, b), den)
+
+    # the kernels are looked up per call, so a wrapped binding is seen
+    def __add__(self, other):
+        return self._add_or_sub(other, terms_add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Scalar):
-            other = Polynomial.constant(self.varset, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_same(other)
-        if self.den == other.den:
-            a, b, den = self._num, other._num, self.den
-        else:
-            a, b, den = self._over_lcm(other)
-        return Polynomial._raw(self.varset, terms_sub(a, b), den)
+        return self._add_or_sub(other, terms_sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -508,10 +521,7 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         if order is None:
             order = self.varset.default_order()
-        if order._perm is None:
-            m = max(num)
-        else:
-            m = max(num, key=order.key)
+        m = order.largest(num)
         c = num[m]
         return m, c if self.den == 1 else _value(c, self.den)
 
@@ -593,7 +603,7 @@ class Polynomial:
         """
         index = self.varset._index
         if not index.keys() >= point.keys():
-            raise ValueError(f"unknown variable {next(k for k in point if k not in index)!r}")
+            self.varset.index(next(k for k in point if k not in index))  # raises: unknown variable
         values = {index[name]: _coerce(val) for name, val in point.items()}
         n = len(self.varset)
         monomials = list(map(self.varset.unpack, self._num))
@@ -603,7 +613,8 @@ class Polynomial:
             for exps in monomials:
                 for i in compress(range(n), exps):
                     if i not in values:
-                        raise ValueError(f"missing assignment for variable {self.varset.names[i]!r}")
+                        name = quoted(self.varset.names[i], "starting")
+                        raise ValueError(f"missing assignment for variable {name}")
         numerators, d = _cleared([values[i] for i in used])
         p = dict(zip(used, numerators))
         degrees = list(map(sum, monomials))

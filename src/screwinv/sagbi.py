@@ -24,7 +24,7 @@ from itertools import compress
 from operator import or_
 from typing import IO, Iterable, Sequence
 
-from ._kernel import terms_add_into
+from ._kernel import FIELD_BITS, terms_add_into
 from .parsing import format_poly, parse
 from .poly import Monomial, Polynomial, TermOrder, VariableSet, _value
 
@@ -168,18 +168,23 @@ def _factor_monomial(target: Monomial, basis: GeneratorSet):
     unpacked: each level finds the largest e with ``e * lm`` dividing what
     is left by subtracting ``lm, 2 lm, 4 lm, ...`` while they fit, then the
     halved multiples (O(log e) steps), and tries e from there down to 0.
+    A level fails at once when what is left uses a variable that no open
+    candidate uses; ``+ fill`` (2^31 - 1 per field) flags the nonzero fields.
     """
     guard = basis.order.varset.guard
-    steps = [(i, lm) for i, lm in basis._ranked if not (target - lm) & guard]
-    n = len(steps)
+    fill = guard - (guard >> (FIELD_BITS - 1))
+    union = 0  # steps: smallest candidate first, each with the fields it or a smaller one flags
+    steps = [(i, lm, union := union | (lm + fill)) for i, lm in reversed(basis._ranked) if not (target - lm) & guard]
     result = [0] * len(basis)
 
-    def rec(pos: int, remaining: Monomial) -> bool:
+    def rec(left: int, remaining: Monomial) -> bool:  # over steps[:left], largest first
         if not remaining:
             return True
-        if pos == n:
+        if not left:
             return False
-        i, lm = steps[pos]
+        i, lm, covered = steps[left - 1]
+        if (remaining + fill) & ~covered & guard:
+            return False
         emax, rest, k, step = 0, remaining, 1, lm  # step = k * lm, k a power of 2
         while not (step & guard or (rest - step) & guard):  # fields < 2^32: no carry out
             rest, emax, k, step = rest - step, emax + k, k << 1, step << 1
@@ -189,12 +194,12 @@ def _factor_monomial(target: Monomial, basis: GeneratorSet):
                 rest, emax = rest - step, emax + k
         for e in range(emax, -1, -1):
             result[i] = e
-            if rec(pos + 1, remaining - e * lm):
+            if rec(left - 1, remaining - e * lm):
                 return True
         result[i] = 0
         return False
 
-    return tuple(result) if rec(0, target) else None
+    return tuple(result) if rec(len(steps), target) else None
 
 
 def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
@@ -220,10 +225,9 @@ def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
     cert_terms: dict = {}
     targets: list[Monomial] = []
     num, den = dict(f._num), f.den
-    by_key = None if order._perm is None else order.key
     prev_key = None
     while num:
-        lt_mono = max(num, key=by_key)
+        lt_mono = order.largest(num)
         key = order.key(lt_mono)
         if prev_key is not None and not key < prev_key:
             unpack = order.varset.unpack  # the key's exponents, in priority order
@@ -272,9 +276,10 @@ class _Enumeration:
 
     The term order, degree bound and leading monomials it covered; every
     index path within the bound, bucketed by product monomial; the product
-    monomials listed by degree; and the minimal pairs as ``(sort key, a,
-    b)``, sorted.  An empty one (no leading monomials yet) makes the next
-    call enumerate from scratch.
+    monomials listed by degree; and the minimal pairs as ``[sort key, a, b,
+    record]``, sorted, with `sagbi_construct`'s replay record (None when
+    new).  An empty one (no leading monomials yet) makes the next call
+    enumerate from scratch.
     """
 
     __slots__ = ("order", "degree_bound", "lms", "buckets", "levels", "minimal")
@@ -285,7 +290,7 @@ class _Enumeration:
         self.lms: tuple[Monomial, ...] = ()
         self.buckets: dict[Monomial, list[tuple]] = {}
         self.levels: dict[int, list[Monomial]] = {}
-        self.minimal: list[tuple] = []
+        self.minimal: list[list] = []
 
 
 def tete_a_tetes(
@@ -326,6 +331,11 @@ def tete_a_tetes(
     zero-padded.  The result equals a from-scratch enumeration.  Carried
     state that does not match the basis raises ValueError; with nothing
     carried (None or a fresh `_Enumeration`) the call starts from scratch.
+
+    Memory grows with the index paths kept whole, as the square of the
+    bound for a degree-1 generator: on the basis {x}, bound 1,500 raises the
+    peak ~8 MiB and 3,000 ~35 MiB.  Only the CLI caps the bound (at 16); a
+    library cap is open (ROADMAP.md, item 13).
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be at least 1")
@@ -390,8 +400,10 @@ def tete_a_tetes(
         return sums
 
     key = order.key
-    pad = (0,) * (ngens - known)
-    minimal = [(k, a + pad, b + pad) for k, a, b in state.minimal] if pad else state.minimal
+    minimal, pad = state.minimal, (0,) * (ngens - known)
+    for entry in minimal:
+        entry[1] += pad
+        entry[2] += pad
     for product, paths in buckets.items():
         n = len(paths)
         # new paths are appended after the old ones; a bucket without one has no new pair
@@ -413,10 +425,10 @@ def tete_a_tetes(
                     inner[j] = proper_lms(b, product)
                 if inner[i].isdisjoint(inner[j]):
                     va, vb = dense(paths[i]), dense(b)
-                    minimal.append((key(product), min(va, vb), max(va, vb)))
-    minimal.sort()
-    state.order, state.degree_bound, state.lms, state.minimal = order, degree_bound, lms, minimal
-    return [TeteATete(a, b) for _, a, b in minimal]
+                    minimal.append([key(product), min(va, vb), max(va, vb), None])
+    minimal.sort()  # (key, a, b) is unique, so records are never compared
+    state.order, state.degree_bound, state.lms = order, degree_bound, lms
+    return [TeteATete(a, b) for _, a, b, _ in minimal]
 
 
 @dataclass(frozen=True)
@@ -480,10 +492,8 @@ def sagbi_construct(
 
     The enumeration is carried too: each pass hands `tete_a_tetes` what the
     last pass's call left, and the call adds only the products through a
-    generator added since.  The last pass's pairs come back as they were,
-    zero-padded and in the same order (their products, degrees and
-    minimality depend only on their own generators, which `with_added`
-    keeps), so the records are a list aligned with them.  The carried
+    generator added since.  Each record is kept in its pair's carried
+    entry, so a pair and its record travel together.  The carried
     enumeration is local to the call and freed when it returns.
     """
     if len(seed) == 0:
@@ -493,43 +503,32 @@ def sagbi_construct(
     order = seed.order
     guard = order.varset.guard
     basis = seed
-    known = 0  # the last pass's generators
-    last_records: list = []  # per pair of the last pass: (targets, basis length) or None
-    enumeration = _Enumeration()  # the last pass's tete-a-tetes, carried into this one
+    enumeration = _Enumeration()  # the pairs and their records, carried across passes
     for iterations in range(1, max_iterations + 1):
         lms = basis.leading_monomials()
-        records: list = []
         # bound before enumerating, so that the last pass's remainders are freed
-        pending = []  # (remainder, pair index, targets)
-        last = 0
-        for index, pair in enumerate(tete_a_tetes(basis, degree_bound, enumeration)):
-            if not (any(pair.a[known:]) or any(pair.b[known:])):
-                record = last_records[last]
-                last += 1
-                if record is not None and not _divides_any(lms[record[1]:], record[0], guard):
-                    records.append(record)
-                    continue
-            diff = basis.power_product(pair.a) - basis.power_product(pair.b)
-            res = subduct(diff, basis)
-            if res.remainder.is_zero():
-                records.append((res.targets, len(basis)))
-            else:
-                records.append(None)
-                pending.append((res.remainder, index, res.targets))
-        if last != len(last_records):
-            raise RuntimeError("the last pass's tete-a-tetes must all recur")
+        pending = []  # (remainder, pair entry, targets)
+        tete_a_tetes(basis, degree_bound, enumeration)
+        for entry in enumeration.minimal:
+            _, a, b, record = entry
+            if record is not None and not _divides_any(lms[record[1]:], record[0], guard):
+                continue
+            res = subduct(basis.power_product(a) - basis.power_product(b), basis)
+            entry[3] = None if res.remainder else (res.targets, len(basis))
+            if res.remainder:
+                pending.append((res.remainder, entry, res.targets))
         pending.sort(key=lambda item: order.key(item[0].leading_monomial(order)))
         current = basis
-        for r, index, targets in pending:
+        for r, entry, targets in pending:
             replayable = not _divides_any(current.leading_monomials()[len(basis):], targets, guard)
             res = subduct(r, current)
             if replayable:
-                records[index] = (targets + res.targets, len(current))
+                entry[3] = (targets + res.targets, len(current))
             if not res.remainder.is_zero():
                 current = current.with_added(res.remainder.monic(order))
         if current is basis:
             return SagbiResult(basis, True, degree_bound, iterations)
-        basis, known, last_records = current, len(basis), records
+        basis = current
     return SagbiResult(basis, False, degree_bound, max_iterations)
 
 

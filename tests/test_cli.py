@@ -608,6 +608,60 @@ class TestVerify:
         assert json.loads(out)["command"] == "catalog"
 
 
+class TestLongInputs:
+    """Every echoed input of more than 32 characters is quoted by its first
+    12, so the error stays one short line."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["poly", "x", "--vars", "x", "--eval", f"{LONG_WORD}=1"],
+                "unknown variable starting 'aaaaaaaaaaaa'",
+                id="eval-name",
+            ),
+            pytest.param(
+                ["poly", LONG_WORD, "--vars", LONG_WORD, "--eval", ","],
+                "missing assignment for variable starting 'aaaaaaaaaaaa'",
+                id="eval-missing",
+            ),
+            pytest.param(
+                ["poly", "x", "--vars", f"1{LONG_WORD}"],
+                "invalid variable name starting '1aaaaaaaaaaa'",
+                id="vars-invalid",
+            ),
+            pytest.param(
+                ["poly", "x", "--vars", f"{LONG_WORD} {LONG_WORD}"],
+                "duplicate variable name starting 'aaaaaaaaaaaa'",
+                id="vars-duplicate",
+            ),
+            pytest.param(
+                ["catalog", "--screws", "1", "--which", LONG_WORD],
+                "argument --which: invalid choice: a value starting 'aaaaaaaaaaaa' (choose from ",
+                id="catalog-which",
+            ),
+            pytest.param(
+                ["invariance", "--group", LONG_WORD, "--screws", "1", "--poly", "w11"],
+                "argument --group: invalid choice: a value starting 'aaaaaaaaaaaa' (choose from ",
+                id="invariance-group",
+            ),
+            pytest.param(["verify", "--suite", LONG_WORD], "unknown suite starting 'aaaaaaaaaaaa'", id="verify-suite"),
+        ],
+    )
+    def test_long_input_is_quoted_by_its_start(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert_one_short_error_line(out, err)
+        assert err.startswith(f"error: {message}")
+        assert "choose from" not in message or "se3" in err
+
+    def test_short_choice_is_quoted_whole(self, capsys):
+        code, out, err = run(capsys, "catalog", "--screws", "1", "--which", "everything")
+        assert code == 1
+        assert_one_short_error_line(out, err)
+        assert err.startswith("error: argument --which: invalid choice: 'everything' (choose from ")
+
+
 class TestUsage:
     def test_no_command_exits_1(self, capsys):
         code = cli.main([])

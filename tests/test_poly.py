@@ -54,6 +54,26 @@ class TestVariableSet:
         with pytest.raises(ValueError):
             vs.index("y")
 
+    def test_long_names_are_quoted_by_their_start(self):
+        # a name of more than 32 characters is echoed by its first 12; a
+        # shorter one whole
+        long = "a" * 3000
+        start = "starting 'aaaaaaaaaaaa'"
+        cases = [
+            (lambda: VariableSet(["1" + long]), "invalid variable name starting '1aaaaaaaaaaa'"),
+            (lambda: VariableSet([long, long]), f"duplicate variable name {start}"),
+            (lambda: VariableSet(["x"]).index(long), f"unknown variable {start}"),
+            (lambda: parse("x", VariableSet(["x"])).evaluate({long: 1}), f"unknown variable {start}"),
+            (lambda: parse(long, VariableSet([long])).evaluate({}), f"missing assignment for variable {start}"),
+            (lambda: VariableSet(["1x"]), "invalid variable name '1x'"),
+            (lambda: VariableSet(["x", "x"]), "duplicate variable name 'x'"),
+            (lambda: VariableSet(["x"]).index("y"), "unknown variable 'y'"),
+        ]
+        for call, message in cases:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
     @pytest.mark.parametrize("name", ["names", "_index", "_default_order", "extra"])
     def test_attributes_cannot_be_reassigned(self, name):
         # reassigning names would leave the lookup index describing other
@@ -195,6 +215,15 @@ class TestTermOrder:
             assert order.key(tuple(x + y for x, y in zip(lo, c))) < order.key(
                 tuple(x + y for x, y in zip(hi, c))
             )
+
+    @pytest.mark.parametrize("priority", [["a", "b", "c", "d"], ["c", "a", "d", "b"]])
+    def test_largest_leads_the_sorted_terms(self, abcd, priority):
+        order = TermOrder(abcd, priority)
+        rng = random.Random(13)
+        for _ in range(200):
+            f = random_poly(rng, abcd, max_terms=6, max_deg=4)
+            if f.terms:
+                assert order.largest(f.terms) == order.sorted_terms(f.terms)[0][0] == f.leading_monomial(order)
 
 
 class TestArithmetic:

@@ -637,6 +637,17 @@ class TestFactorMonomial:
         assert res.remainder.is_zero() and len(res.certificate) == 33
         assert res.certificate.terms[(0, 32 * n)] == 1
 
+    def test_hopeless_factorization_fails_at_once(self):
+        # x is in no candidate's leading monomial, so no exponent of y is
+        # tried (one at a time, this took seconds)
+        vs = VariableSet(["x", "y"])
+        basis = GeneratorSet([parse("y", vs)], vs.default_order())
+        f = parse(f"x*y^{10**8}", vs)
+        t0 = time.monotonic()
+        res = subduct(f, basis)
+        assert time.monotonic() - t0 < 1.0
+        assert res.remainder == f and not res.certificate.terms
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_matches_reference_on_translation_bases(self, m):
         seed = pullback(ActionKind.TRANSLATION_SUB, m).seed_generators()
@@ -1086,6 +1097,23 @@ class TestCarriedEnumeration:
         bases = self._grown(gens, vs.default_order())
         for bound in (3, 4, 6):
             assert self._assert_carried_matches(bases, bound)
+
+    def test_records_stay_with_their_pairs(self):
+        # an old entry is padded in place and keeps its record; a new one starts at None
+        vs = VariableSet(["x", "y"])
+        gens = [parse(t, vs) for t in ("x^2", "x*y", "y^2", "x", "y")]
+        bases = self._grown(gens, vs.default_order())
+        carried = sagbi_module._Enumeration()
+        marks = {}
+        for basis in bases:
+            pairs = tete_a_tetes(basis, 4, carried)
+            assert [(p.a, p.b) for p in pairs] == [(a, b) for _, a, b, _ in carried.minimal]
+            for entry in carried.minimal:
+                mark = marks.get(id(entry))
+                assert entry[3] is mark
+                if mark is None:
+                    entry[3] = marks[id(entry)] = object()
+        assert len(marks) == len(carried.minimal) > 0
 
     def test_mismatched_state_refused(self):
         vs = VariableSet(["x", "y"])
