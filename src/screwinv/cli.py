@@ -66,10 +66,11 @@ MAX_SO3_VECTORS = 9
 # the pullback catalog 0.01 s within the interpreter's own 17 MiB.
 MAX_SCREWS = 32
 
-# SAGBI cost grows steeply with the degree bound: three screws take ~1.0 s
-# at bound 7 and ~8 s at bound 8 (Intel Xeon, 2 cores, CPython 3.11), and
-# even the three-generator seed x + y, x*y, x*y^2 takes 0.02 s at 16 but
-# ~3.1 s at 32.  16 is twice the paper's largest bound.
+# SAGBI cost grows steeply with the degree bound: three screws take ~0.8 s
+# and 60 MiB at bound 7 and ~5.4 s and 200 MiB at bound 8 (in-process,
+# Intel Xeon, 2 cores, CPython 3.11), and even the three-generator seed
+# x + y, x*y, x*y^2 takes 0.02 s at 16 but ~2.5 s at 32.  16 is twice the
+# paper's largest bound.
 MAX_DEGREE_BOUND = 16
 
 # One sample costs ~0.2 ms on one screw and ~0.2-0.26 ms on three-screw

@@ -96,9 +96,9 @@ class GeneratorSet:
         """The product of generator powers with the given exponent vector.
 
         Each power ``g_i ** e`` is computed once per generator set and
-        cached under ``(i, e)``; whole products are not cached, since there
-        are far more of them than powers.  The factors are multiplied in
-        generator order.
+        cached under ``(i, e)``; whole products are not cached here, since
+        there are far more of them than powers (`subduct` can memoize its
+        own).  The factors are multiplied in generator order.
         """
         result = None
         gens, powers = self.gens, self._powers
@@ -170,6 +170,8 @@ def _factor_monomial(target: Monomial, basis: GeneratorSet):
     halved multiples (O(log e) steps), and tries e from there down to 0.
     A level fails at once when what is left uses a variable that no open
     candidate uses; ``+ fill`` (2^31 - 1 per field) flags the nonzero fields.
+    A candidate that uses a variable no smaller candidate uses can only
+    succeed with the largest e, so its level stops when that try fails.
     """
     guard = basis.order.varset.guard
     fill = guard - (guard >> (FIELD_BITS - 1))
@@ -192,17 +194,21 @@ def _factor_monomial(target: Monomial, basis: GeneratorSet):
             k, step = k >> 1, step >> 1  # exact: every field of step is even
             if not (rest - step) & guard:
                 rest, emax = rest - step, emax + k
-        for e in range(emax, -1, -1):
-            result[i] = e
-            if rec(left - 1, remaining - e * lm):
-                return True
+        result[i] = emax
+        if rec(left - 1, remaining - emax * lm):
+            return True
+        if not (lm + fill) & ~(steps[left - 2][2] if left > 1 else 0) & guard:
+            for e in range(emax - 1, -1, -1):
+                result[i] = e
+                if rec(left - 1, remaining - e * lm):
+                    return True
         result[i] = 0
         return False
 
     return tuple(result) if rec(len(steps), target) else None
 
 
-def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
+def subduct(f: Polynomial, basis: GeneratorSet, *, products: dict | None = None) -> SubductionResult:
     """Subduct `f` against `basis`.
 
     Repeatedly cancels the leading term by a scaled product of generator
@@ -217,6 +223,12 @@ def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
     Pearce, CASC 2007).  A product over a den k != 1 first scales `num`
     and `den` by k, then the common factor is divided out, so the
     numbers stay as small as a fresh polynomial's.  `f` is not changed.
+
+    `products`, a dict the caller owns and scopes, memoizes step products
+    across calls, keyed by target monomial; a miss is built and stored.  A
+    product is valid for one generator set only, as it follows the
+    factorization that set chose for the target, which a new generator can
+    change; so a dict must never serve two sets.
     """
     order = basis.order
     if f.varset != order.varset:
@@ -246,7 +258,10 @@ def subduct(f: Polynomial, basis: GeneratorSet) -> SubductionResult:
         c = num[lt_mono]
         cert_terms[exps] = _value(c, den)
         # num/den - (c/den) * p: both over den * p.den, then num -= c * p's map
-        product = basis.power_product(exps)
+        if products is None:
+            product = basis.power_product(exps)
+        elif (product := products.get(lt_mono)) is None:
+            product = products[lt_mono] = basis.power_product(exps)
         k = product.den
         if k != 1:
             for e in num:
@@ -495,6 +510,12 @@ def sagbi_construct(
     generator added since.  Each record is kept in its pair's carried
     entry, so a pair and its record travel together.  The carried
     enumeration is local to the call and freed when it returns.
+
+    Step products are memoized in bounded scopes (`subduct`'s `products`):
+    one dict per bucket (product monomial) in the pair phase, since pairs
+    of a bucket often meet the same targets, and one per generator set in
+    the insert phase, fresh at every `with_added`, since a product is valid
+    only for the set whose factorization it follows.
     """
     if len(seed) == 0:
         raise ValueError("seed generator set is empty")
@@ -508,24 +529,27 @@ def sagbi_construct(
         lms = basis.leading_monomials()
         # bound before enumerating, so that the last pass's remainders are freed
         pending = []  # (remainder, pair entry, targets)
+        bucket = None  # the product key whose step products `products` holds
         tete_a_tetes(basis, degree_bound, enumeration)
         for entry in enumeration.minimal:
-            _, a, b, record = entry
+            product_key, a, b, record = entry
             if record is not None and not _divides_any(lms[record[1]:], record[0], guard):
                 continue
-            res = subduct(basis.power_product(a) - basis.power_product(b), basis)
+            if product_key != bucket:
+                products, bucket = {}, product_key
+            res = subduct(basis.power_product(a) - basis.power_product(b), basis, products=products)
             entry[3] = None if res.remainder else (res.targets, len(basis))
             if res.remainder:
                 pending.append((res.remainder, entry, res.targets))
         pending.sort(key=lambda item: order.key(item[0].leading_monomial(order)))
-        current = basis
+        current, products = basis, {}  # the step products of one generator set
         for r, entry, targets in pending:
             replayable = not _divides_any(current.leading_monomials()[len(basis):], targets, guard)
-            res = subduct(r, current)
+            res = subduct(r, current, products=products)
             if replayable:
                 entry[3] = (targets + res.targets, len(current))
             if not res.remainder.is_zero():
-                current = current.with_added(res.remainder.monic(order))
+                current, products = current.with_added(res.remainder.monic(order)), {}
         if current is basis:
             return SagbiResult(basis, True, degree_bound, iterations)
         basis = current

@@ -512,9 +512,11 @@ class TestSubduction:
 
 
     @staticmethod
-    def _assert_matches_reference(monkeypatch, f, basis):
+    def _assert_matches_reference(monkeypatch, f, basis, products):
         """`subduct` equals `_reference_subduct` on remainder, certificate,
-        power products taken and step targets, and leaves `f` as it was."""
+        power products taken and step targets, and leaves `f` as it was; so
+        does `subduct` with the step-product memo `products`, which builds
+        only the products it has not stored yet."""
         steps = [0]
         power_product = GeneratorSet.power_product
 
@@ -525,13 +527,18 @@ class TestSubduction:
         before = (dict(f.terms), f.den)
         monkeypatch.setattr(GeneratorSet, "power_product", counted)
         res = subduct(f, basis)
+        assert steps[0] == len(res.targets)
+        stored = len(products)
+        memo = subduct(f, basis, products=products)
+        assert steps[0] - len(res.targets) == len(products) - stored
         monkeypatch.setattr(GeneratorSet, "power_product", power_product)
         remainder, cert_terms, targets = _reference_subduct(f, basis)
-        assert res.remainder == remainder and res.remainder.den == remainder.den
-        assert res.certificate.terms == cert_terms
-        assert [type(c) for c in res.certificate.terms.values()] == [type(c) for c in cert_terms.values()]
-        assert steps[0] == len(targets)
-        assert res.targets == tuple(targets)
+        for got in (res, memo):
+            assert got.remainder == remainder and got.remainder.den == remainder.den
+            assert got.certificate.terms == cert_terms
+            assert [type(c) for c in got.certificate.terms.values()] == [type(c) for c in cert_terms.values()]
+            assert got.targets == tuple(targets)
+        assert set(targets) <= products.keys()
         assert (dict(f.terms), f.den) == before
         return len(targets)
 
@@ -554,31 +561,36 @@ class TestSubduction:
         )
         assert all(g.den != 1 for g in basis)
         rng = random.Random(20)
-        steps = 0
+        steps, products = 0, {}  # one memo, reused over every call on the basis
         for _ in range(60):
-            steps += self._assert_matches_reference(monkeypatch, self._products_plus_noise(rng, basis), basis)
-        assert steps > 80
+            f = self._products_plus_noise(rng, basis)
+            steps += self._assert_matches_reference(monkeypatch, f, basis, products)
+        assert steps > 80 and len(products) < steps
 
     def test_permuted_priorities_match_reference(self, monkeypatch):
         vs = VariableSet(["x", "y", "z", "u"])
         gens = [parse(t, vs) for t in ("x*y + z", "y*u - 1/3*x", "z^2 + x*u", "u + 2*y", "x*z*u - y^3")]
         rng = random.Random(21)
-        steps = 0
+        steps = stored = 0
         for priority in (["u", "z", "y", "x"], ["y", "u", "x", "z"], ["z", "x", "u", "y"]):
-            basis = GeneratorSet(gens, TermOrder(vs, priority))
+            basis, products = GeneratorSet(gens, TermOrder(vs, priority)), {}
             for _ in range(30):
-                steps += self._assert_matches_reference(monkeypatch, self._products_plus_noise(rng, basis), basis)
-        assert steps > 90
+                f = self._products_plus_noise(rng, basis)
+                steps += self._assert_matches_reference(monkeypatch, f, basis, products)
+            stored += len(products)
+        assert steps > 90 and stored < steps
 
     def test_random_corpus_matches_reference(self, monkeypatch):
         # random generator sets: shuffled priorities, fractional coefficients
-        steps = 0
+        steps = stored = 0
         for seed in range(40):
             rng = random.Random(2000 + seed)
-            basis = _random_generator_set(rng)
+            basis, products = _random_generator_set(rng), {}
             for _ in range(5):
-                steps += self._assert_matches_reference(monkeypatch, self._products_plus_noise(rng, basis), basis)
-        assert steps > 300
+                f = self._products_plus_noise(rng, basis)
+                steps += self._assert_matches_reference(monkeypatch, f, basis, products)
+            stored += len(products)
+        assert steps > 300 and stored < steps
 
 
 class TestFactorMonomial:
@@ -647,6 +659,32 @@ class TestFactorMonomial:
         res = subduct(f, basis)
         assert time.monotonic() - t0 < 1.0
         assert res.remainder == f and not res.certificate.terms
+
+    @pytest.mark.parametrize(
+        "text, gens",
+        [
+            ("x^{n1}*y^{n}", ["x*y"]),
+            ("x^{n1}*y^{n}", ["x*y", "y"]),
+            ("y^{n2}", ["y^2"]),
+        ],
+    )
+    def test_failed_exponent_search_stops_at_once(self, text, gens):
+        # the first candidate tried is the only one to use x (or y), so that
+        # variable fixes its exponent: once the largest exponent fails, no
+        # smaller one is tried (one at a time, n = 10^6 took 0.1-0.2 s)
+        vs = VariableSet(["x", "y"])
+        n = 10**8
+        basis = GeneratorSet([parse(g, vs) for g in gens], vs.default_order())
+        f = parse(text.format(n=n, n1=n + 1, n2=2 * n + 1), vs)
+        t0 = time.monotonic()
+        res = subduct(f, basis)
+        assert time.monotonic() - t0 < 1.0
+        assert res.remainder == f and not res.certificate.terms
+        # and on small exponents the answer is the reference's
+        lms = [vs.unpack(lm) for lm in basis.leading_monomials()]
+        for k in range(6):
+            small = vs.unpack(parse(text.format(n=k, n1=k + 1, n2=2 * k + 1), vs).leading_monomial())
+            assert _assert_factorizations_match([small, (k, k), (0, 2 * k)], lms, basis.order) >= 1
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_matches_reference_on_translation_bases(self, m):
@@ -916,9 +954,9 @@ class TestReplay:
         side = [0]
         original = sagbi_module.subduct
 
-        def counted(f, basis):
+        def counted(f, basis, **memo):
             calls[side[0]] += 1
-            return original(f, basis)
+            return original(f, basis, **memo)
 
         monkeypatch.setattr(sagbi_module, "subduct", counted)
         for seed, bound, max_iterations in cases:
@@ -959,10 +997,10 @@ class TestReplay:
             events.append(exps)
             return power_product(self, exps)
 
-        def spy_subduct(f, basis):
+        def spy_subduct(f, basis, **memo):
             call = [f, basis, None]
             events.append(call)
-            call[2] = original(f, basis)
+            call[2] = original(f, basis, **memo)
             return call[2]
 
         def strip(vec):
@@ -1026,6 +1064,67 @@ class TestReplay:
         seed = pullback(ActionKind.TRANSLATION_SUB, m).seed_generators()
         replay, reference = self._compare(monkeypatch, [(seed, bound, 16)])
         assert replay < reference
+
+
+class TestStepProductScope:
+    """`sagbi_construct` hands `subduct` one step-product memo per bucket in
+    the pair phase and one per generator set in the insert phase, so that
+    no memo serves two generator sets."""
+
+    def test_memo_per_bucket_and_per_generator_set(self, monkeypatch):
+        # The construction builds a pair's two power products just before it
+        # subducts the pair, so a subduct call right after the product of a
+        # pair's vector is that pair's; any other call is the insert phase's.
+        enumerate_pairs, original = sagbi_module.tete_a_tetes, sagbi_module.subduct
+        power_product = GeneratorSet.power_product
+        bucket_of, last = {}, [None]  # id(pair vector) -> product key; last vector built outside subduct
+        calls = []  # (products, basis, product key or None in the insert phase)
+
+        def spy_pairs(basis, bound, carried):
+            pairs = enumerate_pairs(basis, bound, carried)
+            bucket_of.clear()
+            for product_key, a, b, _ in carried.minimal:
+                bucket_of[id(a)] = bucket_of[id(b)] = product_key
+            return pairs
+
+        def spy_power_product(self, exps):
+            last[0] = exps
+            return power_product(self, exps)
+
+        def spy_subduct(f, basis, **memo):
+            exps, last[0] = last[0], None
+            calls.append((memo["products"], basis, bucket_of.get(id(exps))))
+            res = original(f, basis, **memo)
+            last[0] = None
+            return res
+
+        monkeypatch.setattr(sagbi_module, "tete_a_tetes", spy_pairs)
+        monkeypatch.setattr(sagbi_module, "subduct", spy_subduct)
+        monkeypatch.setattr(GeneratorSet, "power_product", spy_power_product)
+        rng = random.Random(24)
+        cases = [(_random_seed(rng, homogeneous=k % 2 == 0), rng.randint(3, 5)) for k in range(60)]
+        cases += [(_nonhomogeneous_seed(), 4), (pullback(ActionKind.TRANSLATION_SUB, 2).seed_generators(), 6)]
+        buckets = sets = 0
+        for seed, bound in cases:
+            if not len(seed):
+                continue
+            calls.clear()
+            sagbi_construct(seed, degree_bound=bound, max_iterations=6)
+            served = {}  # id(products) -> (products, its one generator set)
+            for products, basis, _ in calls:
+                assert isinstance(products, dict)
+                assert served.setdefault(id(products), (products, basis))[1] is basis
+            for (products, basis, key), (before, basis_before, key_before) in zip(calls[1:], calls):
+                if key is not None and key_before is not None:  # two pairs of one pass
+                    assert basis is basis_before
+                    assert (products is before) == (key == key_before)
+                    buckets += key != key_before
+                elif key is None and key_before is None:  # two insert-phase calls
+                    assert (products is before) == (basis is basis_before)
+                    sets += basis is not basis_before
+                else:  # a phase starts
+                    assert products is not before
+        assert buckets > 100 and sets > 10
 
 
 class TestCarriedEnumeration:
