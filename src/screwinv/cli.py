@@ -67,9 +67,9 @@ MAX_SO3_VECTORS = 9
 MAX_SCREWS = 32
 
 # SAGBI cost grows steeply with the degree bound: three screws take ~0.8 s
-# and 60 MiB at bound 7 and ~5.4 s and 200 MiB at bound 8 (in-process,
+# and 53 MiB at bound 7 and ~5.3 s and 180 MiB at bound 8 (in-process,
 # Intel Xeon, 2 cores, CPython 3.11), and even the three-generator seed
-# x + y, x*y, x*y^2 takes 0.02 s at 16 but ~2.5 s at 32.  16 is twice the
+# x + y, x*y, x*y^2 takes 0.02 s at 16 but ~2.6 s at 32.  16 is twice the
 # paper's largest bound.
 MAX_DEGREE_BOUND = 16
 

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import compress
-from operator import or_
-from typing import IO, Iterable, Sequence
+from itertools import accumulate, compress, groupby
+from operator import neg
+from typing import IO, Iterable, Iterator, Sequence
 
 from ._kernel import FIELD_BITS, terms_add_into
 from .parsing import format_poly, parse
@@ -100,10 +101,13 @@ class GeneratorSet:
         there are far more of them than powers (`subduct` can memoize its
         own).  The factors are multiplied in generator order.
         """
+        return self._product((i, exps[i]) for i in compress(range(len(self.gens)), exps))
+
+    def _product(self, factors: Iterable[tuple[int, int]]) -> Polynomial:
+        """`power_product` of the ``(i, e)`` pairs of an exponent vector, by increasing i."""
         result = None
         gens, powers = self.gens, self._powers
-        for i in compress(range(len(gens)), exps):
-            e = exps[i]
+        for i, e in factors:
             power = powers.get((i, e))
             if power is None:
                 power = powers[i, e] = gens[i] ** e
@@ -278,23 +282,45 @@ def subduct(f: Polynomial, basis: GeneratorSet, *, products: dict | None = None)
     return SubductionResult(remainder, Certificate(cert_terms, basis), tuple(targets))
 
 
-@dataclass(frozen=True)
-class TeteATete:
-    """Two disjoint generator power products with equal leading monomials."""
+def _runs(path: tuple) -> Iterator[tuple[int, int]]:
+    """``(i, e)`` for each generator index i that an index path lists e times."""
+    return ((i, len(tuple(run))) for i, run in groupby(path))
 
-    a: tuple
-    b: tuple
+
+def _side_key(path: tuple) -> tuple:
+    """Orders index paths as their exponent vectors do: where two differ first, the smaller
+    index is the larger vector's (one more factor of it), and a proper prefix is smaller."""
+    return tuple(map(neg, path))
+
+
+@dataclass(frozen=True, slots=True, repr=False)
+class TeteATete:
+    """Two disjoint generator power products with equal leading monomials,
+    kept as ascending index paths over `ngens` generators (an index once
+    per factor); `a` and `b`, the exponent vectors, are built on access."""
+
+    path_a: tuple
+    path_b: tuple
+    ngens: int
+
+    a = property(lambda self: tuple(map(Counter(self.path_a).__getitem__, range(self.ngens))))
+    b = property(lambda self: tuple(map(Counter(self.path_b).__getitem__, range(self.ngens))))
+
+    def __repr__(self) -> str:
+        return f"TeteATete(a={self.a!r}, b={self.b!r})"
 
 
 class _Enumeration:
     """What `tete_a_tetes` leaves for its next call on a grown basis.
 
     The term order, degree bound and leading monomials it covered; every
-    index path within the bound, bucketed by product monomial; the product
-    monomials listed by degree; and the minimal pairs as ``[sort key, a, b,
-    record]``, sorted, with `sagbi_construct`'s replay record (None when
-    new).  An empty one (no leading monomials yet) makes the next call
-    enumerate from scratch.
+    index path within the bound, bucketed by its product's exponents in
+    ``degree_bound.bit_length()``-bit fields, a bucket holding one path
+    bare and more in a list; those keys listed by remaining degree; and the
+    minimal pairs as ``[order key of the product, a, b, record]``, with `a`
+    and `b` index paths and `sagbi_construct`'s replay record (None when
+    new), sorted as the key and exponent vectors.  An empty one (no leading
+    monomials yet) makes the next call enumerate from scratch.
     """
 
     __slots__ = ("order", "degree_bound", "lms", "buckets", "levels", "minimal")
@@ -303,8 +329,8 @@ class _Enumeration:
         self.order = None
         self.degree_bound = None
         self.lms: tuple[Monomial, ...] = ()
-        self.buckets: dict[Monomial, list[tuple]] = {}
-        self.levels: dict[int, list[Monomial]] = {}
+        self.buckets: dict[int, tuple | list[tuple]] = {}
+        self.levels: dict[int, list[int]] = {}
         self.minimal: list[list] = []
 
 
@@ -315,15 +341,17 @@ def tete_a_tetes(
 
     Enumerates every generator power product whose leading-monomial product
     has total degree within the bound, buckets its index path by that
-    product monomial, and pairs up the paths with disjoint support within
-    each bucket of two or more.  The products are found by an extension
-    search: each product is extended only by generators of index at least
-    its last one whose degree fits the remaining bound, so every product is
-    visited exactly once; the fitting generators are listed once per (last
-    index, remaining degree).  The search keeps its own stack, so a large
-    bound is limited by time, not by the interpreter's recursion limit.  A
-    bound below 2^31 keeps every exponent of a product below 2^31, so
-    packed products never overflow.
+    product, and pairs up the paths with disjoint support within each
+    bucket of two or more.  The products are found by an extension search:
+    each product is extended only by generators of index at least its last
+    one whose degree fits the remaining bound, so every product is visited
+    exactly once (and one that none fits is not pushed); the fitting
+    generators are listed once per (last index, remaining degree).  The
+    search keeps its own stack, so a large bound is limited by time, not by
+    the interpreter's recursion limit.  No product exponent exceeds the
+    bound, so the bucket keys pack them in ``degree_bound.bit_length()``-bit
+    fields, and the product monomial, which a bound below 2^31 keeps from
+    overflowing, is summed only for the pairs found.
 
     A disjoint pair ``(a, b)`` is minimal exactly when no leading monomial
     of a product ``x`` with ``0 < x < a`` equals one of a ``y`` with
@@ -340,17 +368,18 @@ def tete_a_tetes(
     this basis.  Only paths whose last index is a new generator are added,
     grown from the empty path and from the old paths whose remaining
     degree fits the smallest new generator, and minimality is tested only
-    for pairs with a new path.  An old pair keeps its minimality: the test
-    above reads only the leading monomials of its own generators, which
-    are unchanged, so the old pairs are merged in with their vectors
-    zero-padded.  The result equals a from-scratch enumeration.  Carried
-    state that does not match the basis raises ValueError; with nothing
-    carried (None or a fresh `_Enumeration`) the call starts from scratch.
+    for pairs with a new path, in the buckets it joins.  An old pair keeps
+    its minimality and index paths: the test above reads only the leading
+    monomials of its own generators, which are unchanged.  The result
+    equals a from-scratch enumeration.  Carried state that does not match
+    the basis raises ValueError; with nothing carried (None or a fresh
+    `_Enumeration`) the call starts from scratch.
 
-    Memory grows with the index paths kept whole, as the square of the
-    bound for a degree-1 generator: on the basis {x}, bound 1,500 raises the
-    peak ~8 MiB and 3,000 ~35 MiB.  Only the CLI caps the bound (at 16); a
-    library cap is open (ROADMAP.md, item 13).
+    Memory grows with the index paths, kept whole: as the square of the
+    bound for a degree-1 generator ({x}: 9 MiB peak at bound 1,500, 36 MiB
+    at 3,000, by `tracemalloc`).  The library sets no cap, since the cost is
+    that of the products the caller asks for, as with ``g ** n``; the CLI,
+    which takes the bound from outside input, caps it at 16.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be at least 1")
@@ -365,17 +394,24 @@ def tete_a_tetes(
             raise ValueError("carried tete-a-tetes were enumerated under another term order or degree bound")
         if lms[:known] != state.lms:
             raise ValueError("carried tete-a-tetes are over leading monomials that do not begin this basis")
-    degs = list(map(order.varset.degree, lms))
     ngens = len(lms)
+    exps = list(map(order.varset.unpack, lms))
+    degs = list(map(sum, exps))
+    width = degree_bound.bit_length()  # no product exponent exceeds the bound
+    narrow = [reduce(lambda n, e: n << width | e, es, 0) if d <= degree_bound else None for es, d in zip(exps, degs)]
+    least = list(accumulate(reversed(degs), min, initial=degree_bound + 1))[::-1]  # least[i] = min(degs[i:])
     buckets, levels = state.buckets, state.levels
+    touched = []  # the buckets that hold two or more paths, one of them new
 
     if known < ngens:
         # (product, its paths, how many of them are old, remaining degree);
         # the empty path first, then the old products the new generators fit
         starts = [(0, [()], 1, degree_bound)]
-        for degree in range(1, degree_bound - min(degs[known:]) + 1):
-            starts += [(p, buckets[p], len(buckets[p]), degree_bound - degree) for p in levels.get(degree, ())]
-        fitting: dict[tuple[int, int], list[tuple]] = {}  # (last, remaining) -> [(i, lm, degree)]
+        for left in range(least[known], degree_bound):
+            for p in levels.get(left, ()):
+                paths = buckets[p] if buckets[p].__class__ is list else [buckets[p]]
+                starts.append((p, paths, len(paths), left))
+        fitting: dict = {}  # (last, remaining) -> [(i, lm, rest, whether a generator fits rest, level of rest)]
         for start, paths, count, left in starts:
             stack = [(known, path, start, left) for path in paths[:count]]
             while stack:
@@ -383,67 +419,61 @@ def tete_a_tetes(
                 walk = fitting.get((last, remaining))
                 if walk is None:
                     walk = fitting[last, remaining] = [
-                        (i, lms[i], degs[i]) for i in range(last, ngens) if degs[i] <= remaining
+                        (i, narrow[i], rest, rest >= least[i], levels.setdefault(rest, []))
+                        for i in range(last, ngens)
+                        if (rest := remaining - degs[i]) >= 0
                     ]
-                for i, lm, d in walk:
+                for i, lm, rest, extend, level in walk:
                     longer = path + (i,)
                     product = mono + lm
-                    rest = remaining - d
                     bucket = buckets.get(product)
                     if bucket is None:
-                        buckets[product] = [longer]
-                        levels.setdefault(degree_bound - rest, []).append(product)
+                        buckets[product] = longer
+                        level.append(product)
+                    elif bucket.__class__ is tuple:
+                        buckets[product] = [bucket, longer]
+                        touched.append(product)
                     else:
+                        if bucket[-1][-1] < known:  # its first new path
+                            touched.append(product)
                         bucket.append(longer)
-                    stack.append((i, longer, product, rest))
+                    if extend:
+                        stack.append((i, longer, product, rest))
 
-    bits = [1 << i for i in range(ngens)]  # a path's generators as a bit set
-
-    def dense(path: tuple) -> tuple:
-        vec = [0] * ngens
-        for i in path:
-            vec[i] += 1
-        return tuple(vec)
-
-    def proper_lms(path: tuple, product: Monomial) -> set:
-        """The leading monomials of the products strictly inside `path`."""
+    def proper_lms(path: tuple, product: int) -> set:
+        """The (narrow) leading monomials of the products strictly inside `path`."""
         sums = {0}
         for i in path:
-            lm = lms[i]
+            lm = narrow[i]
             sums |= {s + lm for s in sums}
         sums -= {0, product}
         return sums
 
-    key = order.key
-    minimal, pad = state.minimal, (0,) * (ngens - known)
-    for entry in minimal:
-        entry[1] += pad
-        entry[2] += pad
-    for product, paths in buckets.items():
+    key, minimal = order.key, state.minimal
+    for product in touched:
+        paths = buckets[product]
         n = len(paths)
-        # new paths are appended after the old ones; a bucket without one has no new pair
-        if n < 2 or paths[-1][-1] < known:
-            continue
-        first = n - 1
+        first = n - 1  # new paths are appended after the old ones
         while first and paths[first - 1][-1] >= known:
             first -= 1
-        supports = [reduce(or_, map(bits.__getitem__, path)) for path in paths]
         inner: list = [None] * n  # each path's proper_lms, on first need
+        supports = list(map(set, paths)) if n > 16 else paths  # sets pay off in a large bucket
         for j in range(max(first, 1), n):
-            b, support = paths[j], supports[j]
+            b = paths[j]
+            support = set(b)  # its generators
             for i in range(j):
-                if support & supports[i]:
+                if not support.isdisjoint(supports[i]):
                     continue  # common factor; the reduced pair has its own bucket
                 if inner[i] is None:
                     inner[i] = proper_lms(paths[i], product)
                 if inner[j] is None:
                     inner[j] = proper_lms(b, product)
                 if inner[i].isdisjoint(inner[j]):
-                    va, vb = dense(paths[i]), dense(b)
-                    minimal.append([key(product), min(va, vb), max(va, vb), None])
-    minimal.sort()  # (key, a, b) is unique, so records are never compared
+                    lo, hi = sorted((paths[i], b), key=_side_key)
+                    minimal.append([key(sum(map(lms.__getitem__, lo))), lo, hi, None])
+    minimal.sort(key=lambda entry: (entry[0], _side_key(entry[1]), _side_key(entry[2])))
     state.order, state.degree_bound, state.lms = order, degree_bound, lms
-    return [TeteATete(a, b) for _, a, b, _ in minimal]
+    return [TeteATete(a, b, ngens) for _, a, b, _ in minimal]
 
 
 @dataclass(frozen=True)
@@ -537,7 +567,7 @@ def sagbi_construct(
                 continue
             if product_key != bucket:
                 products, bucket = {}, product_key
-            res = subduct(basis.power_product(a) - basis.power_product(b), basis, products=products)
+            res = subduct(basis._product(_runs(a)) - basis._product(_runs(b)), basis, products=products)
             entry[3] = None if res.remainder else (res.targets, len(basis))
             if res.remainder:
                 pending.append((res.remainder, entry, res.targets))

@@ -1,5 +1,6 @@
 """Subduction, tete-a-tete enumeration, and basis construction."""
 
+import dataclasses
 import io
 import random
 import time
@@ -14,7 +15,9 @@ from screwinv.parsing import format_poly, parse
 from screwinv.poly import Polynomial, TermOrder, VariableSet
 from screwinv.sagbi import (
     GeneratorSet,
+    TeteATete,
     _factor_monomial,
+    _side_key,
     eliminate,
     is_member,
     read_basis_file,
@@ -158,6 +161,11 @@ def _explicit_product(gens, exps):
         for _ in range(e):
             result = result * g
     return result
+
+
+def _exponents(path, n):
+    """The exponent vector of length n of an index path, counted by hand."""
+    return tuple(path.count(i) for i in range(n))
 
 
 def _vectors_up_to(n, degree):
@@ -755,10 +763,35 @@ class TestTeteATetes:
             tete_a_tetes(basis, 2**31)
 
     def test_bound_beyond_recursion_limit(self):
-        # one product per degree, 3000 deep: a recursive search would overflow
+        # one product per degree, 3000 deep: a recursive search would overflow;
+        # carried on to a generator above the bound, which enters no product
         vs = VariableSet(["x"])
         basis = GeneratorSet([parse("x", vs)], vs.default_order())
-        assert tete_a_tetes(basis, 3000) == []
+        assert tete_a_tetes(basis, 3000) == [] == _reference_tete_a_tetes(basis, 3000)
+        _assert_carried_matches([basis, basis.with_added(parse("x^3001", vs))], 3000)
+
+    @pytest.mark.parametrize("bound", [7, 8, 15, 16])
+    def test_exponents_at_the_bound(self, bound):
+        # bucket keys pack a product's exponents in fields of bound.bit_length()
+        # bits; at 7 and 15 an exponent equal to the bound fills its field
+        vs = VariableSet(["x", "y"])
+        x = GeneratorSet([parse("x", vs)], vs.default_order())
+        assert tete_a_tetes(x, bound) == [] == _reference_tete_a_tetes(x, bound)
+        texts = ["y", f"x^{bound}", f"x*y^{bound - 1}", "x*y", f"y^{bound}"]
+        bases = [x]
+        for text in texts:
+            bases.append(bases[-1].with_added(parse(text, vs)))
+        assert _assert_carried_matches(bases, bound)
+        pairs = [(p.a, p.b) for p in tete_a_tetes(bases[3], bound)]  # x, y, x^bound, x*y^(bound - 1)
+        assert pairs == [((0, 0, 0, 1), (1, bound - 1, 0, 0)), ((0, 0, 1, 0), (bound, 0, 0, 0))]
+
+    @pytest.mark.parametrize("bound", [6, 7, 8])
+    def test_generators_above_the_bound(self, bound):
+        # leading monomials of degree 9 and 8 mixed in with ones that fit
+        vs = VariableSet(["x", "y"])
+        gens = [parse(t, vs) for t in ("x^9", "x", "x^7*y^2", "y", "x^3*y^5", "x*y", "x^2")]
+        assert _assert_carried_matches(_grown(gens, vs.default_order()), bound)
+        assert _assert_carried_matches(_grown(gens[::-1], vs.default_order()), bound)
 
     @pytest.mark.parametrize("seed", range(36))
     def test_matches_reference_on_random_sets(self, seed):
@@ -814,6 +847,28 @@ class TestTeteATetes:
         pairs = [(p.a, p.b) for p in tete_a_tetes(basis, bound)]
         assert pairs
         assert pairs == _reference_tete_a_tetes(basis, bound)
+
+
+def _assert_carried_matches(bases, bound):
+    """Enumerate `bases` in turn, carried as `sagbi_construct` carries them;
+    each call must equal a from-scratch one and the reference."""
+    carried = sagbi_module._Enumeration()
+    total = 0
+    for basis in bases:
+        pairs = tete_a_tetes(basis, bound, carried)
+        assert pairs == tete_a_tetes(basis, bound)
+        assert [(p.a, p.b) for p in pairs] == _reference_tete_a_tetes(basis, bound), (basis.gens, bound)
+        total += len(pairs)
+    return total
+
+
+def _grown(gens, order):
+    """`gens` joined one at a time by `with_added`, as a list of bases."""
+    bases = [GeneratorSet(gens[:1], order)]
+    for g in gens[1:]:
+        bases.append(bases[-1].with_added(g))
+    assert bases[-1].gens == tuple(gens)
+    return bases
 
 
 NONHOMOGENEOUS_SEED = (
@@ -982,20 +1037,21 @@ class TestReplay:
         # exactly the steps of its last subduction (the first stage, the
         # insert-phase stage, and one step on the generator the remainder
         # became, if it became one) and reach zero.  The construction
-        # subducts a pair right after building its two power products, so
-        # the spies tell a subducted pair by the identity of `pair.a`.
+        # subducts a pair right after multiplying out its two index paths,
+        # so the spies tell a subducted pair by the identities of its paths
+        # among the pairs of the pass.
         passes, events = [], []
-        enumerate_pairs, original = sagbi_module.tete_a_tetes, sagbi_module.subduct
-        power_product = GeneratorSet.power_product
+        enumerate_pairs, original, runs = sagbi_module.tete_a_tetes, sagbi_module.subduct, sagbi_module._runs
 
         def spy_pairs(basis, bound, carried):
             pairs = enumerate_pairs(basis, bound, carried)
             passes.append((basis, pairs))
+            events.append({(id(pair.path_a), id(pair.path_b)): pair for pair in pairs})
             return pairs
 
-        def spy_power_product(self, exps):
-            events.append(exps)
-            return power_product(self, exps)
+        def spy_runs(path):
+            events.append(path)
+            return runs(path)
 
         def spy_subduct(f, basis, **memo):
             call = [f, basis, None]
@@ -1014,7 +1070,7 @@ class TestReplay:
 
         monkeypatch.setattr(sagbi_module, "tete_a_tetes", spy_pairs)
         monkeypatch.setattr(sagbi_module, "subduct", spy_subduct)
-        monkeypatch.setattr(GeneratorSet, "power_product", spy_power_product)
+        monkeypatch.setattr(sagbi_module, "_runs", spy_runs)
         rng = random.Random(19)
         cases = [(_random_seed(rng, homogeneous=k % 2 == 0), rng.randint(3, 5)) for k in range(200)]
         cases += [(_nonhomogeneous_seed(), bound) for bound in (3, 4, 5)]
@@ -1026,15 +1082,19 @@ class TestReplay:
             passes.clear()
             events.clear()
             sagbi_construct(seed, degree_bound=bound, max_iterations=6)
-            owner = {id(pair.a): pair for _, pairs in passes for pair in pairs}
-            subducted, follow, pair = {}, {}, None  # pair -> its call; input id -> call
+            subducted, follow, owner, sides = {}, {}, {}, []  # pair -> its call; input id -> call
             for event in events:
-                if isinstance(event, tuple):
-                    pair = owner.get(id(event), pair)
-                elif pair is not None:
-                    subducted[id(pair)], pair = event, None
+                if isinstance(event, dict):  # a pass starts: its pairs by their paths
+                    owner = event
+                elif isinstance(event, tuple):
+                    sides.append(id(event))
                 else:
-                    follow[id(event[0])] = event
+                    pair = owner.get(tuple(sides[-2:]))
+                    sides.clear()
+                    if pair is not None:
+                        subducted[id(pair)] = event
+                    else:
+                        follow[id(event[0])] = event
             last = {}  # pair, trailing zeros stripped -> steps of its last subduction
             for basis, pairs in passes:
                 for pair in pairs:
@@ -1072,12 +1132,11 @@ class TestStepProductScope:
     no memo serves two generator sets."""
 
     def test_memo_per_bucket_and_per_generator_set(self, monkeypatch):
-        # The construction builds a pair's two power products just before it
-        # subducts the pair, so a subduct call right after the product of a
-        # pair's vector is that pair's; any other call is the insert phase's.
-        enumerate_pairs, original = sagbi_module.tete_a_tetes, sagbi_module.subduct
-        power_product = GeneratorSet.power_product
-        bucket_of, last = {}, [None]  # id(pair vector) -> product key; last vector built outside subduct
+        # The construction multiplies out a pair's two index paths just
+        # before it subducts the pair, so a subduct call right after a pair's
+        # path is that pair's; any other call is the insert phase's.
+        enumerate_pairs, original, runs = sagbi_module.tete_a_tetes, sagbi_module.subduct, sagbi_module._runs
+        bucket_of, last = {}, [None]  # id(pair path) -> product key; last path multiplied out
         calls = []  # (products, basis, product key or None in the insert phase)
 
         def spy_pairs(basis, bound, carried):
@@ -1087,20 +1146,20 @@ class TestStepProductScope:
                 bucket_of[id(a)] = bucket_of[id(b)] = product_key
             return pairs
 
-        def spy_power_product(self, exps):
-            last[0] = exps
-            return power_product(self, exps)
+        def spy_runs(path):
+            last[0] = path
+            return runs(path)
 
         def spy_subduct(f, basis, **memo):
-            exps, last[0] = last[0], None
-            calls.append((memo["products"], basis, bucket_of.get(id(exps))))
+            path, last[0] = last[0], None
+            calls.append((memo["products"], basis, bucket_of.get(id(path))))
             res = original(f, basis, **memo)
             last[0] = None
             return res
 
         monkeypatch.setattr(sagbi_module, "tete_a_tetes", spy_pairs)
         monkeypatch.setattr(sagbi_module, "subduct", spy_subduct)
-        monkeypatch.setattr(GeneratorSet, "power_product", spy_power_product)
+        monkeypatch.setattr(sagbi_module, "_runs", spy_runs)
         rng = random.Random(24)
         cases = [(_random_seed(rng, homogeneous=k % 2 == 0), rng.randint(3, 5)) for k in range(60)]
         cases += [(_nonhomogeneous_seed(), 4), (pullback(ActionKind.TRANSLATION_SUB, 2).seed_generators(), 6)]
@@ -1131,26 +1190,6 @@ class TestCarriedEnumeration:
     """`tete_a_tetes` extended across `with_added` equals a from-scratch
     enumeration and the reference, and refuses state that does not fit."""
 
-    @staticmethod
-    def _assert_carried_matches(bases, bound):
-        carried = sagbi_module._Enumeration()
-        total = 0
-        for basis in bases:
-            pairs = tete_a_tetes(basis, bound, carried)
-            assert pairs == tete_a_tetes(basis, bound)
-            assert [(p.a, p.b) for p in pairs] == _reference_tete_a_tetes(basis, bound), (basis.gens, bound)
-            total += len(pairs)
-        return total
-
-    @staticmethod
-    def _grown(gens, order):
-        """`gens` joined one at a time by `with_added`, as a list of bases."""
-        bases = [GeneratorSet(gens[:1], order)]
-        for g in gens[1:]:
-            bases.append(bases[-1].with_added(g))
-        assert bases[-1].gens == tuple(gens)
-        return bases
-
     def test_random_seeds_grown_one_at_a_time(self):
         # the constructed bases, in their own order and reversed, so that a
         # later generator often has a lower degree than the earlier ones
@@ -1163,13 +1202,13 @@ class TestCarriedEnumeration:
             bound = rng.randint(3, 5)
             gens = list(sagbi_construct(seed, degree_bound=bound, max_iterations=6).basis.gens)
             for ordered in (gens, gens[::-1]):
-                total += self._assert_carried_matches(self._grown(ordered, seed.order), bound)
+                total += _assert_carried_matches(_grown(ordered, seed.order), bound)
         assert total > 500
 
     def test_nonhomogeneous_seed_grown_one_at_a_time(self):
         seed = _nonhomogeneous_seed()
         gens = list(sagbi_construct(seed, degree_bound=4).basis.gens)
-        assert self._assert_carried_matches(self._grown(gens, seed.order), 4)
+        assert _assert_carried_matches(_grown(gens, seed.order), 4)
 
     @pytest.mark.parametrize("m, bound", [(m, bound) for m in (1, 2, 3) for bound in (4, 5, 6)])
     def test_translation_passes(self, monkeypatch, m, bound):
@@ -1186,27 +1225,29 @@ class TestCarriedEnumeration:
         sagbi_construct(seed, degree_bound=bound)
         monkeypatch.undo()
         assert len(bases) >= 2
-        assert self._assert_carried_matches(bases, bound)
+        assert _assert_carried_matches(bases, bound)
 
     def test_lower_degree_generator_added(self):
         # the new generators' degrees lie below every old one's, so old
         # products of every degree are extended
         vs = VariableSet(["x", "y"])
         gens = [parse(t, vs) for t in ("x^3", "y^3", "x*y^2", "x^2*y", "x*y", "x", "y")]
-        bases = self._grown(gens, vs.default_order())
+        bases = _grown(gens, vs.default_order())
         for bound in (3, 4, 6):
-            assert self._assert_carried_matches(bases, bound)
+            assert _assert_carried_matches(bases, bound)
 
     def test_records_stay_with_their_pairs(self):
-        # an old entry is padded in place and keeps its record; a new one starts at None
+        # an old entry stays in place with its paths and record; a new one starts at None
         vs = VariableSet(["x", "y"])
         gens = [parse(t, vs) for t in ("x^2", "x*y", "y^2", "x", "y")]
-        bases = self._grown(gens, vs.default_order())
+        bases = _grown(gens, vs.default_order())
         carried = sagbi_module._Enumeration()
         marks = {}
         for basis in bases:
             pairs = tete_a_tetes(basis, 4, carried)
-            assert [(p.a, p.b) for p in pairs] == [(a, b) for _, a, b, _ in carried.minimal]
+            assert [(p.path_a, p.path_b) for p in pairs] == [(a, b) for _, a, b, _ in carried.minimal]
+            n = len(basis)
+            assert [(p.a, p.b) for p in pairs] == [(_exponents(a, n), _exponents(b, n)) for _, a, b, _ in carried.minimal]
             for entry in carried.minimal:
                 mark = marks.get(id(entry))
                 assert entry[3] is mark
@@ -1230,6 +1271,69 @@ class TestCarriedEnumeration:
         # a refusal leaves the state as it was
         grown = basis.with_added(parse("x^2", vs))
         assert tete_a_tetes(grown, 4, carried) == tete_a_tetes(grown, 4)
+
+
+class TestSparsePairs:
+    """A pair is kept as two index paths; exponent vectors are built only
+    when a caller asks for them."""
+
+    def test_side_key_orders_as_exponent_vectors(self):
+        rng = random.Random(25)
+        n, kinds = 6, set()
+
+        def path(low=0):
+            return tuple(sorted(rng.randrange(low, n) for _ in range(rng.randint(0, 5))))
+
+        for k in range(3000):
+            p = path()
+            cut = rng.randint(0, len(p))
+            kind = k % 4
+            if kind == 0:  # unrelated
+                q = path()
+            elif kind == 1:  # one a prefix of the other
+                q = p[:cut]
+            elif kind == 2:  # a shared prefix, then their own tails
+                q = p[:cut] + path(p[cut - 1] if cut else 0)
+            else:  # the same indices, one repeated once more
+                q = tuple(sorted(p + p[cut:cut + 1])) if p else ()
+            if rng.random() < 0.5:
+                p, q = q, p
+            dp, dq = _exponents(p, n), _exponents(q, n)
+            assert (_side_key(p) < _side_key(q)) == (dp < dq), (p, q)
+            assert (_side_key(p) == _side_key(q)) == (dp == dq), (p, q)
+            kinds.add((kind, (dp > dq) - (dp < dq)))
+        assert len(kinds) >= 10  # each kind is met with both orders, and equality too
+
+    def test_construction_builds_no_exponent_vector(self, monkeypatch):
+        built = []
+        for side in ("a", "b"):
+            vector = getattr(TeteATete, side).fget
+            monkeypatch.setattr(TeteATete, side, property(lambda p, side=side, vector=vector: built.append(side) or vector(p)))
+        seed = pullback(ActionKind.TRANSLATION_SUB, 2).seed_generators()
+        res = sagbi_construct(seed, degree_bound=6)
+        assert res.complete and built == []
+        pair = tete_a_tetes(res.basis, 6)[0]
+        assert (pair.a, pair.b) and built == ["a", "b"]  # the spies do see an access
+
+    def test_returned_pairs_keep_their_generator_count(self):
+        # the carried call over a grown basis leaves a pair it returned before as it was
+        vs = VariableSet(["x", "y"])
+        bases = _grown([parse(t, vs) for t in ("x^2", "x*y", "y^2", "x", "y")], vs.default_order())
+        carried = sagbi_module._Enumeration()
+        before = tete_a_tetes(bases[2], 4, carried)
+        seen = [(p.a, p.b, hash(p), repr(p)) for p in before]
+        assert before == tete_a_tetes(bases[2], 4) and len(before) == 1
+        after = tete_a_tetes(bases[4], 4, carried)
+        assert before == tete_a_tetes(bases[2], 4)
+        assert [(p.a, p.b, hash(p), repr(p)) for p in before] == seen
+        assert all(len(p.a) == len(p.b) == 3 for p in before)
+        assert seen[0][3] == "TeteATete(a=(0, 2, 0), b=(1, 0, 1))"
+        # the same relation over the grown basis is another pair, over five generators
+        assert before[0] not in after
+        again = after[after.index(TeteATete((1, 1), (0, 2), 5))]
+        assert (again.a, again.b) == ((0, 2, 0, 0, 0), (1, 0, 1, 0, 0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            before[0].ngens = 5
 
 
 class TestEliminate:
