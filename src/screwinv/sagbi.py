@@ -21,9 +21,9 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import accumulate, compress, groupby
+from itertools import accumulate, compress
 from operator import neg
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 from ._kernel import FIELD_BITS, terms_add_into
 from .parsing import format_poly, parse
@@ -93,18 +93,20 @@ class GeneratorSet:
         grown._fill(self.order, list(self.gens), list(self._lms), list(self._ranked), new_gens, dict(self._powers))
         return grown
 
-    def power_product(self, exps: Sequence[int]) -> Polynomial:
+    def power_product(self, exps: Sequence[int] | dict[int, int]) -> Polynomial:
         """The product of generator powers with the given exponent vector.
 
-        Each power ``g_i ** e`` is computed once per generator set and
-        cached under ``(i, e)``; whole products are not cached here, since
-        there are far more of them than powers (`subduct` can memoize its
-        own).  The factors are multiplied in generator order.
+        `exps` is a dense exponent vector, or a dict from generator index to
+        exponent (the ``Counter`` of an index path).  Each power
+        ``g_i ** e`` is computed once per generator set and cached under
+        ``(i, e)``; whole products are not cached here, since there are far
+        more of them than powers (`subduct` can memoize its own).  The
+        factors are multiplied in generator order (a dict's in its order).
         """
-        return self._product((i, exps[i]) for i in compress(range(len(self.gens)), exps))
-
-    def _product(self, factors: Iterable[tuple[int, int]]) -> Polynomial:
-        """`power_product` of the ``(i, e)`` pairs of an exponent vector, by increasing i."""
+        if isinstance(exps, dict):
+            factors = exps.items()
+        else:
+            factors = ((i, exps[i]) for i in compress(range(len(self.gens)), exps))
         result = None
         gens, powers = self.gens, self._powers
         for i, e in factors:
@@ -282,11 +284,6 @@ def subduct(f: Polynomial, basis: GeneratorSet, *, products: dict | None = None)
     return SubductionResult(remainder, Certificate(cert_terms, basis), tuple(targets))
 
 
-def _runs(path: tuple) -> Iterator[tuple[int, int]]:
-    """``(i, e)`` for each generator index i that an index path lists e times."""
-    return ((i, len(tuple(run))) for i, run in groupby(path))
-
-
 def _side_key(path: tuple) -> tuple:
     """Orders index paths as their exponent vectors do: where two differ first, the smaller
     index is the larger vector's (one more factor of it), and a proper prefix is smaller."""
@@ -297,7 +294,11 @@ def _side_key(path: tuple) -> tuple:
 class TeteATete:
     """Two disjoint generator power products with equal leading monomials,
     kept as ascending index paths over `ngens` generators (an index once
-    per factor); `a` and `b`, the exponent vectors, are built on access."""
+    per factor); `a` and `b`, the exponent vectors, are built on access.
+
+    Only `tete_a_tetes` builds pairs.  Equality and hashing compare the
+    paths, which agree with comparing `a` and `b` because the paths are
+    ascending; the repr shows the vectors, not the constructor's fields."""
 
     path_a: tuple
     path_b: tuple
@@ -411,7 +412,7 @@ def tete_a_tetes(
             for p in levels.get(left, ()):
                 paths = buckets[p] if buckets[p].__class__ is list else [buckets[p]]
                 starts.append((p, paths, len(paths), left))
-        fitting: dict = {}  # (last, remaining) -> [(i, lm, rest, whether a generator fits rest, level of rest)]
+        fitting: dict = {}  # (last, remaining) -> [(i, lm, rest, whether a generator fits rest)]
         for start, paths, count, left in starts:
             stack = [(known, path, start, left) for path in paths[:count]]
             while stack:
@@ -419,17 +420,17 @@ def tete_a_tetes(
                 walk = fitting.get((last, remaining))
                 if walk is None:
                     walk = fitting[last, remaining] = [
-                        (i, narrow[i], rest, rest >= least[i], levels.setdefault(rest, []))
+                        (i, narrow[i], rest, rest >= least[i])
                         for i in range(last, ngens)
                         if (rest := remaining - degs[i]) >= 0
                     ]
-                for i, lm, rest, extend, level in walk:
+                for i, lm, rest, extend in walk:
                     longer = path + (i,)
                     product = mono + lm
                     bucket = buckets.get(product)
                     if bucket is None:
                         buckets[product] = longer
-                        level.append(product)
+                        levels.setdefault(rest, []).append(product)
                     elif bucket.__class__ is tuple:
                         buckets[product] = [bucket, longer]
                         touched.append(product)
@@ -457,12 +458,11 @@ def tete_a_tetes(
         while first and paths[first - 1][-1] >= known:
             first -= 1
         inner: list = [None] * n  # each path's proper_lms, on first need
-        supports = list(map(set, paths)) if n > 16 else paths  # sets pay off in a large bucket
         for j in range(max(first, 1), n):
             b = paths[j]
             support = set(b)  # its generators
             for i in range(j):
-                if not support.isdisjoint(supports[i]):
+                if not support.isdisjoint(paths[i]):
                     continue  # common factor; the reduced pair has its own bucket
                 if inner[i] is None:
                     inner[i] = proper_lms(paths[i], product)
@@ -567,7 +567,7 @@ def sagbi_construct(
                 continue
             if product_key != bucket:
                 products, bucket = {}, product_key
-            res = subduct(basis._product(_runs(a)) - basis._product(_runs(b)), basis, products=products)
+            res = subduct(basis.power_product(Counter(a)) - basis.power_product(Counter(b)), basis, products=products)
             entry[3] = None if res.remainder else (res.targets, len(basis))
             if res.remainder:
                 pending.append((res.remainder, entry, res.targets))

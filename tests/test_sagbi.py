@@ -447,6 +447,12 @@ class TestPowerCache:
         basis = self._small_set()
         assert basis.power_product((0, 0, 0)) == Polynomial.constant(basis.order.varset, 1)
 
+    def test_index_counts_give_the_dense_product(self):
+        basis = self._small_set()
+        for exps in _vectors_up_to(len(basis), 4):
+            counts = {i: e for i, e in enumerate(exps) if e}
+            assert basis.power_product(counts) == basis.power_product(exps)
+
 
 class TestSubduction:
     def test_non_descending_step_raises(self, monkeypatch):
@@ -1041,7 +1047,7 @@ class TestReplay:
         # so the spies tell a subducted pair by the identities of its paths
         # among the pairs of the pass.
         passes, events = [], []
-        enumerate_pairs, original, runs = sagbi_module.tete_a_tetes, sagbi_module.subduct, sagbi_module._runs
+        enumerate_pairs, original, counts = sagbi_module.tete_a_tetes, sagbi_module.subduct, sagbi_module.Counter
 
         def spy_pairs(basis, bound, carried):
             pairs = enumerate_pairs(basis, bound, carried)
@@ -1049,9 +1055,9 @@ class TestReplay:
             events.append({(id(pair.path_a), id(pair.path_b)): pair for pair in pairs})
             return pairs
 
-        def spy_runs(path):
+        def spy_counts(path):
             events.append(path)
-            return runs(path)
+            return counts(path)
 
         def spy_subduct(f, basis, **memo):
             call = [f, basis, None]
@@ -1070,7 +1076,7 @@ class TestReplay:
 
         monkeypatch.setattr(sagbi_module, "tete_a_tetes", spy_pairs)
         monkeypatch.setattr(sagbi_module, "subduct", spy_subduct)
-        monkeypatch.setattr(sagbi_module, "_runs", spy_runs)
+        monkeypatch.setattr(sagbi_module, "Counter", spy_counts)
         rng = random.Random(19)
         cases = [(_random_seed(rng, homogeneous=k % 2 == 0), rng.randint(3, 5)) for k in range(200)]
         cases += [(_nonhomogeneous_seed(), bound) for bound in (3, 4, 5)]
@@ -1135,7 +1141,7 @@ class TestStepProductScope:
         # The construction multiplies out a pair's two index paths just
         # before it subducts the pair, so a subduct call right after a pair's
         # path is that pair's; any other call is the insert phase's.
-        enumerate_pairs, original, runs = sagbi_module.tete_a_tetes, sagbi_module.subduct, sagbi_module._runs
+        enumerate_pairs, original, counts = sagbi_module.tete_a_tetes, sagbi_module.subduct, sagbi_module.Counter
         bucket_of, last = {}, [None]  # id(pair path) -> product key; last path multiplied out
         calls = []  # (products, basis, product key or None in the insert phase)
 
@@ -1146,9 +1152,9 @@ class TestStepProductScope:
                 bucket_of[id(a)] = bucket_of[id(b)] = product_key
             return pairs
 
-        def spy_runs(path):
+        def spy_counts(path):
             last[0] = path
-            return runs(path)
+            return counts(path)
 
         def spy_subduct(f, basis, **memo):
             path, last[0] = last[0], None
@@ -1159,7 +1165,7 @@ class TestStepProductScope:
 
         monkeypatch.setattr(sagbi_module, "tete_a_tetes", spy_pairs)
         monkeypatch.setattr(sagbi_module, "subduct", spy_subduct)
-        monkeypatch.setattr(sagbi_module, "_runs", spy_runs)
+        monkeypatch.setattr(sagbi_module, "Counter", spy_counts)
         rng = random.Random(24)
         cases = [(_random_seed(rng, homogeneous=k % 2 == 0), rng.randint(3, 5)) for k in range(60)]
         cases += [(_nonhomogeneous_seed(), 4), (pullback(ActionKind.TRANSLATION_SUB, 2).seed_generators(), 6)]
@@ -1314,6 +1320,33 @@ class TestSparsePairs:
         assert res.complete and built == []
         pair = tete_a_tetes(res.basis, 6)[0]
         assert (pair.a, pair.b) and built == ["a", "b"]  # the spies do see an access
+
+    def test_equality_follows_exponent_vectors(self):
+        vs = VariableSet(["x", "y"])
+        bases = _grown([parse(t, vs) for t in ("x^2", "x*y", "y^2", "x", "y")], vs.default_order())
+        carried = sagbi_module._Enumeration()
+        pairs = [p for basis in bases for p in tete_a_tetes(basis, 4, carried) + tete_a_tetes(basis, 4)]
+        assert len({(p.a, p.b) for p in pairs}) > 10
+        for p in pairs:
+            for q in pairs:
+                assert (p == q) == ((p.a, p.b) == (q.a, q.b))
+                assert p != q or hash(p) == hash(q)
+
+    def test_pair_products_go_through_power_product(self, monkeypatch):
+        # every product of the pair phase is one `power_product` call, so
+        # callers that count or wrap that method see the pair phase too
+        real, sparse = GeneratorSet.power_product, []
+
+        def spy(self, exps):
+            if isinstance(exps, dict):
+                sparse.append(exps)
+            return real(self, exps)
+
+        monkeypatch.setattr(GeneratorSet, "power_product", spy)
+        seed = pullback(ActionKind.TRANSLATION_SUB, 2).seed_generators()
+        assert sagbi_construct(seed, degree_bound=4).complete
+        assert sparse and len(sparse) % 2 == 0  # both sides of each subducted pair
+        assert all(list(c) == sorted(c) and all(c.values()) for c in sparse)
 
     def test_returned_pairs_keep_their_generator_count(self):
         # the carried call over a grown basis leaves a pair it returned before as it was
