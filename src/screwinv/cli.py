@@ -186,10 +186,9 @@ def cmd_subduct(args) -> tuple[int, list[str], dict]:
     result = subduct(f, basis)
     lines = [f"remainder: {format_poly(result.remainder, basis.order)}"]
     cert_items = []
-    for exps, coeff in sorted(result.certificate.terms.items()):
-        factors = " * ".join(
-            f"g{i + 1}^{e}" if e > 1 else f"g{i + 1}" for i, e in enumerate(exps) if e
-        )
+    # (-index, exponent) per pair sorts the products as dense exponent vectors do: the printed order
+    for exps, coeff in sorted(result.certificate.terms.items(), key=lambda item: [(-i, e) for i, e in item[0]]):
+        factors = " * ".join(f"g{i + 1}^{e}" if e > 1 else f"g{i + 1}" for i, e in exps)
         cert_items.append({"coefficient": str(coeff), "product": factors or "1"})
         lines.append(f"certificate: {coeff} * {factors or '1'}")
     if not cert_items:

@@ -21,7 +21,7 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import accumulate, compress
+from itertools import accumulate
 from operator import neg
 from typing import IO, Iterable, Sequence
 
@@ -39,13 +39,15 @@ class GeneratorSet:
     candidate is re-inserted; an exact duplicate melts away to zero and is
     dropped.
 
-    A set holds its leading monomials in index order, the divisor index
-    `_ranked` that `_factor_monomial` reads (``(index, lm)`` pairs, largest
-    ``order.key`` first), generator powers keyed by (index, exponent), and
-    factorizations keyed by target monomial.  `with_added` copies the
-    first three and inserts only the new generators, so the old ones keep
-    their indices and cached powers; it starts the factorizations afresh:
-    a new generator can make a target factor or change the one found.
+    A power product of generators is always a tuple of ``(index, exponent)``
+    pairs in ascending index, every exponent at least 1.  A set holds its
+    leading monomials in index order, the divisor index `_ranked` that
+    `_factor_monomial` reads (``(index, lm)`` pairs, largest ``order.key``
+    first), generator powers keyed by (index, exponent), and factorizations
+    keyed by target monomial.  `with_added` copies the first three and
+    inserts only the new generators, so the old ones keep their indices and
+    cached powers; it starts the factorizations afresh: a new generator can
+    make a target factor or change the one found.
     """
 
     __slots__ = ("gens", "order", "_lms", "_ranked", "_powers", "_factors")
@@ -93,30 +95,19 @@ class GeneratorSet:
         grown._fill(self.order, list(self.gens), list(self._lms), list(self._ranked), new_gens, dict(self._powers))
         return grown
 
-    def power_product(self, exps: Sequence[int] | dict[int, int]) -> Polynomial:
-        """The product of generator powers with the given exponent vector.
-
-        `exps` is a dense exponent vector, or a dict from generator index to
-        exponent (the ``Counter`` of an index path).  Each power
-        ``g_i ** e`` is computed once per generator set and cached under
-        ``(i, e)``; whole products are not cached here, since there are far
-        more of them than powers (`subduct` can memoize its own).  The
-        factors are multiplied in generator order (a dict's in its order).
-        """
-        if isinstance(exps, dict):
-            factors = exps.items()
-        else:
-            factors = ((i, exps[i]) for i in compress(range(len(self.gens)), exps))
+    def power_product(self, exps: Iterable[tuple[int, int]]) -> Polynomial:
+        """The product of the powers ``g_i ** e`` over the ``(i, e)`` pairs
+        `exps`, multiplied in the order given.  Each power is cached under
+        ``(i, e)`` for the set; whole products, far more numerous, are not
+        (`subduct` can memoize its own)."""
         result = None
         gens, powers = self.gens, self._powers
-        for i, e in factors:
+        for i, e in exps:
             power = powers.get((i, e))
             if power is None:
                 power = powers[i, e] = gens[i] ** e
             result = power if result is None else result * power
-        if result is None:
-            return Polynomial.constant(self.order.varset, 1)
-        return result
+        return Polynomial.constant(self.order.varset, 1) if result is None else result
 
     def __len__(self) -> int:
         return len(self.gens)
@@ -132,8 +123,9 @@ class GeneratorSet:
 class Certificate:
     """Subducted part written as a sum of scaled generator power products.
 
-    `terms` maps a generator exponent vector to its scalar coefficient;
-    evaluating against the basis reconstructs input - remainder exactly.
+    `terms` maps a generator power product, as ``(index, exponent)`` pairs,
+    to its scalar coefficient; evaluating against the basis reconstructs
+    input - remainder exactly.
     """
 
     terms: dict
@@ -162,13 +154,13 @@ class SubductionResult:
 def _factor_monomial(target: Monomial, basis: GeneratorSet):
     """Write `target` as a product of the leading monomials of `basis`.
 
-    Returns an exponent vector over the generators, or None when no exact
-    factorization exists.  Complete depth-first search over the generators
-    whose leading monomial divides `target` (no other can take part),
-    largest leading monomial under the order first, so the answer is
-    deterministic.  On packed monomials, `lm` divides `target` exactly
-    when ``target - lm`` has no guard bit set: a field of `lm` above
-    `target`'s borrows into its own guard bit.
+    Returns the exponents as ``(index, exponent)`` pairs in ascending index,
+    or None when no exact factorization exists.  Complete depth-first search
+    over the generators whose leading monomial divides `target` (no other
+    can take part), largest leading monomial under the order first, so the
+    answer is deterministic.  On packed monomials, `lm` divides `target`
+    exactly when ``target - lm`` has no guard bit set: a field of `lm`
+    above `target`'s borrows into its own guard bit.
 
     The candidates come ranked off the set's divisor index, and nothing is
     unpacked: each level finds the largest e with ``e * lm`` dividing what
@@ -183,7 +175,7 @@ def _factor_monomial(target: Monomial, basis: GeneratorSet):
     fill = guard - (guard >> (FIELD_BITS - 1))
     union = 0  # steps: smallest candidate first, each with the fields it or a smaller one flags
     steps = [(i, lm, union := union | (lm + fill)) for i, lm in reversed(basis._ranked) if not (target - lm) & guard]
-    result = [0] * len(basis)
+    result = {}  # candidate index -> the exponent being tried
 
     def rec(left: int, remaining: Monomial) -> bool:  # over steps[:left], largest first
         if not remaining:
@@ -211,7 +203,7 @@ def _factor_monomial(target: Monomial, basis: GeneratorSet):
         result[i] = 0
         return False
 
-    return tuple(result) if rec(len(steps), target) else None
+    return tuple(sorted((i, e) for i, e in result.items() if e)) if rec(len(steps), target) else None
 
 
 def subduct(f: Polynomial, basis: GeneratorSet, *, products: dict | None = None) -> SubductionResult:
@@ -290,25 +282,19 @@ def _side_key(path: tuple) -> tuple:
     return tuple(map(neg, path))
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True)
 class TeteATete:
     """Two disjoint generator power products with equal leading monomials,
-    kept as ascending index paths over `ngens` generators (an index once
-    per factor); `a` and `b`, the exponent vectors, are built on access.
-
-    Only `tete_a_tetes` builds pairs.  Equality and hashing compare the
-    paths, which agree with comparing `a` and `b` because the paths are
-    ascending; the repr shows the vectors, not the constructor's fields."""
+    kept as ascending index paths (an index once per factor), as only
+    `tete_a_tetes` builds them; `a` and `b`, their ``(index, exponent)``
+    pairs, are built on access.  Equality and hashing compare the paths,
+    which is comparing `a` and `b`, since the paths are ascending."""
 
     path_a: tuple
     path_b: tuple
-    ngens: int
 
-    a = property(lambda self: tuple(map(Counter(self.path_a).__getitem__, range(self.ngens))))
-    b = property(lambda self: tuple(map(Counter(self.path_b).__getitem__, range(self.ngens))))
-
-    def __repr__(self) -> str:
-        return f"TeteATete(a={self.a!r}, b={self.b!r})"
+    a = property(lambda self: tuple(Counter(self.path_a).items()))
+    b = property(lambda self: tuple(Counter(self.path_b).items()))
 
 
 class _Enumeration:
@@ -320,7 +306,7 @@ class _Enumeration:
     bare and more in a list; those keys listed by remaining degree; and the
     minimal pairs as ``[order key of the product, a, b, record]``, with `a`
     and `b` index paths and `sagbi_construct`'s replay record (None when
-    new), sorted as the key and exponent vectors.  An empty one (no leading
+    new), sorted by the key, then by `_side_key`.  An empty one (no leading
     monomials yet) makes the next call enumerate from scratch.
     """
 
@@ -473,7 +459,7 @@ def tete_a_tetes(
                     minimal.append([key(sum(map(lms.__getitem__, lo))), lo, hi, None])
     minimal.sort(key=lambda entry: (entry[0], _side_key(entry[1]), _side_key(entry[2])))
     state.order, state.degree_bound, state.lms = order, degree_bound, lms
-    return [TeteATete(a, b, ngens) for _, a, b, _ in minimal]
+    return [TeteATete(a, b) for _, a, b, _ in minimal]
 
 
 @dataclass(frozen=True)
@@ -567,7 +553,8 @@ def sagbi_construct(
                 continue
             if product_key != bucket:
                 products, bucket = {}, product_key
-            res = subduct(basis.power_product(Counter(a)) - basis.power_product(Counter(b)), basis, products=products)
+            pair = basis.power_product(Counter(a).items()) - basis.power_product(Counter(b).items())
+            res = subduct(pair, basis, products=products)
             entry[3] = None if res.remainder else (res.targets, len(basis))
             if res.remainder:
                 pending.append((res.remainder, entry, res.targets))
