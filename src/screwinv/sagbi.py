@@ -553,8 +553,8 @@ def sagbi_construct(
                 continue
             if product_key != bucket:
                 products, bucket = {}, product_key
-            pair = basis.power_product(Counter(a).items()) - basis.power_product(Counter(b).items())
-            res = subduct(pair, basis, products=products)
+            diff = basis.power_product(Counter(a).items()) - basis.power_product(Counter(b).items())
+            res = subduct(diff, basis, products=products)
             entry[3] = None if res.remainder else (res.targets, len(basis))
             if res.remainder:
                 pending.append((res.remainder, entry, res.targets))
