@@ -25,7 +25,7 @@ from itertools import accumulate
 from operator import neg
 from typing import IO, Iterable, Sequence
 
-from ._kernel import FIELD_BITS, terms_add_into
+from ._kernel import FIELD_BITS, MAX_EXPONENT, terms_add_into
 from .parsing import format_poly, parse
 from .poly import Monomial, Polynomial, TermOrder, VariableSet, _value
 
@@ -42,12 +42,14 @@ class GeneratorSet:
     A power product of generators is always a tuple of ``(index, exponent)``
     pairs in ascending index, every exponent at least 1.  A set holds its
     leading monomials in index order, the divisor index `_ranked` that
-    `_factor_monomial` reads (``(index, lm)`` pairs, largest ``order.key``
-    first), generator powers keyed by (index, exponent), and factorizations
-    keyed by target monomial.  `with_added` copies the first three and
-    inserts only the new generators, so the old ones keep their indices and
-    cached powers; it starts the factorizations afresh: a new generator can
-    make a target factor or change the one found.
+    `_factor_monomial` reads (``(index, lm, fields)`` triples, largest
+    ``order.key`` first, `fields` the ``(shift, exponent)`` pairs of `lm`'s
+    nonzero fields, lowest field first), generator powers keyed by (index,
+    exponent), and factorizations keyed by target monomial.  `with_added`
+    copies the first three and inserts only the new generators, so the old
+    ones keep their indices and cached powers; it starts the factorizations
+    afresh: a new generator can make a target factor or change the one
+    found.
     """
 
     __slots__ = ("gens", "order", "_lms", "_ranked", "_powers", "_factors")
@@ -80,7 +82,8 @@ class GeneratorSet:
                 return  # merge residue in the ground field; adds nothing
             g = g.monic(self.order)
             if lm not in lms:
-                insort(ranked, (len(lms), lm), key=lambda entry: -self.order.key(entry[1]))
+                fields = tuple((FIELD_BITS * k, e) for k, e in enumerate(reversed(self.order.varset.unpack(lm))) if e)
+                insort(ranked, (len(lms), lm, fields), key=lambda entry: -self.order.key(entry[1]))
                 store.append(g)
                 lms.append(lm)
                 return
@@ -162,10 +165,9 @@ def _factor_monomial(target: Monomial, basis: GeneratorSet):
     exactly when ``target - lm`` has no guard bit set: a field of `lm`
     above `target`'s borrows into its own guard bit.
 
-    The candidates come ranked off the set's divisor index, and nothing is
-    unpacked: each level finds the largest e with ``e * lm`` dividing what
-    is left by subtracting ``lm, 2 lm, 4 lm, ...`` while they fit, then the
-    halved multiples (O(log e) steps), and tries e from there down to 0.
+    The candidates come ranked off the set's divisor index, and each level
+    tries e from the largest with ``e * lm`` dividing what is left (0 unless
+    `lm` divides it, else the least quotient of a field by `lm`'s) down to 0.
     A level fails at once when what is left uses a variable that no open
     candidate uses; ``+ fill`` (2^31 - 1 per field) flags the nonzero fields.
     A candidate that uses a variable no smaller candidate uses can only
@@ -174,7 +176,8 @@ def _factor_monomial(target: Monomial, basis: GeneratorSet):
     guard = basis.order.varset.guard
     fill = guard - (guard >> (FIELD_BITS - 1))
     union = 0  # steps: smallest candidate first, each with the fields it or a smaller one flags
-    steps = [(i, lm, union := union | (lm + fill)) for i, lm in reversed(basis._ranked) if not (target - lm) & guard]
+    steps = [(i, lm, fields, union := union | (lm + fill))
+             for i, lm, fields in reversed(basis._ranked) if not (target - lm) & guard]
     result = {}  # candidate index -> the exponent being tried
 
     def rec(left: int, remaining: Monomial) -> bool:  # over steps[:left], largest first
@@ -182,20 +185,14 @@ def _factor_monomial(target: Monomial, basis: GeneratorSet):
             return True
         if not left:
             return False
-        i, lm, covered = steps[left - 1]
+        i, lm, fields, covered = steps[left - 1]
         if (remaining + fill) & ~covered & guard:
             return False
-        emax, rest, k, step = 0, remaining, 1, lm  # step = k * lm, k a power of 2
-        while not (step & guard or (rest - step) & guard):  # fields < 2^32: no carry out
-            rest, emax, k, step = rest - step, emax + k, k << 1, step << 1
-        while k > 1:
-            k, step = k >> 1, step >> 1  # exact: every field of step is even
-            if not (rest - step) & guard:
-                rest, emax = rest - step, emax + k
+        emax = 0 if (remaining - lm) & guard else min([(remaining >> s & MAX_EXPONENT) // e for s, e in fields])
         result[i] = emax
         if rec(left - 1, remaining - emax * lm):
             return True
-        if not (lm + fill) & ~(steps[left - 2][2] if left > 1 else 0) & guard:
+        if not (lm + fill) & ~(steps[left - 2][3] if left > 1 else 0) & guard:
             for e in range(emax - 1, -1, -1):
                 result[i] = e
                 if rec(left - 1, remaining - e * lm):
@@ -332,11 +329,10 @@ def tete_a_tetes(
     bucket of two or more.  The products are found by an extension search:
     each product is extended only by generators of index at least its last
     one whose degree fits the remaining bound, so every product is visited
-    exactly once (and one that none fits is not pushed); the fitting
-    generators are listed once per (last index, remaining degree).  The
-    search keeps its own stack, so a large bound is limited by time, not by
-    the interpreter's recursion limit.  No product exponent exceeds the
-    bound, so the bucket keys pack them in ``degree_bound.bit_length()``-bit
+    exactly once (and one that none fits is not pushed).  The search keeps
+    its own stack, so a large bound is limited by time, not by the
+    interpreter's recursion limit.  No product exponent exceeds the bound,
+    so the bucket keys pack them in ``degree_bound.bit_length()``-bit
     fields, and the product monomial, which a bound below 2^31 keeps from
     overflowing, is summed only for the pairs found.
 
@@ -398,21 +394,15 @@ def tete_a_tetes(
             for p in levels.get(left, ()):
                 paths = buckets[p] if buckets[p].__class__ is list else [buckets[p]]
                 starts.append((p, paths, len(paths), left))
-        fitting: dict = {}  # (last, remaining) -> [(i, lm, rest, whether a generator fits rest)]
         for start, paths, count, left in starts:
             stack = [(known, path, start, left) for path in paths[:count]]
             while stack:
                 last, path, mono, remaining = stack.pop()
-                walk = fitting.get((last, remaining))
-                if walk is None:
-                    walk = fitting[last, remaining] = [
-                        (i, narrow[i], rest, rest >= least[i])
-                        for i in range(last, ngens)
-                        if (rest := remaining - degs[i]) >= 0
-                    ]
-                for i, lm, rest, extend in walk:
+                for i in range(last, ngens):
+                    if (rest := remaining - degs[i]) < 0:
+                        continue
                     longer = path + (i,)
-                    product = mono + lm
+                    product = mono + narrow[i]
                     bucket = buckets.get(product)
                     if bucket is None:
                         buckets[product] = longer
@@ -424,7 +414,7 @@ def tete_a_tetes(
                         if bucket[-1][-1] < known:  # its first new path
                             touched.append(product)
                         bucket.append(longer)
-                    if extend:
+                    if rest >= least[i]:  # some generator still fits
                         stack.append((i, longer, product, rest))
 
     def proper_lms(path: tuple, product: int) -> set:

@@ -75,6 +75,13 @@ class TestPoly:
         assert err.startswith("error: bad assignment 'x=1/0'")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    @pytest.mark.parametrize("flags", [("--format", "--eval", "x=1"), ("--eval", "x=1", "--format")])
+    def test_format_with_eval_exits_1(self, capsys, json_flag, flags):
+        code, out, err = run(capsys, *json_flag, "poly", "x", "--vars", "x", *flags)
+        assert code == 1 and out == ""
+        assert err == "error: --format and --eval are mutually exclusive\n"
+
     def test_non_rational_in_eval_exits_1(self, capsys):
         code, out, err = run(capsys, "poly", "x", "--vars", "x", "--eval", "x=abc")
         assert code == 1 and out == ""

@@ -108,6 +108,9 @@ def _cli_cases() -> dict:
         cases[f"sagbi_pullback_3_bound_5{label}"] = [*argv, *extra]
         cases[f"sagbi_pullback_3_bound_5{label}_json"] = ["--json", *argv, *extra]
     cases["sagbi_chain_max_iter_1"] = ["sagbi", "{chain}", "--max-iter", "1"]
+    # complete at 16 generators, with factorizations using exponents up to 6
+    cases["sagbi_chain_bound_16"] = ["sagbi", "{chain}", "--degree-bound", "16"]
+    cases["sagbi_chain_bound_16_json"] = ["--json", "sagbi", "{chain}", "--degree-bound", "16"]
     for label, argv in (
         ("sagbi_fractional", ["sagbi", "{fractional}"]),
         ("subduct_fractional", ["subduct", "--basis", "{fractional}", "--poly", FRACTIONAL_POLY]),

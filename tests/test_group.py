@@ -486,6 +486,20 @@ class TestSampledInvariance:
         assert f.evaluate(ce.screw.coordinates()) == ce.before
         assert f.evaluate(apply_adjoint(ce.element(), ce.screw).coordinates()) == ce.after
 
+    @pytest.mark.parametrize(
+        "n_samples, m, message",
+        [
+            (0, 1, "need at least one sample"),
+            (-1, 1, "need at least one sample"),
+            (8, 2, "polynomial must live over the 2-screw variable set"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, n_samples, m, message):
+        f = killing_dot(screw_varset(1), 1, 1)
+        with pytest.raises(ValueError) as exc:
+            check_invariant_sampled(f, ActionKind.FULL_ADJOINT, m, n_samples)
+        assert str(exc.value) == message
+
     def test_deterministic_given_seed(self):
         vs = screw_varset(1)
         f = Polynomial.variable(vs, "v11")

@@ -564,6 +564,13 @@ class TestSubstituteEvaluate:
         with pytest.raises(ValueError):
             f.substitute({"x": Polynomial.variable(vs, "x")})
 
+    def test_images_over_two_variable_sets_raise(self):
+        vs, other = VariableSet(["x", "y"]), VariableSet(["x", "y", "z"])
+        f = parse("x*y", vs)
+        images = {"x": Polynomial.variable(vs, "x"), "y": Polynomial.variable(other, "y")}
+        with pytest.raises(ValueError, match="substitution images use mismatched variable sets"):
+            f.substitute(images)
+
     def test_translation_action_fixes_klein(self):
         # v_n -> (T w + v)_n with symbolic t leaves the Klein form unchanged
         space = screw_varset(1)

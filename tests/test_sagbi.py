@@ -223,6 +223,15 @@ def _reference_factor_monomial(target, lms, order_idx):
     return None
 
 
+def _assert_fields_match(basis):
+    """Every divisor-index entry's fields are its leading monomial's nonzero
+    exponents, as ``(shift, exponent)`` pairs, lowest field first."""
+    unpack, n = basis.order.varset.unpack, len(basis.order.varset)
+    for _, lm, fields in basis._ranked:
+        expected = sorted((32 * (n - 1 - v), e) for v, e in enumerate(unpack(lm)) if e)
+        assert list(fields) == expected, (lm, fields)
+
+
 def _assert_factorizations_match(targets, lms, order):
     """The search, on the divisor index of the set of monomial generators
     `lms`, and its reference, on exponent tuples, agree on every target,
@@ -231,7 +240,8 @@ def _assert_factorizations_match(targets, lms, order):
     pack = order.varset.pack
     basis = GeneratorSet([Polynomial(order.varset, {lm: 1}) for lm in lms], order)
     assert basis.leading_monomials() == tuple(map(pack, lms))
-    assert basis._ranked == tuple((i, pack(lms[i])) for i in idx)
+    assert [(i, lm) for i, lm, _ in basis._ranked] == [(i, pack(lms[i])) for i in idx]
+    _assert_fields_match(basis)
     factored = 0
     for target in targets:
         got = _factor_monomial(pack(target), basis)
@@ -320,10 +330,12 @@ class TestWithAdded:
         assert grown._ranked == scratch._ranked
         # the index lists every generator once, largest leading monomial first
         key = basis.order.key
-        assert sorted(i for i, _ in grown._ranked) == list(range(len(grown)))
-        assert all(grown.leading_monomials()[i] == lm for i, lm in grown._ranked)
-        keys = [key(lm) for _, lm in grown._ranked]
+        entries = [(i, lm) for i, lm, _ in grown._ranked]
+        assert sorted(i for i, _ in entries) == list(range(len(grown)))
+        assert all(grown.leading_monomials()[i] == lm for i, lm in entries)
+        keys = [key(lm) for _, lm in entries]
         assert keys == sorted(keys, reverse=True)
+        _assert_fields_match(grown)
         # the old powers are carried, the old set is left as it was
         assert grown._powers == powers and grown._powers is not basis._powers
         assert (basis.gens, basis._ranked, basis._powers) == (gens, ranked, powers)
@@ -477,6 +489,12 @@ class TestSubduction:
         monkeypatch.setattr(GeneratorSet, "power_product", first_product_cancels_nothing)
         with pytest.raises(RuntimeError, match=r"strictly descend: leading key \(2, 0\) after \(2, 0\)"):
             subduct(parse("x^2 + y", vs), basis)
+
+    def test_wrong_variable_set_rejected(self):
+        vs, other = VariableSet(["x", "y"]), VariableSet(["x", "y", "z"])
+        basis = GeneratorSet([parse("x", vs)], vs.default_order())
+        with pytest.raises(ValueError, match="polynomial over the wrong variable set"):
+            subduct(parse("x", other), basis)
 
     def test_generator_subducts_to_itself(self):
         vs = screw_varset(1)
@@ -645,10 +663,10 @@ class TestFactorMonomial:
         assert 0.3 * cases < factored < cases
 
     def test_exponents_near_the_limit(self):
-        # the largest exponent is found by doubling, so these take a few
-        # dozen steps each.  Doubling 2^30 or more reaches a field's guard
-        # bit, and that multiple is never taken for a fit: (5, 2^30 + 1)
-        # less 3 * (1, 2^30 + 1) has no guard bit set
+        # the largest exponent is one quotient per field, so these take a
+        # step each; no multiple of a leading monomial past a field's guard
+        # bit is ever taken for a fit: (5, 2^30 + 1) less 3 * (1, 2^30 + 1)
+        # has no guard bit set
         order = VariableSet(["x", "y"]).default_order()
         big = 2**31 - 1
         lms = [(2**30, 1), (1, 2**30), (1, 2**30 + 1), (0, 2**30), (1, 0), (0, 1)]
@@ -659,8 +677,8 @@ class TestFactorMonomial:
 
     def test_huge_exponent_in_subduction(self):
         # a generator's lower term reaches y^(32 n); the step that factors
-        # it finds the exponent 32 n by doubling (one unit at a time, this
-        # took seconds)
+        # it finds the exponent 32 n as one field quotient (one unit at a
+        # time, this took seconds)
         vs = VariableSet(["x", "y"])
         n = 100_000
         basis = GeneratorSet([parse(f"x + y^{n}", vs), parse("y", vs)], vs.default_order())
@@ -967,6 +985,13 @@ class TestConstruction:
         vs = VariableSet(["x"])
         with pytest.raises(ValueError):
             sagbi_construct(GeneratorSet([], vs.default_order()))
+
+    @pytest.mark.parametrize("degree_bound, max_iterations", [(0, 16), (-3, 16), (4, 0), (4, -1)])
+    def test_bound_below_1_rejected(self, degree_bound, max_iterations):
+        vs = VariableSet(["x"])
+        seed = GeneratorSet([parse("x", vs)], vs.default_order())
+        with pytest.raises(ValueError, match="bounds must be at least 1"):
+            sagbi_construct(seed, degree_bound, max_iterations)
 
 
 def _reference_construct(seed, degree_bound, max_iterations=16):
@@ -1395,6 +1420,12 @@ class TestEliminate:
         with pytest.raises(ValueError):
             eliminate(res, ["x"])
 
+    def test_every_variable_eliminated_rejected(self):
+        vs = VariableSet(["t1", "x"])
+        res = sagbi_construct(GeneratorSet([parse("x", vs)], vs.default_order()))
+        with pytest.raises(ValueError, match="would remove every variable"):
+            eliminate(res, ["t1", "x"])
+
     def test_elimination_filters_and_renames(self):
         vs = VariableSet(["t1", "x", "y"])
         seed = GeneratorSet([parse("t1*x + y", vs), parse("x", vs)], vs.default_order())
@@ -1461,6 +1492,21 @@ class TestBasisFiles:
     def test_missing_header(self):
         with pytest.raises(ValueError):
             read_basis_file(io.StringIO("w11 + w12\n"))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("order: grevlex x y\nx\n", "line 1: only `lex` orders are supported"),
+            ("order:\nx\n", "line 1: only `lex` orders are supported"),
+            ("order: lex x\ncomplete: maybe\nx\n", "line 2: complete must be true or false"),
+            ("# no header\n\n", "basis file has no `order:` header"),
+            ("", "basis file has no `order:` header"),
+        ],
+    )
+    def test_bad_header_rejected(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            read_basis_file(io.StringIO(text))
+        assert str(exc.value) == message
 
     def test_parse_error_carries_line(self):
         text = "order: lex x y\nx + $\n"

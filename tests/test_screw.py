@@ -87,6 +87,11 @@ class TestPitch:
         with pytest.raises(error):
             Pitch.finite(value)
 
+    @pytest.mark.parametrize("omega, vee", [((0, 1), (0, 0, 0)), ((0, 0, 1), (0, 0)), ((0, 0, 1), (0, 0, 0, 0))])
+    def test_twist_rejects_a_part_without_three_components(self, omega, vee):
+        with pytest.raises(ValueError, match="expected exactly three components"):
+            Twist(omega, vee)
+
     @pytest.mark.parametrize("value, error", INEXACT)
     def test_twist_rejects_inexact_components(self, value, error):
         with pytest.raises(error):
@@ -323,6 +328,11 @@ class TestDhInvariants:
     def test_zero_angular_part_rejected(self):
         with pytest.raises(ValueError):
             dh_invariants(MultiScrew((PRISMATIC, REVOLUTE)))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_needs_exactly_two_screws(self, count):
+        with pytest.raises(ValueError, match="DH pair invariants need exactly two screws"):
+            dh_invariants(MultiScrew((REVOLUTE,) * count))
 
     def test_cauchy_schwarz_violation_raises(self, monkeypatch):
         # a real check, which `python -O` keeps, naming both dot products
