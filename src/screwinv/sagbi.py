@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import accumulate
 from operator import neg
-from typing import IO, Iterable, Sequence
+from types import MappingProxyType
+from typing import IO, Iterable, Mapping, Sequence
 
 from ._kernel import FIELD_BITS, MAX_EXPONENT, terms_add_into
 from .parsing import format_poly, parse
@@ -126,12 +127,12 @@ class GeneratorSet:
 class Certificate:
     """Subducted part written as a sum of scaled generator power products.
 
-    `terms` maps a generator power product, as ``(index, exponent)`` pairs,
-    to its scalar coefficient; evaluating against the basis reconstructs
-    input - remainder exactly.
+    `terms`, a read-only mapping, maps a generator power product, as
+    ``(index, exponent)`` pairs, to its scalar coefficient; evaluating
+    against the basis reconstructs input - remainder exactly.
     """
 
-    terms: dict
+    terms: Mapping
     basis: GeneratorSet
 
     def evaluate(self) -> Polynomial:
@@ -220,10 +221,10 @@ def subduct(f: Polynomial, basis: GeneratorSet, *, products: dict | None = None)
     numbers stay as small as a fresh polynomial's.  `f` is not changed.
 
     `products`, a dict the caller owns and scopes, memoizes step products
-    across calls, keyed by target monomial; a miss is built and stored.  A
-    product is valid for one generator set only, as it follows the
-    factorization that set chose for the target, which a new generator can
-    change; so a dict must never serve two sets.
+    across calls: target -> (factorization, product).  An entry is used
+    only when its factorization is the very tuple this set's factorization
+    memo holds for the target (another set may factor it otherwise); any
+    other is rebuilt and replaced, so one dict may serve several sets.
     """
     order = basis.order
     if f.varset != order.varset:
@@ -255,8 +256,10 @@ def subduct(f: Polynomial, basis: GeneratorSet, *, products: dict | None = None)
         # num/den - (c/den) * p: both over den * p.den, then num -= c * p's map
         if products is None:
             product = basis.power_product(exps)
-        elif (product := products.get(lt_mono)) is None:
-            product = products[lt_mono] = basis.power_product(exps)
+        elif (entry := products.get(lt_mono, (None, None)))[0] is exps:
+            product = entry[1]
+        else:
+            products[lt_mono] = exps, (product := basis.power_product(exps))
         k = product.den
         if k != 1:
             for e in num:
@@ -270,7 +273,7 @@ def subduct(f: Polynomial, basis: GeneratorSet, *, products: dict | None = None)
                     num[e] //= g
                 den //= g
     remainder = Polynomial._raw(order.varset, num, den)
-    return SubductionResult(remainder, Certificate(cert_terms, basis), tuple(targets))
+    return SubductionResult(remainder, Certificate(MappingProxyType(cert_terms), basis), tuple(targets))
 
 
 def _side_key(path: tuple) -> tuple:
@@ -301,13 +304,13 @@ class _Enumeration:
     index path within the bound, bucketed by its product's exponents in
     ``degree_bound.bit_length()``-bit fields, a bucket holding one path
     bare and more in a list; those keys listed by remaining degree; and the
-    minimal pairs as ``[order key of the product, a, b, record]``, with `a`
-    and `b` index paths and `sagbi_construct`'s replay record (None when
-    new), sorted by the key, then by `_side_key`.  An empty one (no leading
-    monomials yet) makes the next call enumerate from scratch.
+    minimal pairs by bucket, keyed by its product's order key, as ``[pair,
+    record]``: the `TeteATete` built when found and `sagbi_construct`'s
+    replay record (None when new), sorted by `_side_key` of the paths.  An
+    empty one (no leading monomials yet) makes the next call start afresh.
     """
 
-    __slots__ = ("order", "degree_bound", "lms", "buckets", "levels", "minimal")
+    __slots__ = ("order", "degree_bound", "lms", "buckets", "levels", "groups")
 
     def __init__(self):
         self.order = None
@@ -315,7 +318,7 @@ class _Enumeration:
         self.lms: tuple[Monomial, ...] = ()
         self.buckets: dict[int, tuple | list[tuple]] = {}
         self.levels: dict[int, list[int]] = {}
-        self.minimal: list[list] = []
+        self.groups: dict[int, list[list]] = {}
 
 
 def tete_a_tetes(
@@ -351,12 +354,13 @@ def tete_a_tetes(
     this basis.  Only paths whose last index is a new generator are added,
     grown from the empty path and from the old paths whose remaining
     degree fits the smallest new generator, and minimality is tested only
-    for pairs with a new path, in the buckets it joins.  An old pair keeps
-    its minimality and index paths: the test above reads only the leading
-    monomials of its own generators, which are unchanged.  The result
-    equals a from-scratch enumeration.  Carried state that does not match
-    the basis raises ValueError; with nothing carried (None or a fresh
-    `_Enumeration`) the call starts from scratch.
+    for pairs with a new path, in the buckets it joins, whose groups alone
+    are sorted again.  An old pair keeps its minimality, and is returned as
+    the same object: the test above reads only the leading monomials of its
+    own generators, which are unchanged.  The result equals a from-scratch
+    enumeration.  Carried state that does not match the basis raises
+    ValueError; with nothing carried (None or a fresh `_Enumeration`) the
+    call starts from scratch.
 
     Memory grows with the index paths, kept whole: as the square of the
     bound for a degree-1 generator ({x}: 9 MiB peak at bound 1,500, 36 MiB
@@ -384,7 +388,7 @@ def tete_a_tetes(
     narrow = [reduce(lambda n, e: n << width | e, es, 0) if d <= degree_bound else None for es, d in zip(exps, degs)]
     least = list(accumulate(reversed(degs), min, initial=degree_bound + 1))[::-1]  # least[i] = min(degs[i:])
     buckets, levels = state.buckets, state.levels
-    touched = []  # the buckets that hold two or more paths, one of them new
+    touched = []  # (product, index of its first new path) per bucket of two or more paths, one of them new
 
     if known < ngens:
         # (product, its paths, how many of them are old, remaining degree);
@@ -409,10 +413,10 @@ def tete_a_tetes(
                         levels.setdefault(rest, []).append(product)
                     elif bucket.__class__ is tuple:
                         buckets[product] = [bucket, longer]
-                        touched.append(product)
+                        touched.append((product, 1))
                     else:
                         if bucket[-1][-1] < known:  # its first new path
-                            touched.append(product)
+                            touched.append((product, len(bucket)))
                         bucket.append(longer)
                     if rest >= least[i]:  # some generator still fits
                         stack.append((i, longer, product, rest))
@@ -426,15 +430,12 @@ def tete_a_tetes(
         sums -= {0, product}
         return sums
 
-    key, minimal = order.key, state.minimal
-    for product in touched:
+    key, groups = order.key, state.groups
+    for product, first in touched:
         paths = buckets[product]
-        n = len(paths)
-        first = n - 1  # new paths are appended after the old ones
-        while first and paths[first - 1][-1] >= known:
-            first -= 1
-        inner: list = [None] * n  # each path's proper_lms, on first need
-        for j in range(max(first, 1), n):
+        inner: list = [None] * len(paths)  # each path's proper_lms, on first need
+        found = []
+        for j in range(first, len(paths)):
             b = paths[j]
             support = set(b)  # its generators
             for i in range(j):
@@ -445,11 +446,13 @@ def tete_a_tetes(
                 if inner[j] is None:
                     inner[j] = proper_lms(b, product)
                 if inner[i].isdisjoint(inner[j]):
-                    lo, hi = sorted((paths[i], b), key=_side_key)
-                    minimal.append([key(sum(map(lms.__getitem__, lo))), lo, hi, None])
-    minimal.sort(key=lambda entry: (entry[0], _side_key(entry[1]), _side_key(entry[2])))
+                    found.append([TeteATete(*sorted((paths[i], b), key=_side_key)), None])
+        if found:
+            group = groups.setdefault(key(sum(map(lms.__getitem__, paths[0]))), [])
+            group += found
+            group.sort(key=lambda entry: (_side_key(entry[0].path_a), _side_key(entry[0].path_b)))
     state.order, state.degree_bound, state.lms = order, degree_bound, lms
-    return [TeteATete(a, b) for _, a, b, _ in minimal]
+    return [pair for k in sorted(groups) for pair, _ in groups[k]]
 
 
 @dataclass(frozen=True)
@@ -513,48 +516,45 @@ def sagbi_construct(
 
     The enumeration is carried too: each pass hands `tete_a_tetes` what the
     last pass's call left, and the call adds only the products through a
-    generator added since.  Each record is kept in its pair's carried
-    entry, so a pair and its record travel together.  The carried
+    generator added since.  A pass walks the carried groups in product
+    order, each record beside its pair in the group's entry.  The carried
     enumeration is local to the call and freed when it returns.
 
     Step products are memoized in bounded scopes (`subduct`'s `products`):
-    one dict per bucket (product monomial) in the pair phase, since pairs
-    of a bucket often meet the same targets, and one per generator set in
-    the insert phase, fresh at every `with_added`, since a product is valid
-    only for the set whose factorization it follows.
+    one dict per group (product monomial) in the pair phase, since pairs of
+    a bucket often meet the same targets, and one per generator set in the
+    insert phase, fresh at every `with_added`, since a product follows the
+    factorization of one set and another set's would only be rebuilt.
     """
     if len(seed) == 0:
         raise ValueError("seed generator set is empty")
     if degree_bound < 1 or max_iterations < 1:
         raise ValueError("bounds must be at least 1")
-    order = seed.order
+    order, basis = seed.order, seed
     guard = order.varset.guard
-    basis = seed
     enumeration = _Enumeration()  # the pairs and their records, carried across passes
     for iterations in range(1, max_iterations + 1):
         lms = basis.leading_monomials()
         # bound before enumerating, so that the last pass's remainders are freed
         pending = []  # (remainder, pair entry, targets)
-        bucket = None  # the product key whose step products `products` holds
         tete_a_tetes(basis, degree_bound, enumeration)
-        for entry in enumeration.minimal:
-            product_key, a, b, record = entry
-            if record is not None and not _divides_any(lms[record[1]:], record[0], guard):
-                continue
-            if product_key != bucket:
-                products, bucket = {}, product_key
-            diff = basis.power_product(Counter(a).items()) - basis.power_product(Counter(b).items())
-            res = subduct(diff, basis, products=products)
-            entry[3] = None if res.remainder else (res.targets, len(basis))
-            if res.remainder:
-                pending.append((res.remainder, entry, res.targets))
+        for _, group in sorted(enumeration.groups.items()):
+            products = {}  # the step products of one bucket
+            for entry in group:
+                pair, record = entry
+                if record is not None and not _divides_any(lms[record[1]:], record[0], guard):
+                    continue
+                res = subduct(basis.power_product(pair.a) - basis.power_product(pair.b), basis, products=products)
+                entry[1] = None if res.remainder else (res.targets, len(basis))
+                if res.remainder:
+                    pending.append((res.remainder, entry, res.targets))
         pending.sort(key=lambda item: order.key(item[0].leading_monomial(order)))
         current, products = basis, {}  # the step products of one generator set
         for r, entry, targets in pending:
             replayable = not _divides_any(current.leading_monomials()[len(basis):], targets, guard)
             res = subduct(r, current, products=products)
             if replayable:
-                entry[3] = (targets + res.targets, len(current))
+                entry[1] = (targets + res.targets, len(current))
             if not res.remainder.is_zero():
                 current, products = current.with_added(res.remainder.monic(order)), {}
         if current is basis:

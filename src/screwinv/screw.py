@@ -411,7 +411,8 @@ class ExactRadical:
     """The exact value num / sqrt(radicand) with radicand > 0.
 
     Keeps square roots unevaluated so every comparison stays rational:
-    equality cross-multiplies squares and compares signs.
+    equality cross-multiplies squares and compares signs.  Immutable, so
+    no inexact value can be assigned in after construction.
     """
 
     __slots__ = ("num", "radicand")
@@ -421,8 +422,11 @@ class ExactRadical:
         radicand = _coerce(radicand)
         if radicand <= 0:
             raise ValueError("radicand must be positive")
-        self.num = num
-        self.radicand = radicand
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "radicand", radicand)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ExactRadical is immutable; cannot set {name!r}")
 
     def __float__(self) -> float:
         """One rounding of the exact square, so a huge num or radicand with a

@@ -591,6 +591,107 @@ class TestVerify:
         monkeypatch.setattr(verification, "det", broken)
         assert not verification.check_gram_syzygy().passed
 
+    @pytest.mark.parametrize("fault", ["count", "element", "flags"])
+    def test_se3_catalog_item_reports_each_failure(self, monkeypatch, fault):
+        import dataclasses
+
+        import screwinv.verification as verification
+
+        real = verification.se3_generator_catalog
+        name, target = real(2).entries[0]
+        catalog, invariant = real, lambda p, kind, m: True
+        if fault == "count":  # one element short at m = 2
+            catalog = lambda m: dataclasses.replace(real(m), entries=real(m).entries[:-1]) if m == 2 else real(m)
+        elif fault == "element":  # one element not invariant
+            invariant = lambda p, kind, m: p != target
+        else:  # no list flagged conjectural
+            catalog = lambda m: dataclasses.replace(real(m), conjectural=False)
+        monkeypatch.setattr(verification, "se3_generator_catalog", catalog)
+        monkeypatch.setattr(verification, "check_invariant_symbolic", invariant)
+        item = verification.check_se3_catalog_invariance()
+        assert item.passed is False
+        assert item.detail == {
+            "count": "m=2: 5 != 6 elements", "element": f"m=2: {name}", "flags": "conjectural flags wrong",
+        }[fault]
+
+    def test_dh_item_fails_when_an_adjoint_moves_the_pair(self, monkeypatch):
+        import screwinv.verification as verification
+        from screwinv.screw import MultiScrew, Twist
+
+        moved = MultiScrew((Twist((0, 0, 1), (0, 0, 0)), Twist((0, 1, 0), (1, 0, 0))))  # cos alpha = 0
+        monkeypatch.setattr(verification, "apply_adjoint", lambda g, pair: moved)
+        item = verification.check_dh_formulas()
+        assert item.passed is False
+        assert item.detail == (
+            "cos_alpha=ExactRadical(4/5), d_sin_alpha=ExactRadical(6/5), d=ExactRadical(2);"
+            " unchanged under 100 sampled adjoints: False"
+        )
+
+    @pytest.mark.parametrize("fault, detail", [
+        ("wrong", "classified R:R, P:R, H:R; invariant under 100 sampled adjoints"),
+        ("changed", "classified R:R, P:P, H:H; changed under a sampled adjoint"),
+    ])
+    def test_pitch_item_reports_a_wrong_or_changed_class(self, monkeypatch, fault, detail):
+        import screwinv.verification as verification
+        from screwinv.screw import JointType, Twist
+
+        if fault == "wrong":  # every twist classified revolute
+            monkeypatch.setattr(verification, "joint_type", lambda t: JointType.R)
+        else:  # every moved twist prismatic, so R and H change class
+            moved = Twist((0, 0, 0), (1, 0, 0))
+            monkeypatch.setattr(verification, "transform_twist", lambda g, t: moved)
+        item = verification.check_pitch_classification()
+        assert item.passed is False and item.detail == detail
+
+    @pytest.mark.parametrize("fault, detail", [
+        ("add", "associativity of + failed"),
+        ("mul", "associativity of * failed"),
+        ("distribute", "distributivity failed"),
+        ("commute", "commutativity failed"),
+        ("reduce", "unreduced rational stored"),
+        ("order", "order multiplicativity failed"),
+        ("round_trip", "round trip failed on "),
+        ("adjoint", "adjoint homomorphism failed"),
+    ])
+    def test_property_item_reports_each_failure(self, monkeypatch, fault, detail):
+        # each fault breaks only the law its message names, so the suites
+        # before it still pass and the item stops at its own message
+        import screwinv.verification as verification
+        from screwinv.group import EuclideanElement
+        from screwinv.poly import Polynomial, TermOrder
+
+        add, mul, compose = Polynomial.__add__, Polynomial.__mul__, EuclideanElement.compose
+        if fault == "add":  # f (+) g = f + 2g
+            monkeypatch.setattr(Polynomial, "__add__", lambda f, g: add(add(f, g), g))
+        elif fault == "mul":  # f (*) g = fg + f
+            monkeypatch.setattr(Polynomial, "__mul__", lambda f, g: add(mul(f, g), f))
+        elif fault == "distribute":  # f (*) g = fg + f + g: associative and commutative
+            monkeypatch.setattr(Polynomial, "__mul__", lambda f, g: add(add(mul(f, g), f), g))
+        elif fault == "commute":  # f (*) g = f(0) g: associative and distributive
+            monkeypatch.setattr(Polynomial, "__mul__", lambda f, g: g.scale(f.terms.get(0, 0)))
+        elif fault == "reduce":  # -f stored over twice its denominator, past `_raw`'s reduction
+            def unreduced(f):
+                g = object.__new__(Polynomial)
+                for slot, value in (("varset", f.varset), ("_num", {e: -2 * c for e, c in f._num.items()}),
+                                    ("den", 2 * f.den)):
+                    getattr(Polynomial, slot).__set__(g, value)
+                return g
+
+            monkeypatch.setattr(Polynomial, "__neg__", unreduced)
+        elif fault == "order":  # the sum of the squared exponents
+            monkeypatch.setattr(TermOrder, "key", lambda order, exps: sum(e * e for e in exps))
+        elif fault == "round_trip":  # every parse doubled
+            real_parse = verification.parse
+            monkeypatch.setattr(verification, "parse", lambda text, vs: real_parse(text, vs).scale(2))
+        else:  # products composed in the wrong order
+            monkeypatch.setattr(EuclideanElement, "compose", lambda g1, g2: compose(g2, g1))
+        item = verification.check_property_suites()
+        assert item.passed is False
+        if fault == "round_trip":  # the first nonzero polynomial, as it prints
+            assert item.detail.startswith(detail) and item.detail != detail and item.detail[-1] != "0"
+        else:
+            assert item.detail == detail
+
     def test_full_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "paper")
         assert code == 0

@@ -178,6 +178,11 @@ class TestPackedLayout:
 
 
 class TestTermOrder:
+    def test_repr_lists_the_priority(self):
+        vs = VariableSet(["x", "y", "z"])
+        assert repr(vs.default_order()) == "TermOrder(lex x y z)"
+        assert repr(TermOrder(vs, ["z", "x", "y"])) == "TermOrder(lex z x y)"
+
     def test_lex_key_and_elimination(self):
         vs = VariableSet(["t1", "x", "y"])
         order = vs.default_order()
@@ -293,6 +298,30 @@ class TestArithmetic:
     def test_bool_coefficient_rejected(self):
         with pytest.raises(ValueError):
             Polynomial(VariableSet(["x", "y"]), {(1, 0): True})
+
+    @pytest.mark.parametrize("method, operation", [
+        ("__add__", lambda f: f + "x"),
+        ("__sub__", lambda f: f - "x"),
+        ("__mul__", lambda f: f * "x"),
+        ("__rmul__", lambda f: "x" * f),
+        ("__truediv__", lambda f: f / "x"),
+        ("__eq__", None),
+    ])
+    def test_str_operand_is_not_implemented(self, method, operation):
+        # so Python raises TypeError for the operators, and == is False
+        f = Polynomial.variable(VariableSet(["x"]), "x")
+        assert getattr(f, method)("x") is NotImplemented
+        if operation is None:
+            assert (f == "x") is False and (f != "x") is True
+        else:
+            with pytest.raises(TypeError):
+                operation(f)
+
+    def test_terms_view_repr(self):
+        vs = VariableSet(["x", "y"])
+        f = parse("x + 1/2*y^2", vs)
+        assert repr(f.terms) == f"_TermsView({dict(f.terms)!r})"
+        assert repr(parse("3*x", vs).terms) == f"_TermsView({{{vs.pack((1, 0))}: 3}})"
 
 
 class TestCoefficientRule:

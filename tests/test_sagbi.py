@@ -4,7 +4,6 @@ import dataclasses
 import io
 import random
 import time
-from collections.abc import ItemsView
 from fractions import Fraction
 
 import pytest
@@ -296,6 +295,12 @@ class TestGeneratorSet:
             GeneratorSet([parse("7", vs)], vs.default_order())
         # plain zero generators are silently dropped
         assert len(GeneratorSet([Polynomial.zero(vs), parse("x", vs)], vs.default_order())) == 1
+
+    def test_repr(self):
+        vs = VariableSet(["x", "y"])
+        assert repr(GeneratorSet([parse("x", vs), parse("y", vs)], TermOrder(vs, ["y", "x"]))) == (
+            "GeneratorSet(2 generators, TermOrder(lex y x))"
+        )
 
     def test_attributes_cannot_be_reassigned(self):
         vs = VariableSet(["x", "y"])
@@ -618,6 +623,61 @@ class TestSubduction:
                 steps += self._assert_matches_reference(monkeypatch, f, basis, products)
             stored += len(products)
         assert steps > 90 and stored < steps
+
+    def test_one_memo_over_two_sets(self):
+        # {x} and {x + y} both factor the target x as their one generator,
+        # but only the second's product is x + y; the memo's entry from the
+        # first must not serve the second
+        vs = VariableSet(["x", "y"])
+        x, y = parse("x", vs), parse("y", vs)
+        memo = {}
+        assert subduct(x, GeneratorSet([x], vs.default_order()), products=memo).remainder.is_zero()
+        res = subduct(x, GeneratorSet([x + y], vs.default_order()), products=memo)
+        assert res.remainder == -y and res.certificate.terms == {((0, 1),): 1}
+        assert x == res.remainder + res.certificate.evaluate()
+        assert memo[x.leading_monomial()][1] == x + y  # the entry was replaced
+
+    def test_shared_memo_matches_fresh_memos(self):
+        # one dict over sets with the same leading monomials and other tails
+        # (the same factorizations, other products) and over unrelated random
+        # sets, calls interleaved, gives every set's own answers
+        rng = random.Random(28)
+        vs = VariableSet(["x", "y", "z"])
+        templates = (("x", "y", "z"), ("y^2", "z"), ("x*z", "y*z", "z"), ("y*z", "z^2"))
+
+        def generator(lm, *tail):
+            scaled = (parse(t, vs).scale(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))) for t in tail)
+            return sum(scaled, parse(lm, vs))
+
+        bases = [GeneratorSet([generator(*t) for t in templates], vs.default_order()) for _ in range(5)]
+        bases += [_random_generator_set(rng) for _ in range(5)]
+        shared, fresh, owner = {}, [{} for _ in bases], {}  # owner: target -> the set that last stored it
+        stale = 0
+        for _ in range(12):
+            for k, basis in enumerate(bases):
+                f = self._products_plus_noise(rng, basis)
+                got = subduct(f, basis, products=shared)
+                for res in (subduct(f, basis, products=fresh[k]), subduct(f, basis)):
+                    assert got.remainder == res.remainder and got.remainder.den == res.remainder.den
+                    assert got.certificate.terms == res.certificate.terms and got.targets == res.targets
+                assert f == got.remainder + got.certificate.evaluate()
+                for target in got.targets:
+                    stale += owner.get(target, k) != k
+                    owner[target] = k
+        assert stale > 50
+
+    def test_certificate_terms_are_read_only(self):
+        vs = VariableSet(["x", "y"])
+        basis = GeneratorSet([parse("x", vs), parse("y", vs)], vs.default_order())
+        f = parse("x^2*y + 3", vs)
+        res = subduct(f, basis)
+        terms = res.certificate.terms
+        with pytest.raises(TypeError):
+            terms[((0, 1),)] = 5
+        with pytest.raises(TypeError):
+            del terms[((0, 2), (1, 1))]
+        assert terms == {((0, 2), (1, 1)): 1, (): 3} and len(res.certificate) == 2
+        assert f == res.remainder + res.certificate.evaluate() and res.remainder.is_zero()
 
     def test_random_corpus_matches_reference(self, monkeypatch):
         # random generator sets: shuffled priorities, fractional coefficients
@@ -1049,6 +1109,21 @@ def _nonhomogeneous_seed():
     return GeneratorSet([parse(g, vs) for g in NONHOMOGENEOUS_SEED], TermOrder(vs, ["y", "u", "z", "x"]))
 
 
+def _spy_on_sides(monkeypatch, seen):
+    """Replace `TeteATete.a` and `.b` by properties that call
+    ``seen(pair, path, value)``: the path read and its ``(index, exponent)``
+    pairs."""
+    for side in ("a", "b"):
+        build = getattr(TeteATete, side).fget
+
+        def spy(pair, side=side, build=build):
+            value = build(pair)
+            seen(pair, getattr(pair, f"path_{side}"), value)
+            return value
+
+        monkeypatch.setattr(TeteATete, side, property(spy))
+
+
 class TestReplay:
     """`sagbi_construct` skips a pair of the last pass only when it would
     subduct to zero by the same steps, so its result equals the reference's."""
@@ -1089,21 +1164,18 @@ class TestReplay:
         # exactly the steps of its last subduction (the first stage, the
         # insert-phase stage, and one step on the generator the remainder
         # became, if it became one) and reach zero.  The construction
-        # subducts a pair right after multiplying out its two index paths,
-        # so the spies tell a subducted pair by the identities of its paths
-        # among the pairs of the pass.
+        # subducts a pair right after reading its two sides, so the spies
+        # tell a subducted pair by the pair whose sides were read last; a
+        # pair comes back as the same object in later passes, so its calls
+        # are told apart by pass.
         passes, events = [], []
-        enumerate_pairs, original, counts = sagbi_module.tete_a_tetes, sagbi_module.subduct, sagbi_module.Counter
+        enumerate_pairs, original = sagbi_module.tete_a_tetes, sagbi_module.subduct
 
         def spy_pairs(basis, bound, carried):
             pairs = enumerate_pairs(basis, bound, carried)
             passes.append((basis, pairs))
-            events.append({(id(pair.path_a), id(pair.path_b)): pair for pair in pairs})
+            events.append(len(passes))  # a pass starts
             return pairs
-
-        def spy_counts(path):
-            events.append(path)
-            return counts(path)
 
         def spy_subduct(f, basis, **memo):
             call = [f, basis, None]
@@ -1116,7 +1188,7 @@ class TestReplay:
 
         monkeypatch.setattr(sagbi_module, "tete_a_tetes", spy_pairs)
         monkeypatch.setattr(sagbi_module, "subduct", spy_subduct)
-        monkeypatch.setattr(sagbi_module, "Counter", spy_counts)
+        _spy_on_sides(monkeypatch, lambda pair, path, value: events.append(pair))
         rng = random.Random(19)
         cases = [(_random_seed(rng, homogeneous=k % 2 == 0), rng.randint(3, 5)) for k in range(200)]
         cases += [(_nonhomogeneous_seed(), bound) for bound in (3, 4, 5)]
@@ -1128,24 +1200,23 @@ class TestReplay:
             passes.clear()
             events.clear()
             sagbi_construct(seed, degree_bound=bound, max_iterations=6)
-            subducted, follow, owner, sides = {}, {}, {}, []  # pair -> its call; input id -> call
+            subducted, follow, number, read = {}, {}, 0, None  # (pass, pair) -> its call; input id -> call
             for event in events:
-                if isinstance(event, dict):  # a pass starts: its pairs by their paths
-                    owner = event
-                elif isinstance(event, tuple):
-                    sides.append(id(event))
+                if isinstance(event, int):  # a pass starts
+                    number, read = event, None
+                elif isinstance(event, TeteATete):
+                    read = event
                 else:
-                    pair = owner.get(tuple(sides[-2:]))
-                    sides.clear()
-                    if pair is not None:
-                        subducted[id(pair)] = event
+                    if read is not None:
+                        subducted[number, id(read)] = event
                     else:
                         follow[id(event[0])] = event
+                    read = None
             last = {}  # pair -> steps of its last subduction
-            for basis, pairs in passes:
+            for number, (basis, pairs) in enumerate(passes, 1):
                 for pair in pairs:
                     key = (pair.a, pair.b)
-                    call = subducted.get(id(pair))
+                    call = subducted.get((number, id(pair)))
                     if call is not None:
                         res = call[2]
                         last[key] = steps(res)
@@ -1178,34 +1249,34 @@ class TestStepProductScope:
     no memo serves two generator sets."""
 
     def test_memo_per_bucket_and_per_generator_set(self, monkeypatch):
-        # The construction multiplies out a pair's two index paths just
-        # before it subducts the pair, so a subduct call right after a pair's
-        # path is that pair's; any other call is the insert phase's.
-        enumerate_pairs, original, counts = sagbi_module.tete_a_tetes, sagbi_module.subduct, sagbi_module.Counter
-        bucket_of, last = {}, [None]  # id(pair path) -> product key; last path multiplied out
+        # The construction reads a pair's two sides just before it subducts
+        # the pair, so a subduct call right after a pair's side is that
+        # pair's; any other call is the insert phase's.
+        enumerate_pairs, original = sagbi_module.tete_a_tetes, sagbi_module.subduct
+        bucket_of, last = {}, [None]  # id(pair) -> product key; the pair whose side was read last
         calls = []  # (products, basis, product key or None in the insert phase)
 
         def spy_pairs(basis, bound, carried):
             pairs = enumerate_pairs(basis, bound, carried)
             bucket_of.clear()
-            for product_key, a, b, _ in carried.minimal:
-                bucket_of[id(a)] = bucket_of[id(b)] = product_key
+            for product_key, group in carried.groups.items():
+                for pair, _ in group:
+                    bucket_of[id(pair)] = product_key
             return pairs
 
-        def spy_counts(path):
-            last[0] = path
-            return counts(path)
+        def spy_side(pair, path, value):
+            last[0] = pair
 
         def spy_subduct(f, basis, **memo):
-            path, last[0] = last[0], None
-            calls.append((memo["products"], basis, bucket_of.get(id(path))))
+            pair, last[0] = last[0], None
+            calls.append((memo["products"], basis, None if pair is None else bucket_of[id(pair)]))
             res = original(f, basis, **memo)
             last[0] = None
             return res
 
         monkeypatch.setattr(sagbi_module, "tete_a_tetes", spy_pairs)
         monkeypatch.setattr(sagbi_module, "subduct", spy_subduct)
-        monkeypatch.setattr(sagbi_module, "Counter", spy_counts)
+        _spy_on_sides(monkeypatch, spy_side)
         rng = random.Random(24)
         cases = [(_random_seed(rng, homogeneous=k % 2 == 0), rng.randint(3, 5)) for k in range(60)]
         cases += [(_nonhomogeneous_seed(), 4), (pullback(ActionKind.TRANSLATION_SUB, 2).seed_generators(), 6)]
@@ -1283,25 +1354,36 @@ class TestCarriedEnumeration:
             assert _assert_carried_matches(bases, bound)
 
     def test_records_stay_with_their_pairs(self):
-        # an old entry stays in place with its paths and record; a new one starts at None
+        # an old entry stays in place with its pair and record; a new one
+        # starts at None; the result is the groups' pairs, in key order, and
+        # an old pair comes back as the same object
         vs = VariableSet(["x", "y"])
         gens = [parse(t, vs) for t in ("x^2", "x*y", "y^2", "x", "y")]
         bases = _grown(gens, vs.default_order())
         carried = sagbi_module._Enumeration()
-        marks = {}
+        marks, before, kept = {}, [], 0
         for basis in bases:
             pairs = tete_a_tetes(basis, 4, carried)
-            assert [(p.path_a, p.path_b) for p in pairs] == [(a, b) for _, a, b, _ in carried.minimal]
+            entries = [entry for key in sorted(carried.groups) for entry in carried.groups[key]]
+            assert len(pairs) == len(entries) and all(p is pair for p, (pair, _) in zip(pairs, entries))
             n = len(basis)
             assert [(p.a, p.b) for p in pairs] == [
-                (sparse(_exponents(a, n)), sparse(_exponents(b, n))) for _, a, b, _ in carried.minimal
+                (sparse(_exponents(pair.path_a, n)), sparse(_exponents(pair.path_b, n))) for pair, _ in entries
             ]
-            for entry in carried.minimal:
+            lms = basis.leading_monomials()
+            for key, group in carried.groups.items():
+                assert {basis.order.key(sum(lms[i] for i in path)) for pair, _ in group
+                        for path in (pair.path_a, pair.path_b)} == {key}
+            returned = {id(p) for p in pairs}
+            assert all(id(p) in returned for p in before)
+            kept += len(before)
+            before = pairs
+            for entry in entries:
                 mark = marks.get(id(entry))
-                assert entry[3] is mark
+                assert entry[1] is mark
                 if mark is None:
-                    entry[3] = marks[id(entry)] = object()
-        assert len(marks) == len(carried.minimal) > 0
+                    entry[1] = marks[id(entry)] = object()
+        assert len(marks) == len(entries) > 0 and kept > 0
 
     def test_mismatched_state_refused(self):
         vs = VariableSet(["x", "y"])
@@ -1353,15 +1435,16 @@ class TestSparsePairs:
         assert len(kinds) >= 10  # each kind is met with both orders, and equality too
 
     def test_construction_builds_no_exponent_vector(self, monkeypatch):
+        # the construction reads a pair's sides as (index, exponent) pairs,
+        # one per generator of the path, never a vector over the basis
         built = []
-        for side in ("a", "b"):
-            vector = getattr(TeteATete, side).fget
-            monkeypatch.setattr(TeteATete, side, property(lambda p, side=side, vector=vector: built.append(side) or vector(p)))
+        _spy_on_sides(monkeypatch, lambda pair, path, value: built.append((path, value)))
         seed = pullback(ActionKind.TRANSLATION_SUB, 2).seed_generators()
         res = sagbi_construct(seed, degree_bound=6)
-        assert res.complete and built == []
-        pair = tete_a_tetes(res.basis, 6)[0]
-        assert (pair.a, pair.b) and built == ["a", "b"]  # the spies do see an access
+        assert res.complete and built and len(built) % 2 == 0  # the spies do see the reads
+        for path, value in built:
+            assert value == tuple(sorted(value)) and len(value) == len(set(path)) < len(res.basis)
+            assert all(e >= 1 for _, e in value) and sum(e for _, e in value) == len(path)
 
     def test_equality_follows_exponent_vectors(self):
         # a pair does not depend on the basis length, so one relation over
@@ -1379,17 +1462,19 @@ class TestSparsePairs:
     def test_pair_products_go_through_power_product(self, monkeypatch):
         # every product of the pair phase is one `power_product` call, so
         # callers that count or wrap that method see the pair phase too
-        real, counted = GeneratorSet.power_product, []
+        real, counted, read = GeneratorSet.power_product, [], {}  # read: id -> a side the pair phase read
 
         def spy(self, exps):
-            if isinstance(exps, ItemsView):  # the pair phase's `Counter(path).items()`
+            if read.get(id(exps)) is exps:  # a pair's side
                 counted.append(list(exps))
             return real(self, exps)
 
         monkeypatch.setattr(GeneratorSet, "power_product", spy)
+        _spy_on_sides(monkeypatch, lambda pair, path, value: read.setdefault(id(value), value))
         seed = pullback(ActionKind.TRANSLATION_SUB, 2).seed_generators()
         assert sagbi_construct(seed, degree_bound=4).complete
         assert counted and len(counted) % 2 == 0  # both sides of each subducted pair
+        assert len(counted) == len(read)  # every side read is multiplied out, once
         assert all(c == sorted(c) and all(e >= 1 for _, e in c) for c in counted)
 
     def test_returned_pairs_survive_a_carried_call(self):

@@ -97,6 +97,15 @@ class TestPitch:
         with pytest.raises(error):
             Twist((value, 0, 0), (0, 0, 0))
 
+    @pytest.mark.parametrize("value, text", [
+        (Pitch.finite(Fraction(-3, 2)), "Pitch.finite(-3/2)"),
+        (Pitch.finite(0), "Pitch.finite(0)"),
+        (Pitch.infinite(), "Pitch.infinite()"),
+        (Pitch.undefined_zero_twist(), "Pitch.undefined_zero_twist()"),
+    ])
+    def test_repr(self, value, text):
+        assert repr(value) == text
+
     def test_pitch_is_ratio_of_forms(self):
         t = Twist((1, 2, 2), (3, 0, Fraction(3, 2)))
         # (w.v)/(w.w) = (3 + 0 + 3)/9
@@ -375,6 +384,24 @@ class TestDhInvariants:
         assert float(s) == pytest.approx(2 ** 0.5)
         with pytest.raises(ValueError):
             ExactRadical(1, 0)
+
+    def test_exact_radical_repr_and_foreign_equality(self):
+        assert repr(ExactRadical(1, 2)) == "ExactRadical(1/sqrt(2))"
+        assert repr(ExactRadical(Fraction(-3, 2), Fraction(5, 7))) == "ExactRadical(-3/2/sqrt(5/7))"
+        assert repr(ExactRadical(2, 4)) == "ExactRadical(1)"
+        assert ExactRadical(1, 2).__eq__("x") is NotImplemented
+        assert (ExactRadical(1, 2) == "x") is False and (ExactRadical(1, 2) != "x") is True
+
+    def test_exact_radical_is_immutable(self):
+        # no float (or anything else) can be assigned in after construction
+        r = ExactRadical(1, 2)
+        for name, value in (("num", 0.5), ("radicand", Fraction(3)), ("other", 1)):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(r, name, value)
+        assert (r.num, r.radicand) == (1, 2) and r == ExactRadical(2, 8)
+        assert float(r) == pytest.approx(2 ** -0.5) and repr(r) == "ExactRadical(1/sqrt(2))"
+        with pytest.raises(TypeError):
+            hash(r)
 
     @pytest.mark.parametrize("value, error", INEXACT)
     def test_exact_radical_rejects_inexact_parts(self, value, error):
