@@ -55,13 +55,15 @@ EXIT_INVARIANCE = 3
 # vectors (omega_i, v_i) of up to four screws.
 MAX_SO3_VECTORS = 9
 
-# Caps --screws for invariance and the pullback catalog.  Every pullback
-# image is a polynomial over all 6M screw variables and up to 7 group
-# variables, so time and memory grow with M.  In-process with the cap
-# lifted (Intel Xeon, 2 cores, CPython 3.11), the 3-term Klein form takes
-# 0.6 s and 145 MiB to check symbolically at M = 400, and the pullback
-# catalog 0.3 s and 25 MiB at M = 200.  At the cap the Klein form takes
-# 0.02 s symbolically, the 96-term sum of all 32 Klein forms 0.05 s
+# Caps --screws for every subcommand that takes it (the se3, t3 and so3
+# catalogs refuse smaller counts themselves).  Every pullback image is a
+# polynomial over all 6M screw variables and up to 7 group variables, so
+# time and memory grow with M; even `poly` builds the 6M-variable set.  In
+# process with the cap lifted (Intel Xeon, 2 cores, CPython 3.11), the
+# 3-term Klein form takes 0.6 s and 145 MiB to check symbolically at
+# M = 400, the pullback catalog 0.3 s and 25 MiB at M = 200, and
+# `poly w11` 1.8 s and 242 MiB at M = 200,000.  At the cap the Klein form
+# takes 0.02 s symbolically, the 96-term sum of all 32 Klein forms 0.05 s
 # symbolically and ~3 s per 1,000 samples, so ~30 s at MAX_SAMPLES, and
 # the pullback catalog 0.01 s within the interpreter's own 17 MiB.
 MAX_SCREWS = 32
@@ -148,6 +150,8 @@ def _resolve_varset(args) -> VariableSet:
         names = args.vars.replace(",", " ").split()
         return VariableSet(names)
     if getattr(args, "screws", None) is not None:
+        if args.screws > MAX_SCREWS:
+            raise ValueError(f"--screws supports at most {MAX_SCREWS}")
         return screw_varset(args.screws)
     raise ValueError("give a variable context: --screws M or --vars LIST")
 
@@ -234,9 +238,7 @@ def cmd_sagbi(args) -> tuple[int, list[str], dict]:
 
 def cmd_invariance(args) -> tuple[int, list[str], dict]:
     kind = ActionKind(args.group)
-    if args.screws > MAX_SCREWS:
-        raise ValueError(f"--screws supports at most {MAX_SCREWS}")
-    vs = screw_varset(args.screws)
+    vs = _resolve_varset(args)
     f = parse(args.poly, vs)
     _cap_degree(f, f"{args.mode} mode supports --poly")
     if args.mode == "symbolic":

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import add, mul
 
-from .poly import Polynomial, TermOrder, VariableSet, _cleared, _coerce
+from .poly import Polynomial, TermOrder, VariableSet, _cleared, _coerce, _Immutable
 from .sagbi import (
     DEFAULT_DEGREE_BOUND,
     GeneratorSet,
@@ -86,14 +86,15 @@ class RationalQuaternion:
         return (self.q0, self.q1, self.q2, self.q3)
 
 
-class Rotation:
+class Rotation(_Immutable):
     """Exactly orthogonal 3x3 matrix with determinant 1, held as M/n.
 
     `Rotation(M, n)` takes an int 3x3 matrix M and an int n > 0, raises
     unless M^T M = n^2 I and det M = n^3, and stores the unique reduced pair
     (gcd(M, n) = 1) that equality and hashing compare.  It is the only way
-    to build one, and it cannot be reassigned, so a Rotation never holds an
-    inexact or reflecting matrix.  `entries` is the Fraction view M/n.
+    to build one, and its attributes cannot be set or deleted, so a Rotation
+    never holds an inexact or reflecting matrix.  `entries` is the Fraction
+    view M/n.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -115,9 +116,6 @@ class Rotation:
         g = math.gcd(denominator, *(x for row in rows for x in row))
         object.__setattr__(self, "numerator", tuple(tuple(x // g for x in row) for row in rows))
         object.__setattr__(self, "denominator", denominator // g)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Rotation is immutable; cannot set {name!r}")
 
     @property
     def entries(self) -> tuple:
@@ -287,8 +285,6 @@ def pullback(kind: ActionKind, m: int) -> PullbackSystem:
     denominator cleared, or the identity for the translation sub-action; t
     is (t1, t2, t3), or zero for the rotation sub-action.
     """
-    if m < 1:
-        raise ValueError("need at least one screw")
     space = screw_varset(m)
     group_vars = ()
     if kind is not ActionKind.TRANSLATION_SUB:

@@ -190,6 +190,8 @@ def format_poly(f: Polynomial, order: TermOrder | None = None) -> str:
         return "0"
     if order is None:
         order = f.varset.default_order()
+    elif order.varset is not f.varset and order.varset != f.varset:
+        raise ValueError("term order over another variable set")
     names, unpack = f.varset.names, f.varset.unpack
     den = f.den
     pieces = []

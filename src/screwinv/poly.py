@@ -94,7 +94,21 @@ class _TermsView(Mapping):
         return f"{type(self).__name__}({self._map!r})"
 
 
-class VariableSet:
+class _Immutable:
+    """Base of the hand-frozen value types: attributes refuse assignment and
+    deletion.  Subclasses declare their own `__slots__` and fill them through
+    `object.__setattr__` or the slots' own setters, which go past these."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+
+class VariableSet(_Immutable):
     """Ordered, immutable collection of distinct variable names.
 
     It owns the packed monomial layout of `_kernel`: variable i sits in
@@ -121,9 +135,6 @@ class VariableSet:
         object.__setattr__(self, "_default_order", None)
         object.__setattr__(self, "_layout", struct.Struct(f">{len(names)}I"))  # FIELD_BITS each
         object.__setattr__(self, "_nbytes", self._layout.size)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"VariableSet is immutable; cannot set {name!r}")
 
     def index(self, name: str) -> int:
         try:
@@ -188,7 +199,7 @@ class VariableSet:
         return self._default_order
 
 
-class TermOrder:
+class TermOrder(_Immutable):
     """Pure lexicographic term order with an explicit variable priority.
 
     Monomial ``a`` exceeds ``b`` iff at the first priority variable where
@@ -213,9 +224,6 @@ class TermOrder:
         # None when the priority is the variable-set order (every pullback
         # system): packed monomials then compare as their own keys.
         object.__setattr__(self, "_perm", None if perm == tuple(range(len(perm))) else itemgetter(*perm))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"TermOrder is immutable; cannot set {name!r}")
 
     def key(self, monomial: Monomial | Exponents) -> Monomial:
         """Sort key: the monomial packed with its exponents in priority order.
@@ -295,7 +303,7 @@ def _value(c: int, den: int) -> int | Fraction:
     return Fraction(c, den) if r else q
 
 
-class Polynomial:
+class Polynomial(_Immutable):
     """Immutable sparse polynomial with exact rational coefficients.
 
     The value is ``_num / den``: `_num` maps packed monomials to nonzero
@@ -356,9 +364,6 @@ class Polynomial:
         _set_num(self, num)
         _set_den(self, den)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Polynomial is immutable; cannot set {name!r}")
 
     # ------------------------------------------------------------------
     # constructors
@@ -514,13 +519,16 @@ class Polynomial:
     def leading_term(self, order: TermOrder | None = None) -> tuple[Monomial, int | Fraction]:
         """Largest (monomial, coefficient) pair under `order`.
 
-        Raises ValueError on the zero polynomial, which has no leading term.
+        Raises ValueError on the zero polynomial, which has no leading term,
+        and for an order over another variable set.
         """
         num = self._num
         if not num:
             raise ValueError("zero polynomial has no leading term")
         if order is None:
             order = self.varset.default_order()
+        elif order.varset is not self.varset and order.varset != self.varset:
+            raise ValueError("term order over another variable set")
         m = order.largest(num)
         c = num[m]
         return m, c if self.den == 1 else _value(c, self.den)

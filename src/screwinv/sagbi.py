@@ -28,10 +28,10 @@ from typing import IO, Iterable, Mapping, Sequence
 
 from ._kernel import FIELD_BITS, MAX_EXPONENT, terms_add_into
 from .parsing import format_poly, parse
-from .poly import Monomial, Polynomial, TermOrder, VariableSet, _value
+from .poly import Monomial, Polynomial, TermOrder, VariableSet, _Immutable, _value
 
 
-class GeneratorSet:
+class GeneratorSet(_Immutable):
     """Monic generators with pairwise distinct leading monomials.
 
     Generators are normalized monic on insertion.  If a candidate's leading
@@ -57,9 +57,6 @@ class GeneratorSet:
 
     def __init__(self, gens: Iterable[Polynomial], order: TermOrder):
         self._fill(order, [], [], [], gens, {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GeneratorSet is immutable; cannot set {name!r}")
 
     def _fill(self, order: TermOrder, store: list, lms: list, ranked: list, gens: Iterable, powers: dict) -> None:
         object.__setattr__(self, "order", order)
@@ -655,8 +652,10 @@ def read_basis_file(stream: IO[str]) -> tuple[GeneratorSet, dict]:
             if not fields or fields[0] != "lex":
                 raise ValueError(f"line {lineno}: only `lex` orders are supported")
             names = fields[1:]
-            varset = VariableSet(names)
-            order = TermOrder(varset, names)
+            try:
+                order = TermOrder(VariableSet(names), names)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
             continue
         if line.startswith("complete:"):
             value = line.split(":", 1)[1].strip().lower()

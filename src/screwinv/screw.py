@@ -22,7 +22,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .parsing import parse, parse_rational
-from .poly import Polynomial, VariableSet, _coerce
+from .poly import Polynomial, VariableSet, _coerce, _Immutable
 
 Vec3 = tuple
 
@@ -407,7 +407,7 @@ def translation_sagbi_catalog(m: int) -> Catalog:
 # ----------------------------------------------------------------------
 # Denavit-Hartenberg pair invariants
 
-class ExactRadical:
+class ExactRadical(_Immutable):
     """The exact value num / sqrt(radicand) with radicand > 0.
 
     Keeps square roots unevaluated so every comparison stays rational:
@@ -424,9 +424,6 @@ class ExactRadical:
             raise ValueError("radicand must be positive")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "radicand", radicand)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ExactRadical is immutable; cannot set {name!r}")
 
     def __float__(self) -> float:
         """One rounding of the exact square, so a huge num or radicand with a

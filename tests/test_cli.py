@@ -175,6 +175,18 @@ class TestPoly:
         assert code == 1 and out == ""
         assert err == "error: need at least one screw\n"
 
+    def test_screw_count_capped(self, capsys):
+        # the same range as invariance and the pullback catalog
+        cap = cli.MAX_SCREWS
+        code, out, _ = run(capsys, "poly", f"w{cap}1", "--screws", str(cap))
+        assert code == 0 and out == f"w{cap}1\n"
+        for screws in (cap + 1, 2_000_000):
+            t0 = time.monotonic()
+            code, out, err = run(capsys, "poly", "w11", "--screws", str(screws))
+            assert time.monotonic() - t0 < 1.0
+            assert code == 1 and out == ""
+            assert err == f"error: --screws supports at most {cap}\n"
+
     def test_explicit_vars_and_order(self, capsys):
         code, out, _ = run(
             capsys, "poly", "x + y", "--vars", "x y", "--order", "y x"

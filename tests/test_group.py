@@ -106,7 +106,10 @@ class TestRotation:
             r.denominator = 2
         with pytest.raises(AttributeError):
             r.extra = 1
-        assert r == Rotation.identity()
+        for name in ("numerator", "denominator", "extra"):
+            with pytest.raises(AttributeError, match=f"^Rotation is immutable; cannot delete {name!r}$"):
+                delattr(r, name)
+        assert r == Rotation.identity() and r.compose(r) == r and r.entries[0][0] == 1
         g = EuclideanElement(r, (0, 0, 0))
         assert g.rotation.numerator == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 

@@ -225,6 +225,9 @@ def test_format_respects_order():
     f = parse("x + y", vs)
     assert format_poly(f) == "x + y"
     assert format_poly(f, TermOrder(vs, ["y", "x"])) == "y + x"
+    assert format_poly(f, TermOrder(VariableSet(["x", "y"]), ["y", "x"])) == "y + x"
+    with pytest.raises(ValueError, match="^term order over another variable set$"):
+        format_poly(f, TermOrder(VariableSet(["a", "b", "c"]), ["c", "b", "a"]))
 
 
 def test_round_trip_fuzz():

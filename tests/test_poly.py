@@ -79,9 +79,12 @@ class TestVariableSet:
         # reassigning names would leave the lookup index describing other
         # variables, so "y" in vs would be False after vs.names = ("y",)
         vs = VariableSet(["x"])
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=f"^VariableSet is immutable; cannot set {name!r}$"):
             setattr(vs, name, ("y",))
+        with pytest.raises(AttributeError, match=f"^VariableSet is immutable; cannot delete {name!r}$"):
+            delattr(vs, name)
         assert vs.names == ("x",) and "x" in vs and "y" not in vs
+        assert vs.default_order().priority == ("x",) and vs.pack((2,)) == 2
 
     def test_default_order_is_cached(self):
         vs = VariableSet(["x", "y"])
@@ -168,13 +171,20 @@ class TestPackedLayout:
         for obj, name, value in (
             (order, "priority", ("a", "b", "c", "d")),
             (order, "_perm", None),
+            (order, "varset", VariableSet(["x"])),
             (p, "terms", {}),
             (p, "varset", VariableSet(["x"])),
+            (p, "_num", {}),
+            (p, "den", 2),
         ):
-            with pytest.raises(AttributeError):
+            cls = type(obj).__name__
+            with pytest.raises(AttributeError, match=f"^{cls} is immutable; cannot set {name!r}$"):
                 setattr(obj, name, value)
+            with pytest.raises(AttributeError, match=f"^{cls} is immutable; cannot delete {name!r}$"):
+                delattr(obj, name)
         assert order.priority == ("b", "a", "c", "d") and order.key((1, 0, 0, 0)) < order.key((0, 1, 0, 0))
         assert p == parse("a*b + c", abcd) and p.varset == abcd
+        assert p + p == parse("2*a*b + 2*c", abcd) and p.leading_term(order) == (abcd.pack((1, 1, 0, 0)), 1)
 
 
 class TestTermOrder:
@@ -557,6 +567,18 @@ class TestLeadingTerm:
         vs = VariableSet(["x"])
         with pytest.raises(ValueError):
             Polynomial.zero(vs).leading_term()
+
+    def test_order_over_another_variable_set_refused(self):
+        # exponents would be read by position under the foreign priority
+        f = parse("x + y^2", VariableSet(["x", "y"]))
+        foreign = TermOrder(VariableSet(["a", "b", "c"]), ["c", "b", "a"])
+        for call in (f.leading_term, f.leading_monomial, f.monic):
+            with pytest.raises(ValueError, match="^term order over another variable set$"):
+                call(foreign)
+        # an equal variable set built apart is the same context
+        twin = TermOrder(VariableSet(["x", "y"]), ["y", "x"])
+        assert f.leading_term(twin) == (f.varset.pack((0, 2)), 1)
+        assert f.monic(twin) is f and f.leading_monomial(twin) == f.varset.pack((0, 2))
 
     def test_lex_is_a_valuation(self, abcd):
         # lt(f*g) = lt(f)*lt(g), componentwise on monomial and coefficient

@@ -305,9 +305,11 @@ class TestGeneratorSet:
     def test_attributes_cannot_be_reassigned(self):
         vs = VariableSet(["x", "y"])
         g = GeneratorSet([parse("x", vs), parse("y", vs)], vs.default_order())
-        for name, value in (("gens", ()), ("order", TermOrder(vs, ["y", "x"])), ("_lms", ())):
-            with pytest.raises(AttributeError):
+        for name, value in (("gens", ()), ("order", TermOrder(vs, ["y", "x"])), ("_lms", ()), ("_factors", {})):
+            with pytest.raises(AttributeError, match=f"^GeneratorSet is immutable; cannot set {name!r}$"):
                 setattr(g, name, value)
+            with pytest.raises(AttributeError, match=f"^GeneratorSet is immutable; cannot delete {name!r}$"):
+                delattr(g, name)
         assert len(g) == 2 and g.order == vs.default_order()
         assert subduct(parse("x*y", vs), g).remainder.is_zero()
 
@@ -1583,6 +1585,8 @@ class TestBasisFiles:
         [
             ("order: grevlex x y\nx\n", "line 1: only `lex` orders are supported"),
             ("order:\nx\n", "line 1: only `lex` orders are supported"),
+            ("order: lex x x\nx\n", "line 1: duplicate variable name 'x'"),
+            ("# seed\norder: lex x 1y\nx\n", "line 2: invalid variable name '1y'"),
             ("order: lex x\ncomplete: maybe\nx\n", "line 2: complete must be true or false"),
             ("# no header\n\n", "basis file has no `order:` header"),
             ("", "basis file has no `order:` header"),

@@ -396,8 +396,10 @@ class TestDhInvariants:
         # no float (or anything else) can be assigned in after construction
         r = ExactRadical(1, 2)
         for name, value in (("num", 0.5), ("radicand", Fraction(3)), ("other", 1)):
-            with pytest.raises(AttributeError, match="immutable"):
+            with pytest.raises(AttributeError, match=f"^ExactRadical is immutable; cannot set {name!r}$"):
                 setattr(r, name, value)
+            with pytest.raises(AttributeError, match=f"^ExactRadical is immutable; cannot delete {name!r}$"):
+                delattr(r, name)
         assert (r.num, r.radicand) == (1, 2) and r == ExactRadical(2, 8)
         assert float(r) == pytest.approx(2 ** -0.5) and repr(r) == "ExactRadical(1/sqrt(2))"
         with pytest.raises(TypeError):
