@@ -283,8 +283,7 @@ def cmd_catalog(args) -> tuple[int, list[str], dict]:
             raise ValueError(f"so3 catalogs support 1 to {MAX_SO3_VECTORS} vectors")
         catalog = so3_sagbi_catalog(m)
     else:  # pullback: translation pullback images as a ready SAGBI seed file
-        if m > MAX_SCREWS:
-            raise ValueError(f"--screws supports at most {MAX_SCREWS}")
+        _resolve_varset(args)  # caps --screws
         system = pullback(ActionKind.TRANSLATION_SUB, m)
         buf = io.StringIO()
         write_basis_file(buf, system.seed_generators())
@@ -379,8 +378,9 @@ def build_parser() -> _Parser:
 
     p = sub("poly", help="format or evaluate a polynomial")
     p.add_argument("expr")
-    p.add_argument("--screws", type=int, help="use the m-screw w/v variable set")
-    p.add_argument("--vars", help="explicit variable list (space or comma separated)")
+    context = p.add_mutually_exclusive_group()
+    context.add_argument("--screws", type=int, help="use the m-screw w/v variable set")
+    context.add_argument("--vars", help="explicit variable list (space or comma separated)")
     p.add_argument("--order", help="lex priority override")
     p.add_argument("--format", action="store_true", help="canonical form (the default)")
     p.add_argument("--eval", help="assignment name=value,... for exact evaluation")

@@ -139,6 +139,9 @@ class Rotation(_Immutable):
     def __repr__(self) -> str:
         return f"Rotation({self.numerator!r}, {self.denominator!r})"
 
+    def __reduce__(self):
+        return Rotation, (self.numerator, self.denominator)
+
     @classmethod
     def identity(cls) -> "Rotation":
         return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1)
@@ -280,10 +283,9 @@ class PullbackSystem:
 def pullback(kind: ActionKind, m: int) -> PullbackSystem:
     """Build the pullback system of the chosen action on m screws.
 
-    Every kind uses `_adjoint_blocks`: omega_i maps to R omega_i and v_i to
-    t x (R omega_i) + R v_i.  R is the quaternion matrix with its |q|^2
-    denominator cleared, or the identity for the translation sub-action; t
-    is (t1, t2, t3), or zero for the rotation sub-action.
+    The group variables, q0..q3 unless `kind` is the translation sub-action
+    and t1..t3 unless it is the rotation sub-action, come first; `_images`
+    reads the element off them.
     """
     space = screw_varset(m)
     group_vars = ()
@@ -293,19 +295,12 @@ def pullback(kind: ActionKind, m: int) -> PullbackSystem:
         group_vars += ("t1", "t2", "t3")
     names = group_vars + space.names
     vs = VariableSet(names)
-    order = TermOrder(vs, names)
-
-    if "q0" in vs:
-        r = _quaternion_matrix_raw(Polynomial.variable(vs, "q0"), *symbolic_vector(vs, "q"))
-    else:
-        r = Rotation.identity().numerator
-    t = symbolic_vector(vs, "t") if "t1" in vs else (0, 0, 0)
-    images = _images(vs, m, r, t)
+    images = _images(vs, m)
     return PullbackSystem(
         kind=kind,
         m=m,
         varset=vs,
-        order=order,
+        order=TermOrder(vs, names),
         group_vars=group_vars,
         space_vars=space.names,
         images=tuple(images[name] for name in space.names),
@@ -313,9 +308,18 @@ def pullback(kind: ActionKind, m: int) -> PullbackSystem:
     )
 
 
-def _images(vs: VariableSet, m: int, r, t) -> dict[str, Polynomial]:
-    """Each screw coordinate's name -> its image over `vs` under (r, t)."""
-    em, um = _adjoint_blocks(r, t, 1)
+# Group parameter values at the identity, which `_images` gives a parameter `vs` lacks.
+_IDENTITY = {"q0": 1, "q1": 0, "q2": 0, "q3": 0, "t1": 0, "t2": 0, "t3": 0}
+
+
+def _images(vs: VariableSet, m: int) -> dict[str, Polynomial]:
+    """Each screw coordinate's name -> its image over `vs` under (R, t), read
+    off the group variables `vs` holds: R is the quaternion matrix over
+    q0..q3 with its |q|^2 denominator cleared and t is (t1, t2, t3)."""
+    q0, q1, q2, q3, t1, t2, t3 = (
+        Polynomial.variable(vs, name) if name in vs else value for name, value in _IDENTITY.items()
+    )
+    em, um = _adjoint_blocks(_quaternion_matrix_raw(q0, q1, q2, q3), (t1, t2, t3), 1)
     images = {}
     for i in range(1, m + 1):
         omega, vee = symbolic_vector(vs, f"w{i}"), symbolic_vector(vs, f"v{i}")
@@ -332,22 +336,26 @@ ROTATION_AXES = ("q3", "q1")
 def _families(kind: ActionKind, m: int):
     """Yield (varset, images, norm2) for each family of elements `kind` checks.
 
-    First one rotation family per axis e_k in ROTATION_AXES: the quaternion
-    matrix over (q0, q_k), the other two of q1..q3 zero, with its cleared
-    denominator norm2 = q0^2 + q_k^2.  Then the translations,
-    `pullback(t3, m)`, with norm2 = 1.  Lazy: after a failed family nothing
-    more is built.
+    First one rotation family per axis e_k in ROTATION_AXES: the images over
+    (q0, q_k), with the cleared denominator norm2 = q0^2 + q_k^2.  Then the
+    translations, `pullback(t3, m)`, with norm2 = 1.  Lazy: after a failed
+    family nothing more is built.
     """
     space = screw_varset(m)
     if kind is not ActionKind.TRANSLATION_SUB:
         for axis in ROTATION_AXES:
             vs = VariableSet(("q0", axis) + space.names)
             q0, qk = Polynomial.variable(vs, "q0"), Polynomial.variable(vs, axis)
-            q = [qk if name == axis else 0 for name in ("q1", "q2", "q3")]
-            yield vs, _images(vs, m, _quaternion_matrix_raw(q0, *q), (0, 0, 0)), q0 * q0 + qk * qk
+            yield vs, _images(vs, m), q0 * q0 + qk * qk
     if kind is not ActionKind.ROTATION_SUB:
         system = pullback(ActionKind.TRANSLATION_SUB, m)
         yield system.varset, system.image_map(), Polynomial.constant(system.varset, 1)
+
+
+def _check_screw_input(f: Polynomial, m: int) -> None:
+    """Raise ValueError unless `f` lives over the m-screw variable set."""
+    if f.varset != screw_varset(m):
+        raise ValueError(f"polynomial must live over the {m}-screw variable set")
 
 
 def check_invariant_symbolic(f: Polynomial, kind: ActionKind, m: int) -> bool:
@@ -360,9 +368,7 @@ def check_invariant_symbolic(f: Polynomial, kind: ActionKind, m: int) -> bool:
     that, the action being linear, is invariance under the whole family.
     See the module docstring for why the families suffice.
     """
-    space = screw_varset(m)
-    if f.varset != space:
-        raise ValueError(f"polynomial must live over the {m}-screw variable set")
+    _check_screw_input(f, m)
     components = f.degree_components()
     for vs, images, norm2 in _families(kind, m):
         for degree, component in components.items():
@@ -440,9 +446,7 @@ def check_invariant_sampled(
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    space = screw_varset(m)
-    if f.varset != space:
-        raise ValueError(f"polynomial must live over the {m}-screw variable set")
+    _check_screw_input(f, m)
     for index in range(n_samples):
         rng = random.Random(seed * 1_000_003 + index)
         q, t, g = _sample_group(rng, kind)

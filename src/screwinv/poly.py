@@ -63,11 +63,12 @@ def quoted(text: str, lead: str) -> str:
 
 
 class _TermsView(Mapping):
-    """A read-only view of a term map; every write raises TypeError.
+    """A read-only view of a term map or of a certificate's terms; every
+    write raises TypeError.
 
-    `types.MappingProxyType` would refuse a write whose packed key is above
-    `sys.maxsize` with IndexError: it falls back to the sequence protocol,
-    which cannot fit such an int into an index.
+    `types.MappingProxyType` cannot be pickled, and it would refuse a write
+    whose packed key is above `sys.maxsize` with IndexError: it falls back
+    to the sequence protocol, which cannot fit such an int into an index.
     """
 
     __slots__ = ("_map",)
@@ -97,9 +98,17 @@ class _TermsView(Mapping):
 class _Immutable:
     """Base of the hand-frozen value types: attributes refuse assignment and
     deletion.  Subclasses declare their own `__slots__` and fill them through
-    `object.__setattr__` or the slots' own setters, which go past these."""
+    `object.__setattr__` or the slots' own setters, which go past these.  A
+    value copies as itself, as a Fraction does, and each subclass pickles
+    through its public constructor with a `__reduce__`."""
 
     __slots__ = ()
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
@@ -159,6 +168,9 @@ class VariableSet(_Immutable):
 
     def __repr__(self) -> str:
         return f"VariableSet({list(self.names)!r})"
+
+    def __reduce__(self):
+        return VariableSet, (self.names,)
 
     def unit(self) -> Monomial:
         """The unit monomial, all exponents zero."""
@@ -268,6 +280,9 @@ class TermOrder(_Immutable):
 
     def __repr__(self) -> str:
         return f"TermOrder(lex {' '.join(self.priority)})"
+
+    def __reduce__(self):
+        return TermOrder, (self.varset, self.priority)
 
 
 def _coerce(value) -> Fraction:
@@ -505,6 +520,8 @@ class Polynomial(_Immutable):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
+            if isinstance(other, bool):
+                return NotImplemented  # a bool is not a rational
             other = Polynomial.constant(self.varset, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -616,13 +633,9 @@ class Polynomial(_Immutable):
         n = len(self.varset)
         monomials = list(map(self.varset.unpack, self._num))
         used = list(compress(range(n), self.varset.unpack(reduce(or_, self._num, 0))))
-        if not all(i in values for i in used):
-            # name the first unassigned variable in term order
-            for exps in monomials:
-                for i in compress(range(n), exps):
-                    if i not in values:
-                        name = quoted(self.varset.names[i], "starting")
-                        raise ValueError(f"missing assignment for variable {name}")
+        for i in used:
+            if i not in values:
+                raise ValueError(f"missing assignment for variable {quoted(self.varset.names[i], 'starting')}")
         numerators, d = _cleared([values[i] for i in used])
         p = dict(zip(used, numerators))
         degrees = list(map(sum, monomials))
@@ -673,6 +686,9 @@ class Polynomial(_Immutable):
         return format_poly(self)
 
     __str__ = __repr__
+
+    def __reduce__(self):
+        return Polynomial, (self.varset, dict(self.terms))
 
 
 # The slots' own setters, which `_raw` and the constructor call past the

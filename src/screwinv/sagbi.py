@@ -23,12 +23,11 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import accumulate
 from operator import neg
-from types import MappingProxyType
 from typing import IO, Iterable, Mapping, Sequence
 
 from ._kernel import FIELD_BITS, MAX_EXPONENT, terms_add_into
 from .parsing import format_poly, parse
-from .poly import Monomial, Polynomial, TermOrder, VariableSet, _Immutable, _value
+from .poly import Monomial, Polynomial, TermOrder, VariableSet, _Immutable, _TermsView, _value
 
 
 class GeneratorSet(_Immutable):
@@ -118,6 +117,9 @@ class GeneratorSet(_Immutable):
 
     def __repr__(self) -> str:
         return f"GeneratorSet({len(self.gens)} generators, {self.order!r})"
+
+    def __reduce__(self):
+        return GeneratorSet, (self.gens, self.order)
 
 
 @dataclass(frozen=True)
@@ -270,7 +272,7 @@ def subduct(f: Polynomial, basis: GeneratorSet, *, products: dict | None = None)
                     num[e] //= g
                 den //= g
     remainder = Polynomial._raw(order.varset, num, den)
-    return SubductionResult(remainder, Certificate(MappingProxyType(cert_terms), basis), tuple(targets))
+    return SubductionResult(remainder, Certificate(_TermsView(cert_terms), basis), tuple(targets))
 
 
 def _side_key(path: tuple) -> tuple:

@@ -300,15 +300,20 @@ def _klein_and_mixed(vs: VariableSet, m: int) -> list:
     return entries
 
 
+def _catalog_varset(m: int) -> VariableSet:
+    """The m-screw variable set for a catalog of the screw counts the paper covers."""
+    if m not in (1, 2, 3):
+        raise ValueError("supported screw counts are 1, 2 and 3")
+    return screw_varset(m)
+
+
 def se3_generator_catalog(m: int) -> Catalog:
     """Generators of the full adjoint invariants on m screws (m = 1, 2, 3).
 
     The three-screw list is conjectural: every element is exactly
     invariant, but generation of the whole invariant ring is not certified.
     """
-    if m not in (1, 2, 3):
-        raise ValueError("supported screw counts are 1, 2 and 3")
-    vs = screw_varset(m)
+    vs = _catalog_varset(m)
     entries = [
         (f"dot_{i}{j}", killing_dot(vs, i, j))
         for i, j in combinations_with_replacement(range(1, m + 1), 2)
@@ -374,9 +379,7 @@ def translation_sagbi_catalog(m: int) -> Catalog:
     ``complete=None``: the bounded construction is not certified to have
     terminated.
     """
-    if m not in (1, 2, 3):
-        raise ValueError("supported screw counts are 1, 2 and 3")
-    vs = screw_varset(m)
+    vs = _catalog_varset(m)
     entries = [(name, Polynomial.variable(vs, name)) for name in vs.names[: 3 * m]]  # w11..wm3
     entries += _klein_and_mixed(vs, m)
     if m == 1:
@@ -443,6 +446,8 @@ class ExactRadical(_Immutable):
         return self.num * self.num / self.radicand
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, bool):
+            return NotImplemented  # a bool is not a rational
         if isinstance(other, (int, Fraction)):
             other = ExactRadical(other, 1)
         if not isinstance(other, ExactRadical):
@@ -452,6 +457,9 @@ class ExactRadical(_Immutable):
         return self.num ** 2 * other.radicand == other.num ** 2 * self.radicand
 
     __hash__ = None
+
+    def __reduce__(self):
+        return ExactRadical, (self.num, self.radicand)
 
     def __repr__(self) -> str:
         exact = self.as_fraction()

@@ -187,6 +187,16 @@ class TestPoly:
             assert code == 1 and out == ""
             assert err == f"error: --screws supports at most {cap}\n"
 
+    def test_screws_and_vars_exclusive(self, capsys):
+        # one variable context, so neither flag is silently ignored
+        for argv, message in (
+            (("--vars", "x", "--screws", "1"), "argument --screws: not allowed with argument --vars"),
+            (("--screws", "1", "--vars", "x"), "argument --vars: not allowed with argument --screws"),
+        ):
+            code, out, err = run(capsys, "poly", "x", *argv)
+            assert code == 1 and out == ""
+            assert err == f"error: {message}\n"
+
     def test_explicit_vars_and_order(self, capsys):
         code, out, _ = run(
             capsys, "poly", "x + y", "--vars", "x y", "--order", "y x"

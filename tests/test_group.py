@@ -471,7 +471,7 @@ class TestSampledInvariance:
     def test_killing_form_passes(self):
         vs = screw_varset(1)
         res = check_invariant_sampled(killing_dot(vs, 1, 1), ActionKind.FULL_ADJOINT, 1, 100, 7)
-        assert res.ok and res.counterexample is None
+        assert res.ok and bool(res) is True and res.counterexample is None
 
     def test_three_screw_catalog_passes(self):
         for name, p in se3_generator_catalog(3):
@@ -481,7 +481,7 @@ class TestSampledInvariance:
     def test_bare_coordinate_fails_with_counterexample(self):
         vs = screw_varset(1)
         res = check_invariant_sampled(Polynomial.variable(vs, "v11"), ActionKind.FULL_ADJOINT, 1)
-        assert not res.ok
+        assert not res.ok and bool(res) is False
         ce = res.counterexample
         assert ce is not None and ce.before != ce.after
         # the counterexample replays exactly

@@ -21,14 +21,17 @@ def _reference_evaluate(f: Polynomial, point) -> Fraction:
     values = {}
     for name, val in point.items():
         values[f.varset.index(name)] = _coerce(val)
+    # the first unassigned used variable in variable-set order, as
+    # `substitute` names a missing image
+    for name in f.used_variables():
+        if f.varset.index(name) not in values:
+            raise ValueError(f"missing assignment for variable {name!r}")
     total = Fraction(0)
     for m, coeff in f.terms.items():
         term = coeff
         for i, e in enumerate(f.varset.unpack(m)):
             if not e:
                 continue
-            if i not in values:
-                raise ValueError(f"missing assignment for variable {f.varset.names[i]!r}")
             term *= values[i] ** e
         total += term
     return total
@@ -393,6 +396,11 @@ class TestCoefficientRule:
         ):
             with pytest.raises(ValueError):
                 make()
+        # equality answers a bool instead of raising: no polynomial equals one
+        one = Polynomial.constant(vs, 1)
+        assert one.__eq__(True) is NotImplemented
+        assert (one == True) is False and (x != False) is True
+        assert (True in [one]) is False and one == 1
 
     def test_evaluate_returns_a_fraction(self):
         vs = VariableSet(["x", "y"])
@@ -711,6 +719,13 @@ class TestSubstituteEvaluate:
                 assert str(caught.value) == str(exc)
             else:
                 assert f.evaluate(point) == expected
+        # equal polynomials name the same variable, whatever order their
+        # terms are stored in
+        xy = VariableSet(["x", "y"])
+        for text in ("x + y", "y + x"):
+            with pytest.raises(ValueError) as caught:
+                parse(text, xy).evaluate({})
+            assert str(caught.value) == "missing assignment for variable 'x'"
 
     def test_degree_components(self, abcd):
         f = parse("a^2 + a*b + c + 7", abcd)

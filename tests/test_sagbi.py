@@ -1,7 +1,9 @@
 """Subduction, tete-a-tete enumeration, and basis construction."""
 
+import copy
 import dataclasses
 import io
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -10,7 +12,7 @@ import pytest
 
 import screwinv.sagbi as sagbi_module
 from conftest import random_poly
-from screwinv.group import ActionKind, pullback
+from screwinv.group import ActionKind, RationalQuaternion, pullback, rotation_from_quaternion
 from screwinv.parsing import format_poly, parse
 from screwinv.poly import Polynomial, TermOrder, VariableSet
 from screwinv.sagbi import (
@@ -27,6 +29,7 @@ from screwinv.sagbi import (
     write_basis_file,
 )
 from screwinv.screw import (
+    ExactRadical,
     killing_dot,
     klein_form,
     mixed_form,
@@ -318,6 +321,59 @@ class TestGeneratorSet:
         vs = VariableSet(["x"])
         g = GeneratorSet([parse("x", vs), parse("x + 1", vs)], vs.default_order())
         assert [str(p) for p in g] == ["x"]
+
+
+class TestCopyAndPickle:
+    """The immutable values copy as themselves and pickle through their
+    public constructors, so results can be copied or sent to another process."""
+
+    def test_values_round_trip(self):
+        vs = VariableSet(["x", "y"])
+        values = [
+            vs,
+            TermOrder(vs, ["y", "x"]),
+            parse("x^2 - 1/3*x*y + 5", vs),
+            rotation_from_quaternion(RationalQuaternion(1, 2, 3, 4)),
+            ExactRadical(Fraction(-3, 2), 5),
+        ]
+        for value in values:
+            assert copy.copy(value) is value and copy.deepcopy(value) is value
+            back = pickle.loads(pickle.dumps(value))
+            assert type(back) is type(value) and back == value
+            with pytest.raises(AttributeError, match="is immutable; cannot set"):
+                back.extra = 1
+        # a loaded polynomial computes: its variable set rebuilt its layout
+        f = values[2]
+        f_back = pickle.loads(pickle.dumps(f))
+        assert f_back.varset.pack((2, 1)) == vs.pack((2, 1)) and f_back.varset.default_order() == vs.default_order()
+        assert f_back - f == 0 and f_back * f_back == f * f
+
+    def test_generator_set_round_trips(self):
+        vs = VariableSet(["x", "y"])
+        basis = GeneratorSet([parse("2*x + y", vs), parse("x*y", vs)], TermOrder(vs, ["y", "x"]))
+        assert copy.copy(basis) is basis and copy.deepcopy(basis) is basis
+        back = pickle.loads(pickle.dumps(basis))
+        assert back.gens == basis.gens and back.order == basis.order
+        assert back.leading_monomials() == basis.leading_monomials()
+        assert back.power_product(((0, 2), (1, 1))) == basis.power_product(((0, 2), (1, 1)))
+
+    def test_results_round_trip(self):
+        result = sagbi_construct(pullback(ActionKind.TRANSLATION_SUB, 1).seed_generators(), degree_bound=4)
+        back = pickle.loads(pickle.dumps(result))
+        assert back.basis.gens == result.basis.gens and back.basis.order == result.basis.order
+        assert (back.complete, back.degree_bound, back.iterations) == (
+            result.complete, result.degree_bound, result.iterations
+        )
+        assert copy.deepcopy(result) == result
+        vs = VariableSet(["x", "y"])
+        basis = GeneratorSet([parse("x", vs), parse("x*y + y", vs)], vs.default_order())
+        res = subduct(parse("x^3 + x^2*y + x*y + 7*y", vs), basis)
+        back = pickle.loads(pickle.dumps(res))
+        assert back.remainder == res.remainder and back.targets == res.targets
+        assert dict(back.certificate.terms) == dict(res.certificate.terms) and res.certificate.terms
+        assert back.certificate.evaluate() == res.certificate.evaluate()
+        with pytest.raises(TypeError):
+            back.certificate.terms[()] = 1
 
 
 class TestWithAdded:

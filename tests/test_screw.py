@@ -391,6 +391,11 @@ class TestDhInvariants:
         assert repr(ExactRadical(2, 4)) == "ExactRadical(1)"
         assert ExactRadical(1, 2).__eq__("x") is NotImplemented
         assert (ExactRadical(1, 2) == "x") is False and (ExactRadical(1, 2) != "x") is True
+        # a bool is not a rational: equality answers instead of raising
+        one = ExactRadical(1, 1)
+        assert one.__eq__(True) is NotImplemented
+        assert (one == True) is False and (one != False) is True
+        assert (True in [one]) is False and one == 1
 
     def test_exact_radical_is_immutable(self):
         # no float (or anything else) can be assigned in after construction
