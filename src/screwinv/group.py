@@ -11,7 +11,9 @@ with T the skew matrix of the translation t; `_adjoint_blocks` is the one
 place this is written.  Numerically that matrix is held as an integer
 matrix A over one int d, and a twist is acted on with its coordinates
 cleared to ints over their common denominator, so each image coordinate
-costs one Fraction.
+costs one Fraction.  The sampled oracle builds none: with a sample screw
+cleared to ints P over one e, it compares N(P, e) * d^top with N(Q, d e),
+Q = A P, and builds Fractions only for a counterexample.
 
 Invariance of a polynomial under the full action or either sub-action can
 be checked two independent ways: symbolically (substituting the action of
@@ -38,7 +40,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import add, mul
 
-from .poly import Polynomial, TermOrder, VariableSet, _cleared, _coerce, _Immutable
+from .poly import Polynomial, TermOrder, VariableSet, _cleared, _coerce, _Immutable, _plan_sum
 from .sagbi import (
     DEFAULT_DEGREE_BOUND,
     GeneratorSet,
@@ -144,7 +146,11 @@ class Rotation(_Immutable):
 
     @classmethod
     def identity(cls) -> "Rotation":
-        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1)
+        """The identity rotation: one shared instance, checked once at import."""
+        return _IDENTITY_ROTATION
+
+
+_IDENTITY_ROTATION = Rotation(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1)
 
 
 def _quaternion_matrix_raw(q0, q1, q2, q3):
@@ -224,10 +230,10 @@ def adjoint_matrix(g: EuclideanElement) -> tuple:
 
 
 def _act_scaled(a, d: int, t: Twist) -> Twist:
-    """The twist (A/d) t, in ints: t = p/e, so each coordinate is (row . p)/(d e)."""
+    """The twist (A/d) t, in ints: t = p/e, so each coordinate is (A p)_i/(d e)."""
     p, e = _cleared(t.omega + t.vee)
     de = d * e
-    image = [Fraction(sum(map(mul, row, p)), de) for row in a]
+    image = [Fraction(x, de) for x in mat_vec(a, p)]
     return Twist(image[:3], image[3:])
 
 
@@ -422,12 +428,9 @@ def _sample_group(rng: random.Random, kind: ActionKind):
     return q, t, _element(q, t)
 
 
-def _sample_screw(rng: random.Random, m: int) -> MultiScrew:
-    twists = []
-    for _ in range(m):
-        coords = [Fraction(rng.randint(-100, 100), rng.randint(1, 16)) for _ in range(6)]
-        twists.append(Twist(coords[:3], coords[3:]))
-    return MultiScrew(tuple(twists))
+def _sample_screw(rng: random.Random, m: int) -> list:
+    """Random screw coordinates a/b as 6m (a, b) draws, twist by twist, omega then v."""
+    return [(rng.randint(-100, 100), rng.randint(1, 16)) for _ in range(6 * m)]
 
 
 def check_invariant_sampled(
@@ -437,23 +440,44 @@ def check_invariant_sampled(
     n_samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> SampledCheck:
-    """Evaluate f(g.s) == f(s) exactly at pseudo-random group elements.
+    """Decide f(g.s) == f(s) exactly at pseudo-random group elements and screws.
 
     Samples are derived deterministically from (seed, index), so results
-    are order-independent and reproducible.  A failure returns the exact
-    counterexample; success is probabilistic evidence only (though false
-    positives at these degrees would need astonishing luck).
+    are order-independent and reproducible.  Each is decided in ints: the
+    screw is P/e and g's adjoint A/d, so g.s is Q/(d e) with Q = A P per
+    twist, and with `poly._plan_sum`'s N the two values are equal exactly
+    when N(P, e) * d^top == N(Q, d e).  A failure is rebuilt in Fractions
+    through `evaluate` and `apply_adjoint`, which must disagree too, and
+    returned as the exact counterexample.
+
+    Success is probabilistic evidence only.  Modelling the seeded draws as
+    independent, each coordinate takes any one value with probability at
+    most 1/200, so by the Schwartz-Zippel lemma a non-invariant f of degree
+    d passes one sample with probability at most 4d/200 (2d/200 for t3,
+    which draws no quaternion).
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     _check_screw_input(f, m)
+    rows, _, top = f._plan()
+    # variable index (w11..wm3, v11..vm3) -> its place in a sample's draws
+    place = [6 * (i % (3 * m) // 3) + 3 * (i // (3 * m)) + i % 3 for i in range(6 * m)]
+    rows = [(c, tuple((place[i], k) for i, k in exps), deg) for c, exps, deg in rows]
     for index in range(n_samples):
         rng = random.Random(seed * 1_000_003 + index)
         q, t, g = _sample_group(rng, kind)
-        s = _sample_screw(rng, m)
-        before = f.evaluate(s.coordinates())
-        after = f.evaluate(apply_adjoint(g, s).coordinates())
-        if before != after:
+        draws = _sample_screw(rng, m)
+        e = math.lcm(*(b for _, b in draws))
+        p = [a * (e // b) for a, b in draws]
+        adjoint, d = _scaled_adjoint(g)
+        image = [x for k in range(0, 6 * m, 6) for x in mat_vec(adjoint, p[k : k + 6])]
+        if _plan_sum(rows, top, p, e) * d**top != _plan_sum(rows, top, image, d * e):
+            c = [Fraction(a, b) for a, b in draws]
+            s = MultiScrew(tuple(Twist(c[k : k + 3], c[k + 3 : k + 6]) for k in range(0, 6 * m, 6)))
+            before = f.evaluate(s.coordinates())
+            after = f.evaluate(apply_adjoint(g, s).coordinates())
+            if before == after:
+                raise RuntimeError("the integer and Fraction evaluations of a sample disagree")
             return SampledCheck(False, Counterexample(q, t, s, before, after))
     return SampledCheck(True)
 

@@ -64,17 +64,18 @@ def quoted(text: str, lead: str) -> str:
 
 class _TermsView(Mapping):
     """A read-only view of a term map or of a certificate's terms; every
-    write raises TypeError.
+    write raises TypeError, naming the owner by `noun`.
 
     `types.MappingProxyType` cannot be pickled, and it would refuse a write
     whose packed key is above `sys.maxsize` with IndexError: it falls back
     to the sequence protocol, which cannot fit such an int into an index.
     """
 
-    __slots__ = ("_map",)
+    __slots__ = ("_map", "_noun")
 
-    def __init__(self, terms: dict):
+    def __init__(self, terms: dict, noun: str = "polynomial"):
         self._map = terms
+        self._noun = noun
 
     def __getitem__(self, mono):
         return self._map[mono]
@@ -86,10 +87,10 @@ class _TermsView(Mapping):
         return len(self._map)
 
     def __setitem__(self, mono, value):
-        raise TypeError("polynomial terms are read-only")
+        raise TypeError(f"{self._noun} terms are read-only")
 
     def __delitem__(self, mono):
-        raise TypeError("polynomial terms are read-only")
+        raise TypeError(f"{self._noun} terms are read-only")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._map!r})"
@@ -308,6 +309,19 @@ def _ratio(value) -> tuple[int, int]:
         return value, 1
     value = _coerce(value)
     return value.numerator, value.denominator
+
+
+def _plan_sum(rows, top: int, p, d: int) -> int:
+    """N(p, d) = sum(C_t * prod(p_i^e_i) * d^(top - deg_t)) over a `Polynomial._plan`:
+    the polynomial's value at p/d is N(p, d) / (den * d^top).  `p` is indexed
+    by variable index."""
+    total = 0
+    for coeff, exps, k in rows:
+        term = coeff * d ** (top - k)
+        for i, e in exps:
+            term *= p[i] ** e
+        total += term
+    return total
 
 
 def _value(c: int, den: int) -> int | Fraction:
@@ -580,7 +594,7 @@ class Polynomial(_Immutable):
         target = None
         for name in used:
             if name not in images:
-                raise ValueError(f"no image given for variable {name!r}")
+                raise ValueError(f"no image given for variable {quoted(name, 'starting')}")
             img = images[name]
             if target is None:
                 target = img.varset
@@ -618,36 +632,35 @@ class Polynomial(_Immutable):
             terms_add_into(result, acc, 1)
         return Polynomial._raw(target, result, den)
 
+    def _plan(self) -> tuple:
+        """(rows, used, top): one (C_t, ((i, e_i), ...), deg_t) row per term
+        of the int map, the indices of the used variables and the largest
+        term degree, as `_plan_sum` reads them."""
+        unpack = self.varset.unpack
+        rows = []
+        for m, coeff in self._num.items():
+            exps = unpack(m)
+            rows.append((coeff, tuple((i, e) for i, e in enumerate(exps) if e), sum(exps)))
+        used = list(compress(range(len(self.varset)), unpack(reduce(or_, self._num, 0))))
+        return rows, used, max((row[2] for row in rows), default=0)
+
     def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
         """Exact value at a point, as a Fraction; every used variable must be assigned.
 
         Computed in ints: the used variables' values are P_i/D over one
-        denominator D and the coefficients are the int map over `den`, C_t/C,
-        so the value is sum(C_t * prod(P_i^e_i) * D^(top - deg_t)) / (C * D^top),
-        with top the largest term degree, and one Fraction is built.
+        denominator D, so the value is `_plan_sum` N(P, D) over den * D^top,
+        and one Fraction is built.
         """
         index = self.varset._index
         if not index.keys() >= point.keys():
             self.varset.index(next(k for k in point if k not in index))  # raises: unknown variable
         values = {index[name]: _coerce(val) for name, val in point.items()}
-        n = len(self.varset)
-        monomials = list(map(self.varset.unpack, self._num))
-        used = list(compress(range(n), self.varset.unpack(reduce(or_, self._num, 0))))
+        rows, used, top = self._plan()
         for i in used:
             if i not in values:
                 raise ValueError(f"missing assignment for variable {quoted(self.varset.names[i], 'starting')}")
         numerators, d = _cleared([values[i] for i in used])
-        p = dict(zip(used, numerators))
-        degrees = list(map(sum, monomials))
-        top = max(degrees, default=0)
-        scales = {k: d ** (top - k) for k in set(degrees)}
-        total = 0
-        for exps, coeff, k in zip(monomials, self._num.values(), degrees):
-            term = coeff * scales[k]
-            for i in compress(range(n), exps):
-                term *= p[i] ** exps[i]
-            total += term
-        return Fraction(total, self.den * d**top)
+        return Fraction(_plan_sum(rows, top, dict(zip(used, numerators)), d), self.den * d**top)
 
     def rename(self, target: VariableSet, mapping: Mapping[str, str] | None = None) -> "Polynomial":
         """Re-index into `target`, optionally renaming variables.

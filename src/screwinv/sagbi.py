@@ -272,7 +272,7 @@ def subduct(f: Polynomial, basis: GeneratorSet, *, products: dict | None = None)
                     num[e] //= g
                 den //= g
     remainder = Polynomial._raw(order.varset, num, den)
-    return SubductionResult(remainder, Certificate(_TermsView(cert_terms), basis), tuple(targets))
+    return SubductionResult(remainder, Certificate(_TermsView(cert_terms, "certificate"), basis), tuple(targets))
 
 
 def _side_key(path: tuple) -> tuple:

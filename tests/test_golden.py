@@ -65,16 +65,20 @@ SUBDUCT_INPUTS = {
     "nonmember": "w11^2*v11 + w11*w12*v12 + w11*w13*v13 + w21*v12",
 }
 
-# se3 invariance checks, label -> (poly, screws, mode): the Klein form of one
-# screw passes both oracles; the cross-screw Klein-like form fails the
-# symbolic one, and w11 fails sampling with a counterexample (default seed),
-# as does a non-homogeneous two-screw form with fractional coefficients.
+# invariance checks, label -> (poly, group, screws, mode): the Klein form of
+# one screw passes both se3 oracles; the cross-screw Klein-like form fails
+# the symbolic one, and w11 fails se3 sampling with a counterexample
+# (default seed), as does a non-homogeneous two-screw form with fractional
+# coefficients.  v11 fails t3 sampling, whose elements carry no rotation,
+# and w11 fails so3 sampling on two screws, with zero translation.
 INVARIANCE_INPUTS = {
-    "symbolic_klein": ("w11*v11 + w12*v12 + w13*v13", 1, "symbolic"),
-    "symbolic_cross": ("w11*v21 + w12*v22 + w13*v23", 2, "symbolic"),
-    "sample_klein": ("w11*v11 + w12*v12 + w13*v13", 1, "sample"),
-    "sample_w11": ("w11", 1, "sample"),
-    "sample_fractional_two_screw": ("1/3*w11*v21 + w12^2 - 5/7", 2, "sample"),
+    "symbolic_klein": ("w11*v11 + w12*v12 + w13*v13", "se3", 1, "symbolic"),
+    "symbolic_cross": ("w11*v21 + w12*v22 + w13*v23", "se3", 2, "symbolic"),
+    "sample_klein": ("w11*v11 + w12*v12 + w13*v13", "se3", 1, "sample"),
+    "sample_w11": ("w11", "se3", 1, "sample"),
+    "sample_fractional_two_screw": ("1/3*w11*v21 + w12^2 - 5/7", "se3", 2, "sample"),
+    "sample_v11_t3": ("v11", "t3", 1, "sample"),
+    "sample_w11_so3_two_screw": ("w11", "so3", 2, "sample"),
 }
 
 # `poly` runs, label -> argv after the subcommand: a leading sign,
@@ -125,8 +129,8 @@ def _cli_cases() -> dict:
         argv = ["dh", "--pair", f"{{{label}}}"]
         cases[label] = argv
         cases[f"{label}_json"] = ["--json", *argv]
-    for label, (poly, m, mode) in INVARIANCE_INPUTS.items():
-        argv = ["invariance", "--poly", poly, "--group", "se3", "--screws", str(m), "--mode", mode]
+    for label, (poly, group, m, mode) in INVARIANCE_INPUTS.items():
+        argv = ["invariance", "--poly", poly, "--group", group, "--screws", str(m), "--mode", mode]
         cases[f"invariance_{label}"] = argv
         cases[f"invariance_{label}_json"] = ["--json", *argv]
     for label, args in POLY_INPUTS.items():

@@ -6,11 +6,16 @@ from fractions import Fraction
 
 import pytest
 
+from screwinv import group
 from screwinv.group import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
     ActionKind,
+    Counterexample,
     EuclideanElement,
     RationalQuaternion,
     Rotation,
+    SampledCheck,
     _scaled_adjoint,
     adjoint_matrix,
     apply_adjoint,
@@ -110,6 +115,10 @@ class TestRotation:
             with pytest.raises(AttributeError, match=f"^Rotation is immutable; cannot delete {name!r}$"):
                 delattr(r, name)
         assert r == Rotation.identity() and r.compose(r) == r and r.entries[0][0] == 1
+        # the identity is one shared instance, so the refused writes above
+        # must have left it intact for every later caller
+        assert Rotation.identity() is r and EuclideanElement.identity().rotation is r
+        assert (r.numerator, r.denominator) == (((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1)
         g = EuclideanElement(r, (0, 0, 0))
         assert g.rotation.numerator == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -509,6 +518,86 @@ class TestSampledInvariance:
         a = check_invariant_sampled(f, ActionKind.FULL_ADJOINT, 1, 8, 123)
         b = check_invariant_sampled(f, ActionKind.FULL_ADJOINT, 1, 8, 123)
         assert a.counterexample == b.counterexample
+
+
+def _reference_check_invariant_sampled(f, kind, m, n_samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
+    """The Fraction loop the sampled oracle decides in ints: the same draws,
+    a screw of Fractions, and `evaluate` at it and at its `apply_adjoint` image."""
+    for index in range(n_samples):
+        rng = random.Random(seed * 1_000_003 + index)
+        q, rotation = None, Rotation(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1)
+        if kind is not ActionKind.TRANSLATION_SUB:
+            while True:
+                comps = [rng.randint(-100, 100) for _ in range(4)]
+                if any(comps):
+                    break
+            q = RationalQuaternion(*comps)
+            rotation = rotation_from_quaternion(q)
+        t = (Fraction(0), Fraction(0), Fraction(0))
+        if kind is not ActionKind.ROTATION_SUB:
+            t = tuple(Fraction(rng.randint(-1000, 1000)) for _ in range(3))
+        twists = []
+        for _ in range(m):
+            coords = [Fraction(rng.randint(-100, 100), rng.randint(1, 16)) for _ in range(6)]
+            twists.append(Twist(coords[:3], coords[3:]))
+        s = MultiScrew(tuple(twists))
+        before = f.evaluate(s.coordinates())
+        after = f.evaluate(apply_adjoint(EuclideanElement(rotation, t), s).coordinates())
+        if before != after:
+            return SampledCheck(False, Counterexample(q, t, s, before, after))
+    return SampledCheck(True)
+
+
+def _sampled_corpus():
+    """(label, polynomial, screws) on 1..3 screws: catalog members and their
+    perturbations, fractional coefficients, constant terms, inhomogeneous
+    forms, forms in a subset of the variables and the zero polynomial."""
+    corpus = []
+    for m in (1, 2, 3):
+        vs = screw_varset(m)
+        texts = [
+            "v11",
+            "w11",
+            f"1/3*w11*v{m}1 + w{m}2^2 - 5/7",
+            f"w11*w{m}2 + 2/5*v{m}3^3 - 3",
+            f"7/2*v12*v{m}1 - 1/9*w13 + v11^2*w{m}3",
+            "-4/3",
+        ]
+        corpus += [(f"m={m} {text}", parse(text, vs), m) for text in texts]
+        corpus.append((f"m={m} zero", Polynomial.zero(vs), m))
+        for name, p in list(se3_generator_catalog(m))[:4]:
+            corpus.append((f"m={m} se3 {name}", p, m))
+            corpus.append((f"m={m} se3 {name} + 1/2*w11*v{m}2", p + parse(f"1/2*w11*v{m}2", vs), m))
+            # invariant and inhomogeneous: each degree is scaled differently
+            corpus.append((f"m={m} se3 {name}^2/7 + {name} - 5/3", p * p / 7 + p - Fraction(5, 3), m))
+        for name, p in list(translation_sagbi_catalog(m))[:3]:
+            corpus.append((f"m={m} t3 {name} - 2/3", p - Fraction(2, 3), m))
+    return corpus
+
+
+class TestSampledAgreement:
+    """The integer per-sample test returns what the Fraction loop returns:
+    the same `ok` and the same counterexample, on every kind and seed."""
+
+    @pytest.mark.parametrize("f,m", [pytest.param(f, m, id=label) for label, f, m in _sampled_corpus()])
+    def test_same_outcome_as_fraction_loop(self, f, m):
+        for kind in ActionKind:
+            for seed in (0, 7):
+                got = check_invariant_sampled(f, kind, m, 8, seed)
+                assert got == _reference_check_invariant_sampled(f, kind, m, 8, seed), (kind, seed)
+
+    def test_default_arguments_match(self):
+        f = parse("w11*v21 + 1/3", screw_varset(2))
+        for kind in ActionKind:
+            assert check_invariant_sampled(f, kind, 2) == _reference_check_invariant_sampled(f, kind, 2)
+
+    def test_counterexample_is_cross_checked(self, monkeypatch):
+        # an integer mismatch is rebuilt in Fractions through apply_adjoint;
+        # if that rebuild finds no mismatch, the oracle refuses to answer
+        monkeypatch.setattr(group, "apply_adjoint", lambda g, s: s)
+        f = Polynomial.variable(screw_varset(1), "w11")
+        with pytest.raises(RuntimeError, match="disagree"):
+            check_invariant_sampled(f, ActionKind.FULL_ADJOINT, 1)
 
 
 class TestOracleAgreement:

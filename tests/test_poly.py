@@ -68,6 +68,7 @@ class TestVariableSet:
             (lambda: VariableSet(["x"]).index(long), f"unknown variable {start}"),
             (lambda: parse("x", VariableSet(["x"])).evaluate({long: 1}), f"unknown variable {start}"),
             (lambda: parse(long, VariableSet([long])).evaluate({}), f"missing assignment for variable {start}"),
+            (lambda: parse(long, VariableSet([long])).substitute({}), f"no image given for variable {start}"),
             (lambda: VariableSet(["1x"]), "invalid variable name '1x'"),
             (lambda: VariableSet(["x", "x"]), "duplicate variable name 'x'"),
             (lambda: VariableSet(["x"]).index("y"), "unknown variable 'y'"),
@@ -481,9 +482,9 @@ class TestOneDenominator:
         for text in ("a + 2*d", "1/2*a + 2*d"):
             f = parse(text, abcd)
             for key in (0, small, large, large + 1):
-                with pytest.raises(TypeError):
+                with pytest.raises(TypeError, match="^polynomial terms are read-only$"):
                     f.terms[key] = 1
-                with pytest.raises(TypeError):
+                with pytest.raises(TypeError, match="^polynomial terms are read-only$"):
                     del f.terms[key]
             assert f == parse(text, abcd)
 
@@ -620,7 +621,7 @@ class TestSubstituteEvaluate:
     def test_missing_image_raises(self):
         vs = VariableSet(["x", "y"])
         f = parse("x*y", vs)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^no image given for variable 'y'$"):
             f.substitute({"x": Polynomial.variable(vs, "x")})
 
     def test_images_over_two_variable_sets_raise(self):

@@ -375,6 +375,19 @@ class TestCopyAndPickle:
         with pytest.raises(TypeError):
             back.certificate.terms[()] = 1
 
+    def test_certificate_terms_refuse_writes_by_name(self):
+        # the view names its owner, before and after a pickle round trip
+        vs = VariableSet(["x", "y"])
+        basis = GeneratorSet([parse("x", vs), parse("x*y + y", vs)], vs.default_order())
+        res = subduct(parse("x^3 + x^2*y + 7*y", vs), basis)
+        for terms in (res.certificate.terms, pickle.loads(pickle.dumps(res)).certificate.terms):
+            key = next(iter(terms))
+            with pytest.raises(TypeError, match="^certificate terms are read-only$"):
+                terms[key] = 1
+            with pytest.raises(TypeError, match="^certificate terms are read-only$"):
+                del terms[key]
+        assert dict(res.certificate.terms) and res.certificate.evaluate() + res.remainder == parse("x^3 + x^2*y + 7*y", vs)
+
 
 class TestWithAdded:
     """`with_added` grows a set into what `GeneratorSet(gens + new)` builds
