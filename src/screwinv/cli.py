@@ -116,7 +116,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _cap_degree(f, what: str) -> None:
     """Refuse `f` above MAX_POLY_DEGREE, saying "<what> of degree at most <cap>"."""
-    if max(map(f.varset.degree, f.terms), default=0) > MAX_POLY_DEGREE:
+    if f._plan()[2] > MAX_POLY_DEGREE:  # the largest term degree
         raise ValueError(f"{what} of degree at most {MAX_POLY_DEGREE}")
 
 

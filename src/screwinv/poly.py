@@ -14,6 +14,11 @@ otherwise.  Everything here is exact: no floats, no tolerances, and all
 values are immutable after construction, so they are safe to share across
 threads.
 
+A term's exponents are read through one walk, `Polynomial._plan`.
+`evaluate`, `substitute` and the sampled oracle share one rule: with the
+values or images cleared to P_i over one denominator D, the result is
+N(P, D) = sum C_t * P^t * D^(top - deg t) over den * D^top.
+
 Term orders are pure lexicographic with an explicit variable priority; a
 prefix of the priority list acts as an elimination block.
 """
@@ -581,66 +586,55 @@ class Polynomial(_Immutable):
         """Ring homomorphism sending each variable to its image polynomial.
 
         Every variable actually used in `self` must have an image; the
-        images must share a single target variable set.  Images over a
-        denominator d_i are lifted to one: with E_i the largest exponent of
-        variable i, each term is multiplied by prod d_i^(E_i - e_i) and the
-        result's den by prod d_i^E_i.
+        images must share a single target variable set.  This is
+        `evaluate`'s rule on term maps: the used images are cleared to int
+        maps P_i over one denominator D, and the result is `_plan_sum`'s
+        N(P, D) over den * D^top, with each image power built once.
         """
-        used = self.used_variables()
+        rows, used, top = self._plan()
         if not used:
             # constant: nothing to substitute
             target = next(iter(images.values())).varset if images else self.varset
             return Polynomial._raw(target, self._num, self.den)
-        target = None
-        for name in used:
-            if name not in images:
-                raise ValueError(f"no image given for variable {quoted(name, 'starting')}")
-            img = images[name]
-            if target is None:
-                target = img.varset
-            elif img.varset != target:
+        names = self.varset.names
+        imgs = {}  # variable index -> its image
+        for i in used:
+            if names[i] not in images:
+                raise ValueError(f"no image given for variable {quoted(names[i], 'starting')}")
+            imgs[i] = img = images[names[i]]
+            if img.varset != imgs[used[0]].varset:
                 raise ValueError("substitution images use mismatched variable sets")
-        unit = {target.unit(): 1}
-        # cache of image powers, keyed by (variable index, exponent)
-        powers: dict[int, list[dict]] = {}
-        lifts: dict[int, int] = {}  # variable index -> its image's den, when not 1
-        for name in used:
-            i, img = self.varset.index(name), images[name]
-            powers[i] = [unit, img._num]
-            if img.den != 1:
-                lifts[i] = img.den
-        unpack = self.varset.unpack
-        den = self.den
-        if lifts:
-            tops = {i: max(unpack(m)[i] for m in self._num) for i in lifts}
-            for i, d in lifts.items():
-                den *= d ** tops[i]
+        target = imgs[used[0]].varset
+        d = math.lcm(*(img.den for img in imgs.values()))
+        unit = target.unit()
+        # powers[i][e] is P_i^e, built on first use
+        powers = {
+            i: [{unit: 1}, img._num if img.den == d else terms_scale(img._num, d // img.den)]
+            for i, img in imgs.items()
+        }
         result: dict = {}
-        for m, coeff in self._num.items():
-            if lifts:
-                exps = unpack(m)
-                for i, d in lifts.items():
-                    coeff *= d ** (tops[i] - exps[i])
-            acc = {target.unit(): coeff}
-            for i, e in enumerate(unpack(m)):
-                if not e:
-                    continue
+        for coeff, exps, k in rows:
+            acc = {unit: coeff * d ** (top - k)}
+            for i, e in exps:
                 plist = powers[i]
                 while len(plist) <= e:
                     plist.append(terms_mul(plist[-1], plist[1]))
                 acc = terms_mul(acc, plist[e])
             terms_add_into(result, acc, 1)
-        return Polynomial._raw(target, result, den)
+        return Polynomial._raw(target, result, self.den * d**top)
 
     def _plan(self) -> tuple:
-        """(rows, used, top): one (C_t, ((i, e_i), ...), deg_t) row per term
-        of the int map, the indices of the used variables and the largest
-        term degree, as `_plan_sum` reads them."""
+        """(rows, used, top): one (C_t, ((i, e_i), ...), deg_t) row per term,
+        in `_num`'s order, the indices of the used variables and the largest
+        term degree.  The one walk over the packed terms: `evaluate`,
+        `substitute`, `rename`, `degree_components` and the sampled oracle
+        read a term's exponents from its row."""
         unpack = self.varset.unpack
         rows = []
         for m, coeff in self._num.items():
             exps = unpack(m)
-            rows.append((coeff, tuple((i, e) for i, e in enumerate(exps) if e), sum(exps)))
+            # a list comprehension builds the tuple faster than a generator would
+            rows.append((coeff, tuple([(i, e) for i, e in enumerate(exps) if e]), sum(exps)))
         used = list(compress(range(len(self.varset)), unpack(reduce(or_, self._num, 0))))
         return rows, used, max((row[2] for row in rows), default=0)
 
@@ -668,27 +662,22 @@ class Polynomial(_Immutable):
         Cheap exponent shuffling: every used variable must map (via
         `mapping`, default identity) to a name present in `target`.
         """
-        take = {}
-        for name in self.used_variables():
-            new = mapping.get(name, name) if mapping else name
-            take[self.varset.index(name)] = target.index(new)
-        if len(set(take.values())) != len(take):
+        rows, used, _ = self._plan()
+        names, last = self.varset.names, len(target) - 1
+        shift = {}  # variable index -> the bit offset of its field in `target`
+        for i in used:
+            new = mapping.get(names[i], names[i]) if mapping else names[i]
+            shift[i] = FIELD_BITS * (last - target.index(new))
+        if len(set(shift.values())) != len(shift):
             raise ValueError("rename mapping must be injective on used variables")
-        n = len(target)
-        out = {}
-        for m, coeff in self._num.items():
-            new_exps = [0] * n
-            for i, e in enumerate(self.varset.unpack(m)):
-                if e:
-                    new_exps[take[i]] = e
-            out[target.pack(new_exps)] = coeff
+        out = {sum(e << shift[i] for i, e in exps): coeff for coeff, exps, _ in rows}
         return Polynomial._raw(target, out, self.den)
 
     def degree_components(self) -> dict[int, "Polynomial"]:
         """Split into homogeneous components keyed by total degree."""
         buckets: dict[int, dict] = {}
-        for m, coeff in self._num.items():
-            buckets.setdefault(self.varset.degree(m), {})[m] = coeff
+        for m, (coeff, _, k) in zip(self._num, self._plan()[0]):
+            buckets.setdefault(k, {})[m] = coeff
         return {d: Polynomial._raw(self.varset, t, self.den) for d, t in buckets.items()}
 
     # ------------------------------------------------------------------

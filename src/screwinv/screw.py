@@ -470,12 +470,14 @@ class ExactRadical(_Immutable):
 
 @dataclass(frozen=True)
 class DhPairReport:
-    """Exact twist angle and displacement data for a screw pair.
+    """Exact twist angle and displacement data for a screw pair's axes.
 
     cos_alpha and d_sin_alpha are the two invariant quotients over
     sqrt((w1.w1)(w2.w2)); `displacement` is the exact d when the axes are
     not parallel, and the float views are 15-significant-digit
-    conveniences only.
+    conveniences only.  All of them belong to the axes: d_sin_alpha and
+    `displacement` carry the pitch term, so they do not change with the
+    pitches, while `klein_cross` is the raw w1.v2 + w2.v1, pitches included.
     """
 
     dots: tuple  # (w1.w1, w1.w2, w2.w2)
@@ -489,10 +491,13 @@ class DhPairReport:
 
 
 def dh_invariants(pair: MultiScrew) -> DhPairReport:
-    """Twist-angle and displacement invariants of a screw pair.
+    """Twist-angle and displacement invariants of the axes of a screw pair.
 
-    cos(alpha) = (w1.w2) / sqrt((w1.w1)(w2.w2)) and d sin(alpha) =
-    (w1.v2 + w2.v1) / sqrt(same); both are ratios of two-screw adjoint
+    With rho = (w1.w1)(w2.w2) and the pitches h_i = (w_i.v_i)/(w_i.w_i),
+    cos(alpha) = (w1.w2) / sqrt(rho) and d sin(alpha) =
+    (w1.v2 + w2.v1 - (h1 + h2)(w1.w2)) / sqrt(rho).  The pitch term takes
+    out what the pitches add to w1.v2 + w2.v1, so both belong to the axes
+    and hold for any pitches; both are ratios of two-screw adjoint
     invariants, so the report is a fixed point of the adjoint action.
     Requires nonzero angular parts; when the axes are parallel
     (sin(alpha) = 0) the displacement is reported undefined, and a
@@ -507,9 +512,11 @@ def dh_invariants(pair: MultiScrew) -> DhPairReport:
         raise ValueError("both screws need a nonzero angular part")
     w12 = dot(t1.omega, t2.omega)
     kc = dot(t1.omega, t2.vee) + dot(t2.omega, t1.vee)
+    # kc less the pitch term (h1 + h2)(w1.w2): the axes' own share
+    axes = kc - (dot(t1.omega, t1.vee) / w11 + dot(t2.omega, t2.vee) / w22) * w12
     rho = w11 * w22
     cos_alpha = ExactRadical(w12, rho)
-    d_sin_alpha = ExactRadical(kc, rho)
+    d_sin_alpha = ExactRadical(axes, rho)
     if cos_alpha.squared() > 1:
         raise RuntimeError(
             f"Cauchy-Schwarz violated: (w1.w2)^2 = {w12 * w12} exceeds (w1.w1)(w2.w2) = {rho}"
@@ -517,7 +524,7 @@ def dh_invariants(pair: MultiScrew) -> DhPairReport:
     parallel = w12 * w12 == rho
     displacement = d_float = None
     if not parallel:
-        displacement = ExactRadical(kc, rho - w12 * w12)
+        displacement = ExactRadical(axes, rho - w12 * w12)
         try:
             d_float = float(displacement)
         except OverflowError:

@@ -30,7 +30,8 @@ FRACTIONAL_SEED = "order: lex x y\n2*x^2 + 3*y\n3*x*y - 2*y^2\n5*y^2 + 2*y\n"
 FRACTIONAL_POLY = "1/2*x^4 + 5*x^3*y - 7/3"
 
 # Screw pair files for `dh`: the README example pair (cos alpha = 4/5, d = 2)
-# and a pair with antiparallel axes, whose displacement is undefined.
+# and a pair with antiparallel axes, whose displacement is undefined; its
+# second screw has pitch -5/2, which the pitch term takes out of d sin alpha.
 DH_PAIRS = {
     "dh_example": "0 0 1 0 0 0\n0 3/5 4/5 0 -8/5 6/5\n",
     "dh_parallel": "0 0 1 0 0 0\n0 0 -2 2 1 5\n",

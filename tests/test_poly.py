@@ -37,6 +37,19 @@ def _reference_evaluate(f: Polynomial, point) -> Fraction:
     return total
 
 
+def _reference_substitute(f: Polynomial, images, target: VariableSet) -> Polynomial:
+    """`f` with each variable replaced by its image, built term by term with
+    Polynomial arithmetic over `target`."""
+    expected = Polynomial.zero(target)
+    for m, coeff in f.terms.items():
+        term = Polynomial.constant(target, coeff)
+        for name, e in zip(f.varset.names, f.varset.unpack(m)):
+            if e:
+                term = term * images[name] ** e
+        expected = expected + term
+    return expected
+
+
 class TestVariableSet:
     def test_basics(self):
         vs = VariableSet(["t1", "w11", "v11"])
@@ -457,13 +470,7 @@ class TestOneDenominator:
         for _ in range(50):
             f = random_poly(rng, abcd)
             images = {name: random_poly(rng, abcd, max_deg=2) for name in abcd}
-            expected = Polynomial.zero(abcd)
-            for m, coeff in f.terms.items():
-                term = Polynomial.constant(abcd, coeff)
-                for name, e in zip(abcd.names, abcd.unpack(m)):
-                    term = term * images[name] ** e
-                expected = expected + term
-            assert f.substitute(images) == expected
+            assert f.substitute(images) == _reference_substitute(f, images, abcd)
 
     def test_constructor_takes_back_its_terms(self, abcd):
         rng = random.Random(14)
@@ -740,3 +747,92 @@ class TestSubstituteEvaluate:
         f = parse("x + y", vs)
         with pytest.raises(ValueError):
             f.rename(target, {"x": "z", "y": "z"})
+
+
+class TestTermWalk:
+    """`substitute`, `rename` and `degree_components` read each term's
+    exponents from `Polynomial._plan`; these pin them to dense references."""
+
+    def test_rename_matches_dense_reference(self, abcd):
+        rng = random.Random(71)
+        target = VariableSet(["p", "a", "q", "r", "b", "s", "c"])
+        polys = [Polynomial.zero(abcd), Polynomial.constant(abcd, Fraction(-5, 3)), Polynomial.constant(abcd, 4)]
+        polys += [random_poly(rng, abcd, max_terms=6, max_deg=5) for _ in range(150)]
+        for f in polys:
+            names = rng.sample(target.names, len(abcd))
+            mapping = dict(zip(abcd.names, names))
+            expected = {}
+            for m, coeff in f.terms.items():
+                exps = [0] * len(target)
+                for name, e in zip(abcd.names, abcd.unpack(m)):
+                    exps[target.index(mapping[name])] = e
+                expected[tuple(exps)] = coeff
+            renamed = f.rename(target, mapping)
+            assert renamed.varset == target and renamed == Polynomial(target, expected)
+            assert renamed.den == f.den and len(renamed) == len(f)
+        # the identity mapping into a wider set keeps each name's exponent
+        f = parse("a^3*c - 2/7*b*c^2 + 9", abcd)
+        assert f.rename(target) == parse("a^3*c - 2/7*b*c^2 + 9", target)
+
+    def test_rename_error_order(self):
+        # an unknown target name is reported before a non-injective mapping
+        f = parse("x + y + z", VariableSet(["x", "y", "z"]))
+        target = VariableSet(["u", "v"])
+        with pytest.raises(ValueError, match="^unknown variable 'nope'$"):
+            f.rename(target, {"x": "u", "y": "u", "z": "nope"})
+        with pytest.raises(ValueError, match="^rename mapping must be injective on used variables$"):
+            f.rename(target, {"x": "u", "y": "u", "z": "v"})
+        # an unused variable needs no target name
+        assert parse("y", f.varset).rename(target, {"y": "v"}) == parse("v", target)
+
+    def test_degree_components_match_reference(self, abcd):
+        rng = random.Random(72)
+        polys = [Polynomial.zero(abcd), Polynomial.constant(abcd, Fraction(7, 2))]
+        polys += [random_poly(rng, abcd, max_terms=8, max_deg=4) for _ in range(150)]
+        for f in polys:
+            buckets = {}
+            for m, coeff in f.terms.items():
+                buckets.setdefault(sum(abcd.unpack(m)), {})[m] = coeff
+            comps = f.degree_components()
+            assert comps == {k: Polynomial(abcd, t) for k, t in buckets.items()}
+            assert sum(comps.values(), Polynomial.zero(abcd)) == f
+
+    def test_substitute_mixed_denominators(self, abcd):
+        # integral images beside images over the pairwise different dens 2,
+        # 3 and 5, into another variable set, with an image over den 7 for
+        # a variable `e` that f never uses
+        rng = random.Random(73)
+        source = VariableSet([*abcd.names, "e"])
+        xyz = VariableSet(["x", "y", "z"])
+
+        def image(den):
+            terms = {tuple(rng.randint(0, 2) for _ in xyz): Fraction(rng.randint(-9, 9), den) for _ in range(3)}
+            terms[(0, 0, 3)] = Fraction(1, den)  # a monomial no other term has, so the den is `den`
+            return Polynomial(xyz, terms)
+
+        for _ in range(60):
+            dens = [1, 1, 2, 3, 5]
+            rng.shuffle(dens)
+            images = {name: image(den) for name, den in zip(source.names, dens)}
+            images["e"] = image(7)
+            g = random_poly(rng, abcd, max_terms=6, max_deg=4)
+            f = Polynomial(source, {(*abcd.unpack(m), 0): c for m, c in g.terms.items()})
+            result = f.substitute(images)
+            assert result.varset == xyz and result == _reference_substitute(f, images, xyz)
+        for c in (0, 3, Fraction(-4, 9)):
+            f = Polynomial.constant(source, c)
+            assert f.substitute({"a": image(2), "e": image(3)}) == Polynomial.constant(xyz, c)
+            assert f.substitute({}) == f
+
+    def test_missing_image_reported_before_mismatch(self):
+        # the used variables are checked in variable-set order, each for a
+        # missing image and then for its variable set
+        f = parse("x*y*z", VariableSet(["x", "y", "z"]))
+        one, two = VariableSet(["s"]), VariableSet(["s", "t"])
+        s1, s2 = Polynomial.variable(one, "s"), Polynomial.variable(two, "s")
+        with pytest.raises(ValueError, match="^no image given for variable 'x'$"):
+            f.substitute({"y": s1, "z": s2})
+        with pytest.raises(ValueError, match="^no image given for variable 'y'$"):
+            f.substitute({"x": s1, "z": s2})
+        with pytest.raises(ValueError, match="^substitution images use mismatched variable sets$"):
+            f.substitute({"x": s1, "y": s2})

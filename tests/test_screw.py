@@ -62,6 +62,13 @@ def random_element(rng: random.Random) -> EuclideanElement:
     return EuclideanElement(rotation_from_quaternion(q), t)
 
 
+
+def axis_screw(w, p, h) -> Twist:
+    """The screw of pitch `h` about the axis through point `p` along `w`:
+    v = p x w + h w."""
+    w = tuple(Fraction(c) for c in w)
+    return Twist(w, tuple(a + h * c for a, c in zip(cross(tuple(map(Fraction, p)), w), w)))
+
 # a float, a string and a bool: none is an exact rational to a constructor
 INEXACT = [(0.1, TypeError), ("1/3", TypeError), (True, ValueError)]
 
@@ -372,6 +379,71 @@ class TestDhInvariants:
         a, b = dh_invariants(pair), dh_invariants(scaled)
         assert a.cos_alpha == b.cos_alpha
         assert a.displacement == b.displacement
+
+    def test_pitched_pair_at_known_distance(self):
+        # the example pair's axes, 2 apart at cos alpha = 4/5, with pitch 1
+        # on screw 1 (the README pair with v1 = (0, 0, 1)) and then also
+        # pitch -2 on screw 2; klein_cross stays the raw w1.v2 + w2.v1
+        w2 = (0, Fraction(3, 5), Fraction(4, 5))
+        for h2, kc in ((0, 2), (-2, Fraction(2, 5))):
+            pair = MultiScrew((axis_screw((0, 0, 1), (0, 0, 0), 1), axis_screw(w2, (2, 0, 0), h2)))
+            report = dh_invariants(pair)
+            assert report.klein_cross == kc
+            assert report.cos_alpha == Fraction(4, 5)
+            assert report.d_sin_alpha == Fraction(6, 5)
+            assert report.displacement == 2 and report.d_float == pytest.approx(2.0)
+
+    def test_parallel_pitched_axes_give_zero(self):
+        # the dh_parallel golden pair: screw 2 has pitch -5/2, and all of
+        # w1.v2 + w2.v1 = 5 is the pitch term
+        pair = parse_multiscrew("0 0 1 0 0 0\n0 0 -2 2 1 5\n")
+        report = dh_invariants(pair)
+        assert report.klein_cross == 5 and report.d_sin_alpha == 0
+        assert report.parallel_axes and report.displacement is None
+        rng = random.Random(59)
+        for _ in range(50):
+            w = (0, 0, 0)
+            while not any(w):
+                w = tuple(rng.randint(-4, 4) for _ in range(3))
+            scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+            points = [tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(3)) for _ in range(2)]
+            h1, h2 = (Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(2))
+            pair = MultiScrew((axis_screw(w, points[0], h1), axis_screw([scale * c for c in w], points[1], h2)))
+            report = dh_invariants(pair)
+            assert report.parallel_axes and report.d_sin_alpha == 0 and report.displacement is None
+
+    def test_pitched_report_is_adjoint_and_scale_invariant(self):
+        w2 = (1, Fraction(3, 5), Fraction(4, 5))
+        pair = MultiScrew((axis_screw((0, 2, 1), (1, -1, 3), Fraction(5, 2)), axis_screw(w2, (2, 7, 0), -3)))
+        report = dh_invariants(pair)
+        assert report.d_sin_alpha != 0
+        rng = random.Random(61)
+        moved_pairs = [apply_adjoint(random_element(rng), pair) for _ in range(100)]
+        for k in (Fraction(1, 3), 3, 7):
+            t1, t2 = (Twist([k * c for c in t.omega], [k * c for c in t.vee]) for t in pair)
+            moved_pairs += [MultiScrew((t1, pair[1])), MultiScrew((pair[0], t2))]
+        for moved in moved_pairs:
+            other = dh_invariants(moved)
+            assert other.cos_alpha == report.cos_alpha
+            assert other.d_sin_alpha == report.d_sin_alpha
+            assert other.displacement == report.displacement
+
+    def test_standard_pitched_pairs_round_trip(self):
+        # a standard DH pair: screw 1 about the z axis, screw 2 about the
+        # axis through (d, 0, 0) along (0, s, c), so cos alpha = c/sqrt(s^2 + c^2)
+        # and the axes are d apart; nonzero pitches, moved by a seeded
+        # exact rigid motion, must give back (cos alpha, d) exactly
+        rng = random.Random(67)
+        for _ in range(60):
+            k1 = rng.randint(1, 5)
+            s, c = rng.randint(1, 9), rng.randint(-9, 9)
+            d = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 7))
+            h1, h2 = (Fraction(rng.choice([-1, 1]) * rng.randint(1, 20), rng.randint(1, 7)) for _ in range(2))
+            pair = MultiScrew((axis_screw((0, 0, k1), (0, 0, 0), h1), axis_screw((0, s, c), (d, 0, 0), h2)))
+            report = dh_invariants(apply_adjoint(random_element(rng), pair))
+            assert report.cos_alpha == ExactRadical(c, s * s + c * c)
+            assert report.d_sin_alpha == ExactRadical(d * s, s * s + c * c)
+            assert report.displacement == d
 
     def test_exact_radical_behaviour(self):
         r = ExactRadical(Fraction(4, 5), 1)
