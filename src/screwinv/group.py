@@ -11,9 +11,10 @@ with T the skew matrix of the translation t; `_adjoint_blocks` is the one
 place this is written.  Numerically that matrix is held as an integer
 matrix A over one int d, and a twist is acted on with its coordinates
 cleared to ints over their common denominator, so each image coordinate
-costs one Fraction.  The sampled oracle builds none: with a sample screw
-cleared to ints P over one e, it compares N(P, e) * d^top with N(Q, d e),
-Q = A P, and builds Fractions only for a counterexample.
+costs one Fraction.  The sampled oracle builds none: it draws an int
+quaternion and translation, checks the rotation with the `Rotation`
+constructor, applies the blocks of `_adjoint_blocks` to ints, and builds
+Fractions only for a counterexample.
 
 Invariance of a polynomial under the full action or either sub-action can
 be checked two independent ways: symbolically (substituting the action of
@@ -110,14 +111,17 @@ class Rotation(_Immutable):
         if denominator <= 0:
             raise ValueError("a rotation's denominator must be positive")
         n2 = denominator * denominator
-        scaled_identity = tuple(tuple(n2 if i == j else 0 for j in range(3)) for i in range(3))
-        if mat_mul(transpose(rows), rows) != scaled_identity:
+        c0, c1, c2 = zip(*rows)
+        gram = dot(c0, c0), dot(c1, c1), dot(c2, c2), dot(c0, c1), dot(c0, c2), dot(c1, c2)
+        if gram != (n2, n2, n2, 0, 0, 0):  # the six distinct entries of the symmetric M^T M
             raise ValueError("matrix is not exactly orthogonal")
         if dot(rows[0], cross(rows[1], rows[2])) != n2 * denominator:  # det M
             raise ValueError("matrix has determinant != 1")
-        g = math.gcd(denominator, *(x for row in rows for x in row))
-        object.__setattr__(self, "numerator", tuple(tuple(x // g for x in row) for row in rows))
-        object.__setattr__(self, "denominator", denominator // g)
+        g = math.gcd(denominator, *c0, *c1, *c2)
+        if g != 1:
+            rows, denominator = tuple(tuple(x // g for x in row) for row in rows), denominator // g
+        object.__setattr__(self, "numerator", rows)
+        object.__setattr__(self, "denominator", denominator)
 
     @property
     def entries(self) -> tuple:
@@ -162,14 +166,18 @@ def _quaternion_matrix_raw(q0, q1, q2, q3):
     )
 
 
+def _int_rotation(a) -> Rotation:
+    """The rotation of the nonzero int quaternion a: its quaternion matrix over |a|^2."""
+    return Rotation(_quaternion_matrix_raw(*a), sum(x * x for x in a))
+
+
 def rotation_from_quaternion(q: RationalQuaternion) -> Rotation:
     """Exact rotation matrix of a (not necessarily unit) quaternion.
 
     With the components cleared to integers a (q = a/d), the rotation is the
     quaternion matrix of a over |a|^2; the scale d cancels.
     """
-    a, _ = _cleared(q.components())
-    return Rotation(_quaternion_matrix_raw(*a), sum(x * x for x in a))
+    return _int_rotation(_cleared(q.components())[0])
 
 
 @dataclass(frozen=True)
@@ -202,8 +210,9 @@ def _adjoint_blocks(m, u, e) -> tuple:
     """(eM, UM), the columns of UM being u crossed with the columns of M.
 
     The one place the adjoint action is written: with R = M/n and t = u/e,
-    (R, t) acts on (omega, v) by [[eM, 0], [UM, eM]] / (n e).  Ring-generic,
-    so `_scaled_adjoint` calls it on ints and `_images` on Polynomials.
+    (R, t) acts on (omega, v) by [[eM, 0], [UM, eM]] / (n e).  Ring-generic:
+    `_scaled_adjoint` and the sampled oracle call it on ints, `_images` on
+    Polynomials.
     """
     em = tuple(tuple(e * x for x in row) for row in m)
     um = transpose([cross(u, column) for column in transpose(m)])
@@ -412,20 +421,18 @@ def _element(q: RationalQuaternion | None, t: Vec3) -> EuclideanElement:
 
 
 def _sample_group(rng: random.Random, kind: ActionKind):
-    """Random exact group element: integer quaternion and translation boxes."""
-    if kind is ActionKind.TRANSLATION_SUB:
-        q = None
-    else:
+    """Random exact group element as ints (a, u) from integer boxes: the
+    quaternion a, None when `kind` draws no rotation, and the translation u."""
+    a = None
+    if kind is not ActionKind.TRANSLATION_SUB:
         while True:
-            comps = [rng.randint(-100, 100) for _ in range(4)]
-            if any(comps):
+            a = [rng.randint(-100, 100) for _ in range(4)]
+            if any(a):
                 break
-        q = RationalQuaternion(*comps)
-    if kind is ActionKind.ROTATION_SUB:
-        t = (Fraction(0), Fraction(0), Fraction(0))
-    else:
-        t = tuple(Fraction(rng.randint(-1000, 1000)) for _ in range(3))
-    return q, t, _element(q, t)
+    u = (0, 0, 0)
+    if kind is not ActionKind.ROTATION_SUB:
+        u = tuple(rng.randint(-1000, 1000) for _ in range(3))
+    return a, u
 
 
 def _sample_screw(rng: random.Random, m: int) -> list:
@@ -443,11 +450,14 @@ def check_invariant_sampled(
     """Decide f(g.s) == f(s) exactly at pseudo-random group elements and screws.
 
     Samples are derived deterministically from (seed, index), so results
-    are order-independent and reproducible.  Each is decided in ints: the
-    screw is P/e and g's adjoint A/d, so g.s is Q/(d e) with Q = A P per
-    twist, and with `poly._plan_sum`'s N the two values are equal exactly
-    when N(P, e) * d^top == N(Q, d e).  A failure is rebuilt in Fractions
-    through `evaluate` and `apply_adjoint`, which must disagree too, and
+    are order-independent and reproducible.  Each is decided in ints: g is
+    an int quaternion a and translation u, its rotation M/n checked by the
+    `Rotation` constructor, and the screw is P/e.  With (eM, UM) =
+    `_adjoint_blocks(M, u, 1)`, each twist's image is (eM w, UM w + eM v)
+    over d = n, so g.s is Q/(d e), and with `poly._plan_sum`'s N the values
+    are equal exactly when N(P, e) * d^top == N(Q, d e).  Only a failure
+    builds Fractions: it is rebuilt through `rotation_from_quaternion`,
+    `evaluate` and `apply_adjoint`, must disagree there too, and is
     returned as the exact counterexample.
 
     Success is probabilistic evidence only.  Modelling the seeded draws as
@@ -465,17 +475,22 @@ def check_invariant_sampled(
     rows = [(c, tuple((place[i], k) for i, k in exps), deg) for c, exps, deg in rows]
     for index in range(n_samples):
         rng = random.Random(seed * 1_000_003 + index)
-        q, t, g = _sample_group(rng, kind)
+        a, u = _sample_group(rng, kind)
         draws = _sample_screw(rng, m)
         e = math.lcm(*(b for _, b in draws))
-        p = [a * (e // b) for a, b in draws]
-        adjoint, d = _scaled_adjoint(g)
-        image = [x for k in range(0, 6 * m, 6) for x in mat_vec(adjoint, p[k : k + 6])]
+        p = [x * (e // b) for x, b in draws]
+        r = _IDENTITY_ROTATION if a is None else _int_rotation(a)
+        (em, um), d = _adjoint_blocks(r.numerator, u, 1), r.denominator
+        image = []
+        for k in range(0, 6 * m, 6):
+            w, v = p[k : k + 3], p[k + 3 : k + 6]
+            image += (*[dot(x, w) for x in em], *[dot(x, w) + dot(y, v) for x, y in zip(um, em)])
         if _plan_sum(rows, top, p, e) * d**top != _plan_sum(rows, top, image, d * e):
-            c = [Fraction(a, b) for a, b in draws]
+            q, t = None if a is None else RationalQuaternion(*a), tuple(map(Fraction, u))
+            c = [Fraction(x, b) for x, b in draws]
             s = MultiScrew(tuple(Twist(c[k : k + 3], c[k + 3 : k + 6]) for k in range(0, 6 * m, 6)))
             before = f.evaluate(s.coordinates())
-            after = f.evaluate(apply_adjoint(g, s).coordinates())
+            after = f.evaluate(apply_adjoint(_element(q, t), s).coordinates())
             if before == after:
                 raise RuntimeError("the integer and Fraction evaluations of a sample disagree")
             return SampledCheck(False, Counterexample(q, t, s, before, after))

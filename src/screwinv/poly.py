@@ -593,9 +593,11 @@ class Polynomial(_Immutable):
         """
         rows, used, top = self._plan()
         if not used:
-            # constant: nothing to substitute
-            target = next(iter(images.values())).varset if images else self.varset
-            return Polynomial._raw(target, self._num, self.den)
+            # constant: nothing to substitute, but every image names the target
+            targets = {img.varset for img in images.values()}
+            if len(targets) > 1:
+                raise ValueError("substitution images use mismatched variable sets")
+            return Polynomial._raw(targets.pop() if targets else self.varset, self._num, self.den)
         names = self.varset.names
         imgs = {}  # variable index -> its image
         for i in used:
@@ -627,8 +629,8 @@ class Polynomial(_Immutable):
         """(rows, used, top): one (C_t, ((i, e_i), ...), deg_t) row per term,
         in `_num`'s order, the indices of the used variables and the largest
         term degree.  The one walk over the packed terms: `evaluate`,
-        `substitute`, `rename`, `degree_components` and the sampled oracle
-        read a term's exponents from its row."""
+        `substitute`, `rename` and the sampled oracle read a term's
+        exponents from its row."""
         unpack = self.varset.unpack
         rows = []
         for m, coeff in self._num.items():
@@ -675,9 +677,10 @@ class Polynomial(_Immutable):
 
     def degree_components(self) -> dict[int, "Polynomial"]:
         """Split into homogeneous components keyed by total degree."""
+        degree = self.varset.degree
         buckets: dict[int, dict] = {}
-        for m, (coeff, _, k) in zip(self._num, self._plan()[0]):
-            buckets.setdefault(k, {})[m] = coeff
+        for m, coeff in self._num.items():
+            buckets.setdefault(degree(m), {})[m] = coeff
         return {d: Polynomial._raw(self.varset, t, self.den) for d, t in buckets.items()}
 
     # ------------------------------------------------------------------

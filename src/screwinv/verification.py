@@ -17,6 +17,8 @@ from typing import Callable
 from . import screw as _screw
 from .group import (
     ActionKind,
+    RationalQuaternion,
+    _element,
     _sample_group,
     _scaled_adjoint,
     apply_adjoint,
@@ -57,7 +59,8 @@ class VerifyItem:
 def _random_rotations(count: int, seed: int):
     rng = random.Random(seed)
     for _ in range(count):
-        yield _sample_group(rng, ActionKind.FULL_ADJOINT)[2]
+        a, u = _sample_group(rng, ActionKind.FULL_ADJOINT)
+        yield _element(RationalQuaternion(*a), u)
 
 
 def check_single_screw_sagbi() -> VerifyItem:

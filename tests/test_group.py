@@ -65,6 +65,15 @@ def random_element(rng: random.Random) -> EuclideanElement:
     return EuclideanElement(rotation_from_quaternion(q), t)
 
 
+NOT_ORTHOGONAL = "^matrix is not exactly orthogonal$"
+# M^T M wrong in exactly one entry: columns of norm 25 with the second and
+# third not orthogonal (one off-diagonal pair), and orthogonal columns with
+# one of norm 4 (one column norm)
+ONE_WRONG_GRAM_ENTRY = [
+    (((5, 0, 0), (0, 3, 4), (0, 4, 3)), 5),
+    (((1, 0, 0), (0, 1, 0), (0, 0, 2)), 1),
+]
+
 # a float, a string and a bool: none is an exact rational to a constructor
 INEXACT = [(0.1, TypeError), ("1/3", TypeError), (True, ValueError)]
 
@@ -763,11 +772,35 @@ class TestIntegerGroupElements:
             (((1, 0), (0, 1)), 1, ValueError),  # 2x2
             (((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)), 1, ValueError),  # 4x3
             (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), 1, ValueError),  # 3x4
+            *((numerator, denominator, ValueError) for numerator, denominator in ONE_WRONG_GRAM_ENTRY),
         ],
     )
     def test_integer_constructor_checks(self, numerator, denominator, error):
         with pytest.raises(error):
             Rotation(numerator, denominator)
+
+    @pytest.mark.parametrize("numerator, denominator", ONE_WRONG_GRAM_ENTRY)
+    def test_one_wrong_gram_entry_is_refused_as_not_orthogonal(self, numerator, denominator):
+        # the determinant check would refuse these too; the message shows
+        # that the orthogonality check saw the one wrong entry of M^T M
+        with pytest.raises(ValueError, match=NOT_ORTHOGONAL):
+            Rotation(numerator, denominator)
+
+    def test_every_unit_change_to_a_quaternion_matrix_is_refused(self):
+        # a +-1 change to one entry changes its column's norm by an odd
+        # amount, so the orthogonality check refuses it before the determinant
+        rng = random.Random(43)
+        for _ in range(200):
+            a = [rng.randint(-100, 100) for _ in range(4)]
+            raw, n = group._quaternion_matrix_raw(*a), sum(x * x for x in a)
+            assert Rotation(raw, n) == rotation_from_quaternion(RationalQuaternion(*a))
+            for i in range(3):
+                for j in range(3):
+                    for step in (-1, 1):
+                        changed = [list(row) for row in raw]
+                        changed[i][j] += step
+                        with pytest.raises(ValueError, match=NOT_ORTHOGONAL):
+                            Rotation(changed, n)
 
     def test_constructor_reduces_and_accepts_any_rows(self):
         r = Rotation([[3, 6, 6], [6, 3, -6], [-6, 6, -3]], 9)

@@ -824,6 +824,18 @@ class TestTermWalk:
             assert f.substitute({"a": image(2), "e": image(3)}) == Polynomial.constant(xyz, c)
             assert f.substitute({}) == f
 
+    def test_constant_refuses_mismatched_images_in_either_key_order(self):
+        # a constant uses no variable, so every image names the target
+        # variable set, whatever the order of the mapping's keys
+        over_a, over_b = VariableSet(["s"]), VariableSet(["s", "t"])
+        p_over_a, p_over_b = Polynomial.variable(over_a, "s"), Polynomial.variable(over_b, "t")
+        for f in (Polynomial.constant(VariableSet(["a", "b"]), 3), Polynomial.zero(VariableSet(["a", "b"]))):
+            for images in ({"a": p_over_a, "b": p_over_b}, {"b": p_over_b, "a": p_over_a}):
+                with pytest.raises(ValueError, match="^substitution images use mismatched variable sets$"):
+                    f.substitute(images)
+            result = f.substitute({"a": p_over_b, "b": p_over_b})
+            assert result.varset == over_b and result == f.rename(over_b, {"a": "s", "b": "t"})
+
     def test_missing_image_reported_before_mismatch(self):
         # the used variables are checked in variable-set order, each for a
         # missing image and then for its variable set
