@@ -63,8 +63,8 @@ MAX_SO3_VECTORS = 9
 # 3-term Klein form takes 0.6 s and 145 MiB to check symbolically at
 # M = 400, the pullback catalog 0.3 s and 25 MiB at M = 200, and
 # `poly w11` 1.8 s and 242 MiB at M = 200,000.  At the cap the Klein form
-# takes 0.02 s symbolically, the 96-term sum of all 32 Klein forms 0.05 s
-# symbolically and ~3 s per 1,000 samples, so ~30 s at MAX_SAMPLES, and
+# takes 0.01 s symbolically, the 96-term sum of all 32 Klein forms 0.02 s
+# symbolically and ~0.3 s per 1,000 samples, so ~3 s at MAX_SAMPLES, and
 # the pullback catalog 0.01 s within the interpreter's own 17 MiB.
 MAX_SCREWS = 32
 
@@ -75,10 +75,10 @@ MAX_SCREWS = 32
 # paper's largest bound.
 MAX_DEGREE_BOUND = 16
 
-# One sample costs ~0.2 ms on one screw and ~0.2-0.26 ms on three-screw
+# One sample costs ~0.04 ms on one screw and ~0.05-0.08 ms on three-screw
 # SE(3) catalog elements (Intel Xeon, 2 cores, CPython 3.11), so the cap
-# bounds a passing sampled check to ~2-3 s on such inputs; the default is
-# 32.
+# bounds a passing sampled check to ~0.5-0.8 s on such inputs; the default
+# is 32.
 MAX_SAMPLES = 10_000
 
 # The symbolic check expands every image power the input's exponents ask
@@ -89,7 +89,7 @@ MAX_SAMPLES = 10_000
 # cores, CPython 3.11), a degree-32 monomial spread over all 18 coordinates
 # takes ~1.7 s to fail symbolically, and the expanded
 # (w11^2 + w12^2 + w13^2)^16, 153 terms, ~1.0 s to pass symbolically and
-# ~1.2 s per 1,000 samples, so ~12 s at MAX_SAMPLES.  `subduct` takes one
+# ~0.6 s per 1,000 samples, so ~6 s at MAX_SAMPLES.  `subduct` takes one
 # step per degree against the basis x + 1, each expanding a power: x^32
 # takes ~0.003 s there, x^200 0.2 s, x^400 1.5 s and x^800 ~20 s.  At the
 # cap, the expanded mixed form of screws 1 and 2 to the 16th, 20,349 terms,

@@ -12,9 +12,10 @@ place this is written.  Numerically that matrix is held as an integer
 matrix A over one int d, and a twist is acted on with its coordinates
 cleared to ints over their common denominator, so each image coordinate
 costs one Fraction.  The sampled oracle builds none: it draws an int
-quaternion and translation, checks the rotation with the `Rotation`
-constructor, applies the blocks of `_adjoint_blocks` to ints, and builds
-Fractions only for a counterexample.
+quaternion and translation by `_draw` (`randint`'s values at `getrandbits`
+cost), checks the rotation with the `Rotation` constructor, applies the
+blocks to ints, and builds Fractions only for a counterexample.  `_images`
+lifts the blocks' entries, built once over the group variables alone.
 
 Invariance of a polynomial under the full action or either sub-action can
 be checked two independent ways: symbolically (substituting the action of
@@ -39,8 +40,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul
+from operator import mul
 
+from ._kernel import FIELD_BITS, terms_add
 from .poly import Polynomial, TermOrder, VariableSet, _cleared, _coerce, _Immutable, _plan_sum
 from .sagbi import (
     DEFAULT_DEGREE_BOUND,
@@ -49,7 +51,7 @@ from .sagbi import (
     eliminate,
     sagbi_construct,
 )
-from .screw import MultiScrew, Twist, Vec3, cross, dot, screw_varset, symbolic_vector, vec3
+from .screw import MultiScrew, Twist, Vec3, cross, dot, screw_varset, vec3
 
 DEFAULT_SAMPLES = 32
 DEFAULT_SEED = 0xC0FFEE
@@ -62,8 +64,8 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    """The product a v, each row summed from its first product (no int 0 start)."""
-    return tuple(reduce(add, map(mul, row, v)) for row in a)
+    """The product a v of a matrix and a vector of numbers."""
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def transpose(a):
@@ -211,8 +213,8 @@ def _adjoint_blocks(m, u, e) -> tuple:
 
     The one place the adjoint action is written: with R = M/n and t = u/e,
     (R, t) acts on (omega, v) by [[eM, 0], [UM, eM]] / (n e).  Ring-generic:
-    `_scaled_adjoint` and the sampled oracle call it on ints, `_images` on
-    Polynomials.
+    `_scaled_adjoint` and the sampled oracle call it on ints, `_images` once
+    per call on ints and Polynomials over the group variables alone.
     """
     em = tuple(tuple(e * x for x in row) for row in m)
     um = transpose([cross(u, column) for column in transpose(m)])
@@ -302,6 +304,7 @@ def pullback(kind: ActionKind, m: int) -> PullbackSystem:
     and t1..t3 unless it is the rotation sub-action, come first; `_images`
     reads the element off them.
     """
+    kind = ActionKind(kind)
     space = screw_varset(m)
     group_vars = ()
     if kind is not ActionKind.TRANSLATION_SUB:
@@ -329,18 +332,28 @@ _IDENTITY = {"q0": 1, "q1": 0, "q2": 0, "q3": 0, "t1": 0, "t2": 0, "t3": 0}
 
 def _images(vs: VariableSet, m: int) -> dict[str, Polynomial]:
     """Each screw coordinate's name -> its image over `vs` under (R, t), read
-    off the group variables `vs` holds: R is the quaternion matrix over
-    q0..q3 with its |q|^2 denominator cleared and t is (t1, t2, t3)."""
+    off the group variables `vs` holds, which must lead it: R is the
+    quaternion matrix over q0..q3 with its |q|^2 denominator cleared and t
+    is (t1, t2, t3).  An image sum_k entry_k * x_k is the `terms_add` sum of
+    the block entries' terms shifted past the screw fields, plus x_k's bit."""
+    group = [name for name in vs.names if name in _IDENTITY]
+    if list(vs.names[: len(group)]) != group:
+        raise ValueError("the group variables must lead the variable set")
+    gvs = VariableSet(group) if group else None
     q0, q1, q2, q3, t1, t2, t3 = (
-        Polynomial.variable(vs, name) if name in vs else value for name, value in _IDENTITY.items()
+        Polynomial.variable(gvs, name) if name in group else value for name, value in _IDENTITY.items()
     )
     em, um = _adjoint_blocks(_quaternion_matrix_raw(q0, q1, q2, q3), (t1, t2, t3), 1)
+    shift, last = FIELD_BITS * (len(vs) - len(group)), len(vs) - 1
+    rows = [row + (0, 0, 0) for row in em] + [x + y for x, y in zip(um, em)]  # [[eM, 0], [UM, eM]]
     images = {}
     for i in range(1, m + 1):
-        omega, vee = symbolic_vector(vs, f"w{i}"), symbolic_vector(vs, f"v{i}")
-        images.update(zip((f"w{i}{n}" for n in (1, 2, 3)), mat_vec(em, omega)))
-        vee_image = (a + b for a, b in zip(mat_vec(um, omega), mat_vec(em, vee)))
-        images.update(zip((f"v{i}{n}" for n in (1, 2, 3)), vee_image))
+        names = [f"{stem}{i}{n}" for stem in "wv" for n in (1, 2, 3)]
+        bits = [1 << FIELD_BITS * (last - vs.index(name)) for name in names]
+        for name, row in zip(names, rows):
+            lifted = ({(mono << shift) + bit: c for mono, c in ({0: x} if type(x) is int else x._num).items()}
+                      for x, bit in zip(row, bits) if x)
+            images[name] = Polynomial._raw(vs, reduce(terms_add, lifted, {}))
     return images
 
 
@@ -383,6 +396,7 @@ def check_invariant_symbolic(f: Polynomial, kind: ActionKind, m: int) -> bool:
     that, the action being linear, is invariance under the whole family.
     See the module docstring for why the families suffice.
     """
+    kind = ActionKind(kind)
     _check_screw_input(f, m)
     components = f.degree_components()
     for vs, images, norm2 in _families(kind, m):
@@ -420,24 +434,36 @@ def _element(q: RationalQuaternion | None, t: Vec3) -> EuclideanElement:
     return EuclideanElement(Rotation.identity() if q is None else rotation_from_quaternion(q), t)
 
 
+_BOX_100, _BOX_1000, _BOX_16 = (-100, 201, 8), (-1000, 2001, 11), (1, 16, 5)  # (low, width, k)
+
+
+def _draw(rng: random.Random, boxes) -> list:
+    """One value per (low, width, k) box, each what `rng.randint(low, low +
+    width - 1)` gives on CPython 3.10-3.13, with `rng` left in the same state:
+    k = width.bit_length() bits from `getrandbits`, redrawn until below width."""
+    values = []
+    for low, width, k in boxes:
+        r = rng.getrandbits(k)
+        while r >= width:
+            r = rng.getrandbits(k)
+        values.append(low + r)
+    return values
+
+
 def _sample_group(rng: random.Random, kind: ActionKind):
-    """Random exact group element as ints (a, u) from integer boxes: the
+    """Random exact group element as ints (a, u), drawn by `_draw`: the
     quaternion a, None when `kind` draws no rotation, and the translation u."""
-    a = None
-    if kind is not ActionKind.TRANSLATION_SUB:
-        while True:
-            a = [rng.randint(-100, 100) for _ in range(4)]
-            if any(a):
-                break
-    u = (0, 0, 0)
-    if kind is not ActionKind.ROTATION_SUB:
-        u = tuple(rng.randint(-1000, 1000) for _ in range(3))
+    a = None if kind is ActionKind.TRANSLATION_SUB else _draw(rng, (_BOX_100,) * 4)
+    while a is not None and not any(a):
+        a = _draw(rng, (_BOX_100,) * 4)
+    u = (0, 0, 0) if kind is ActionKind.ROTATION_SUB else tuple(_draw(rng, (_BOX_1000,) * 3))
     return a, u
 
 
 def _sample_screw(rng: random.Random, m: int) -> list:
     """Random screw coordinates a/b as 6m (a, b) draws, twist by twist, omega then v."""
-    return [(rng.randint(-100, 100), rng.randint(1, 16)) for _ in range(6 * m)]
+    values = _draw(rng, (_BOX_100, _BOX_16) * (6 * m))
+    return list(zip(values[::2], values[1::2]))
 
 
 def check_invariant_sampled(
@@ -466,6 +492,9 @@ def check_invariant_sampled(
     d passes one sample with probability at most 4d/200 (2d/200 for t3,
     which draws no quaternion).
     """
+    kind = ActionKind(kind)
+    if type(n_samples) is not int or type(seed) is not int:  # a bool is not a count or a seed
+        raise TypeError("n_samples and seed must be ints")
     if n_samples < 1:
         raise ValueError("need at least one sample")
     _check_screw_input(f, m)

@@ -30,7 +30,7 @@ from screwinv.group import (
     transpose,
 )
 from screwinv.parsing import format_poly, parse, parse_rational
-from screwinv.poly import Polynomial
+from screwinv.poly import Polynomial, VariableSet
 from screwinv.screw import (
     ExactRadical,
     MultiScrew,
@@ -197,6 +197,23 @@ class TestGroupSampler:
         rng = random.Random(seed)
         expected = [random_element(rng) for _ in range(300)]
         assert list(_random_rotations(300, seed)) == expected
+
+    # each box the samplers draw from, and the screw sampler's interleaving
+    @pytest.mark.parametrize(
+        "boxes, ranges",
+        [
+            ([group._BOX_100] * 4, [(-100, 100)] * 4),
+            ([group._BOX_1000] * 3, [(-1000, 1000)] * 3),
+            ([group._BOX_16] * 4, [(1, 16)] * 4),
+            ([group._BOX_100, group._BOX_16] * 3, [(-100, 100), (1, 16)] * 3),
+        ],
+        ids=["-100..100", "-1000..1000", "1..16", "screw"],
+    )
+    def test_draws_equal_randint_and_leave_the_same_state(self, boxes, ranges):
+        for seed in range(2000):
+            mine, reference = random.Random(seed), random.Random(seed)
+            assert group._draw(mine, boxes) == [reference.randint(low, high) for low, high in ranges], seed
+            assert mine.getstate() == reference.getstate(), seed
 
 
 class TestAdjoint:
@@ -377,6 +394,47 @@ class TestPullback:
         with pytest.raises(ValueError):
             pullback(ActionKind.TRANSLATION_SUB, 0)
 
+    @pytest.mark.parametrize("kind", list(ActionKind))
+    def test_kind_value_builds_the_kinds_system(self, kind):
+        system = pullback(kind.value, 2)
+        assert system == pullback(kind, 2) and system.kind is kind
+        if kind is ActionKind.TRANSLATION_SUB:
+            seed, expected = system.seed_generators(), pullback(kind, 2).seed_generators()
+            assert list(seed.gens) == list(expected.gens) and seed.order == expected.order
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="'bogus' is not a valid ActionKind"):
+            pullback("bogus", 1)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_rotation_families_are_so3_images_on_an_axis(self, m):
+        # each family is the so3 pullback with the other two quaternion
+        # components set to 0
+        so3 = pullback(ActionKind.ROTATION_SUB, m)
+        families = list(group._families(ActionKind.ROTATION_SUB, m))
+        assert [vs.names[:2] for vs, _, _ in families] == [("q0", axis) for axis in group.ROTATION_AXES]
+        for vs, images, _ in families:
+            restrict = {
+                name: Polynomial.variable(vs, name) if name in vs else Polynomial.zero(vs)
+                for name in so3.varset.names
+            }
+            assert images.keys() == set(so3.space_vars)
+            for name, image in so3.image_map().items():
+                assert images[name] == image.substitute(restrict), (vs.names[1], name)
+
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ("q0", "w11", "w12", "w13", "v11", "v12", "v13", "q3"),
+            ("w11", "w12", "w13", "v11", "v12", "v13", "t1"),
+            ("t1", "w11", "t2", "w12", "w13", "v11", "v12", "v13"),
+        ],
+        ids=["trailing q3", "trailing t1", "t2 after a screw variable"],
+    )
+    def test_images_refuse_a_group_variable_after_the_screw(self, names):
+        with pytest.raises(ValueError, match="^the group variables must lead the variable set$"):
+            group._images(VariableSet(names), 1)
+
 
 class TestSymbolicInvariance:
     def test_klein_full_adjoint(self):
@@ -402,6 +460,18 @@ class TestSymbolicInvariance:
         vs = screw_varset(2)
         with pytest.raises(ValueError):
             check_invariant_symbolic(klein_form(vs, 2), ActionKind.FULL_ADJOINT, 1)
+
+    @pytest.mark.parametrize("kind", list(ActionKind))
+    def test_kind_value_gives_the_kinds_answer(self, kind):
+        vs = screw_varset(1)
+        for f in (Polynomial.variable(vs, "w11"), Polynomial.variable(vs, "v11"), klein_form(vs, 1)):
+            assert check_invariant_symbolic(f, kind.value, 1) is check_invariant_symbolic(f, kind, 1)
+        # w11 is moved by every rotation and by no translation
+        assert check_invariant_symbolic(Polynomial.variable(vs, "w11"), "t3", 1)
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="'bogus' is not a valid ActionKind"):
+            check_invariant_symbolic(klein_form(screw_varset(1), 1), "bogus", 1)
 
     THREE_SCREW = dict(se3_generator_catalog(3).entries)
 
@@ -520,6 +590,26 @@ class TestSampledInvariance:
         with pytest.raises(ValueError) as exc:
             check_invariant_sampled(f, ActionKind.FULL_ADJOINT, m, n_samples)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind", list(ActionKind))
+    def test_kind_value_gives_the_kinds_answer(self, kind):
+        vs = screw_varset(1)
+        for f in (Polynomial.variable(vs, "w11"), Polynomial.variable(vs, "v11"), klein_form(vs, 1)):
+            assert check_invariant_sampled(f, kind.value, 1, 8) == check_invariant_sampled(f, kind, 1, 8)
+        assert check_invariant_sampled(Polynomial.variable(vs, "w11"), "t3", 1).ok
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="'bogus' is not a valid ActionKind"):
+            check_invariant_sampled(killing_dot(screw_varset(1), 1, 1), "bogus", 1)
+
+    @pytest.mark.parametrize(
+        "n_samples, seed",
+        [(True, 7), (2.0, 7), ("8", 7), (8, 1.5), (8, "x"), (8, False), (8, None)],
+    )
+    def test_non_int_count_or_seed_refused(self, n_samples, seed):
+        f = killing_dot(screw_varset(1), 1, 1)
+        with pytest.raises(TypeError, match="^n_samples and seed must be ints$"):
+            check_invariant_sampled(f, ActionKind.FULL_ADJOINT, 1, n_samples, seed)
 
     def test_deterministic_given_seed(self):
         vs = screw_varset(1)
